@@ -287,17 +287,13 @@ def cmd_value(cfg: RunConfig) -> int:
     costs = make_costs(cfg)
     kernel = GKernel.from_costs(costs)
     if isinstance(model, Martingale):
-        p0 = model.p0
-        v1_0 = 0.0
-        v0 = None
+        p0, v1_0, v0_0, v0_se = model.p0, 0.0, 0.0, 0.0
     else:
         p0 = model.m0  # the cap is above m0, so the capped price starts at m0
-        state = TargetZoneState(t=0.0, m=model.m0, p=p0)
-        v1_0 = v1_target_zone(kernel, costs, model, state)
+        v1_0 = v1_target_zone(kernel, costs, model, TargetZoneState(t=0.0, m=p0, p=p0))
         v0 = estimate_v0(model, kernel, costs, n_paths=cfg.n_paths, n_steps=cfg.n_steps,
                          master_seed=cfg.seed)
-    v0_0 = 0.0 if v0 is None else v0.mean
-    v0_se = 0.0 if v0 is None else v0.std_error
+        v0_0, v0_se = v0.mean, v0.std_error
     value = value_formula(kernel, costs, p0, v0_0, v1_0)
     mc = estimate_value(model, optimal_policy(model, kernel, costs), costs,
                         n_paths=cfg.n_paths, n_steps=cfg.n_steps, master_seed=cfg.seed)
@@ -327,10 +323,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         if drift_level == 0.0:
             v1_values = np.zeros(grid.size)
         else:
-            drift_model = DeterministicDrift(times=np.array([0.0, costs.horizon]),
-                                             values=np.array([drift_level, drift_level]),
-                                             p0=0.0)
-            v1_values = v1_curve_deterministic(drift_model, kernel, costs.lam, grid)
+            v1_values = v1_curve_deterministic(model, kernel, costs.lam, grid)
         exact = trajectory_from_signal(kernel, costs.x0, v1_values, grid)
         traj_errors.append(float(np.max(np.abs(plan.positions - exact.positions))) / costs.x0)
         terminal_residuals.append(plan.rates[-1] - kernel.gamma_ratio * plan.positions[-1])

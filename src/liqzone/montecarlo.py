@@ -16,13 +16,21 @@ Riemann sums and a forward-Euler inventory update,
 which is exactly the discrete objective the verification oracle maximizes.
 Reductions over paths always run in path-index order.
 
-Policies are callables (t, x, state) -> selling rate, where x and the state
-components may be scalars or aligned arrays (one entry per path).  The
-optimal capped-model policy evaluates its signal term from per-time-step
-tables in a scaled moneyness variable, built with the same Gauss-Legendre
-panel scheme as the quadrature in liqzone.signals and interpolated linearly
-on a uniform grid; table resolution keeps the rate error below ~1e-4
-relative.
+Policies are callables (t, x, state) -> selling rate; the engine passes x
+and the state components as aligned arrays (one entry per path).  The
+optimal policy takes its signal term from the model's signal table
+(liqzone.signals); for the capped models these are per-time-step tables in
+a scaled moneyness variable, built with the quadrature's Gauss-Legendre
+panel scheme and interpolated linearly on a uniform grid, which keeps the
+rate error below ~1e-4 relative.
+
+One engine serves every entry point: _simulate turns per-path normals into
+levels and capped prices, _run_batch runs a policy down a batch, and
+_batches walks the paths batch_size at a time.  So simulate_path(model, T,
+n, path_stream(seed, j)) is bit for bit column j of every batch, and
+run_strategy is the batch runner on one path (it needs a uniform grid).
+What differs between market models (start level, increment map, cap map,
+signal table) lives on the model classes in liqzone.signals.
 
 Batch arrays are laid out time-major, shape (n_steps + 1, n_paths): the
 per-step loop then touches contiguous rows, which is what makes 10^5 paths
@@ -36,20 +44,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
-from .schedule import CostParams, GKernel, TradePlan, urgency
-from .signals import (
-    CappedBachelier,
-    CappedBlackScholes,
-    DeterministicDrift,
-    Martingale,
-    _norm_pdf,
-    _panel_nodes,
-    _discount_ratio,
-    _PANELS_FINE,
-    v1_curve_deterministic,
-)
+from .schedule import CostParams, GKernel, TradePlan, _check_grid, urgency
 
 __all__ = [
     "MarketState",
@@ -89,28 +85,25 @@ class PathSample:
     p: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        m = np.asarray(self.m, dtype=float)
-        m_star = np.asarray(self.m_star, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0.0):
-            raise ValueError("grid must be 1-d, length >= 2, strictly increasing")
-        for name, arr in (("m", m), ("m_star", m_star), ("p", p)):
-            if arr.shape != grid.shape:
+        object.__setattr__(self, "grid", _check_grid("grid", self.grid))
+        for name in ("m", "m_star", "p"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != self.grid.shape:
                 raise ValueError(f"{name} must match the grid shape")
-        if not np.array_equal(np.maximum.accumulate(m), m_star):
+            object.__setattr__(self, name, arr)
+        if not np.array_equal(np.maximum.accumulate(self.m), self.m_star):
             raise ValueError("m_star must be the running maximum of m")
-        if np.any(p > m):
+        if np.any(self.p > self.m):
             raise ValueError("capped price cannot exceed the uncapped level")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "m_star", m_star)
-        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True)
 class GoalBreakdown:
-    """Realized goal of one strategy run; total is the exact signed sum of the parts."""
+    """Realized goal of a strategy run; total is the exact signed sum of the parts.
+
+    run_strategy returns floats; inside the engine each part is an array
+    with one entry per path.
+    """
 
     cash: float
     terminal_asset: float
@@ -120,13 +113,8 @@ class GoalBreakdown:
 
     @classmethod
     def build(cls, cash, terminal_asset, running_penalty, terminal_penalty):
-        return cls(
-            cash=cash,
-            terminal_asset=terminal_asset,
-            running_penalty=running_penalty,
-            terminal_penalty=terminal_penalty,
-            total=cash + terminal_asset - running_penalty - terminal_penalty,
-        )
+        total = cash + terminal_asset - running_penalty - terminal_penalty
+        return cls(cash, terminal_asset, running_penalty, terminal_penalty, total)
 
 
 @dataclass(frozen=True)
@@ -165,13 +153,30 @@ def path_stream(master_seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _drift_price(model: DeterministicDrift, grid: np.ndarray) -> np.ndarray:
-    a = np.interp(grid, model.times, model.values)
-    out = np.empty_like(grid)
-    out[0] = model.p0
-    np.cumsum(0.5 * np.diff(grid) * (a[:-1] + a[1:]), out=out[1:])
-    out[1:] += model.p0
-    return out
+def _simulate(model, horizon, n_steps, count, draw):
+    """(grid, m, p): levels and capped prices, time-major (n_steps + 1, count).
+
+    draw fills a (count, n_steps) array with each path's standard normals;
+    it is not called for a noiseless model.
+    """
+    grid = np.linspace(0.0, horizon, n_steps + 1)
+    fixed = model._fixed_levels(grid)
+    if fixed is not None:
+        m = np.broadcast_to(fixed[:, None], (n_steps + 1, count)).copy()
+        return grid, m, m
+    z = np.empty((count, n_steps))
+    draw(z)
+    m = np.empty((n_steps + 1, count))
+    m[0] = 0.0
+    m[1:] = z.T
+    del z
+    # running sums row by row: each row is one contiguous, cache-resident
+    # vector, much faster than an axis-0 ufunc accumulate
+    for i in range(1, n_steps + 1):
+        m[i] += m[i - 1]
+    m *= model.sigma * math.sqrt(horizon / n_steps)
+    model._to_levels(m, grid)
+    return grid, m, model._cap(m)
 
 
 def simulate_path(model, horizon: float, n_steps: int, rng: np.random.Generator) -> PathSample:
@@ -179,77 +184,37 @@ def simulate_path(model, horizon: float, n_steps: int, rng: np.random.Generator)
 
     Gaussian increments are exact for the arithmetic models and exact in log
     space for the geometric one; the running maximum is taken over grid
-    points only (no continuous-time correction).
+    points only (no continuous-time correction).  With rng =
+    path_stream(seed, j) the path is bit for bit column j of every batch.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if horizon <= 0.0:
         raise ValueError("horizon must be strictly positive")
-    grid = np.linspace(0.0, horizon, n_steps + 1)
-    if isinstance(model, DeterministicDrift):
-        m = _drift_price(model, grid)
-    elif isinstance(model, Martingale) and model.sigma == 0.0:
-        m = np.full(n_steps + 1, model.p0)
-    else:
-        z = rng.standard_normal(n_steps)
-        start = model.m0 if isinstance(model, (CappedBachelier, CappedBlackScholes)) else model.p0
-        w = np.concatenate(([0.0], np.cumsum(z))) * math.sqrt(horizon / n_steps)
-        if isinstance(model, CappedBlackScholes):
-            m = start * np.exp(model.sigma * w - 0.5 * model.sigma**2 * grid)
-        else:
-            m = start + model.sigma * w
-    m_star = np.maximum.accumulate(m)
-    if isinstance(model, (CappedBachelier, CappedBlackScholes)):
-        p = m - np.maximum(m_star - model.p_bar, 0.0)
-    else:
-        p = m
-    return PathSample(grid=grid, m=m, m_star=m_star, p=p)
+    grid, m, p = _simulate(model, horizon, n_steps, 1, lambda z: rng.standard_normal(out=z[0]))
+    m = m.ravel()
+    return PathSample(grid=grid, m=m, m_star=np.maximum.accumulate(m), p=p.ravel())
 
 
 def _simulate_batch(model, horizon, n_steps, master_seed, first_index, count):
-    """(grid, m, p), with m and p time-major arrays of shape (n_steps + 1, count)."""
-    master_seed = _check_seed(master_seed)
-    grid = np.linspace(0.0, horizon, n_steps + 1)
-    if isinstance(model, DeterministicDrift):
-        m = np.broadcast_to(_drift_price(model, grid)[:, None], (n_steps + 1, count)).copy()
-        return grid, m, m
-    if isinstance(model, Martingale) and model.sigma == 0.0:
-        m = np.full((n_steps + 1, count), model.p0)
-        return grid, m, m
+    """(grid, m, p) for paths first_index .. first_index + count - 1 of master_seed."""
+    _check_seed(master_seed)
 
-    z = np.empty((count, n_steps))
-    for j in range(count):
-        key = np.array([first_index + j, master_seed], dtype=np.uint64)
-        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=z[j])
-    sigma = model.sigma
-    start = model.m0 if isinstance(model, (CappedBachelier, CappedBlackScholes)) else model.p0
-    m = np.empty((n_steps + 1, count))
-    m[0] = 0.0
-    m[1:] = z.T
-    del z
-    # running sums and maxima row by row: each row is one contiguous,
-    # cache-resident vector, much faster than an axis-0 ufunc accumulate
-    for i in range(1, n_steps + 1):
-        m[i] += m[i - 1]
-    m *= sigma * math.sqrt(horizon / n_steps)
-    if isinstance(model, CappedBlackScholes):
-        m -= 0.5 * sigma * sigma * grid[:, None]
-        np.exp(m, out=m)
-        m *= start
-    else:
-        m += start
-    if isinstance(model, (CappedBachelier, CappedBlackScholes)):
-        p = np.empty_like(m)
-        run = np.array(m[0])
-        tmp = np.empty(count)
-        for i in range(n_steps + 1):
-            np.maximum(run, m[i], out=run)
-            np.subtract(run, model.p_bar, out=tmp)
-            np.maximum(tmp, 0.0, out=tmp)
-            np.subtract(m[i], tmp, out=p[i])
-    else:
-        p = m
-    return grid, m, p
+    def draw(z):
+        for j in range(count):
+            path_stream(master_seed, first_index + j).standard_normal(out=z[j])
+
+    return _simulate(model, horizon, n_steps, count, draw)
+
+
+def _batches(model, horizon, n_steps, master_seed, n_paths, batch_size):
+    """Yield (slice of path indices, grid, m, p) over consecutive batches."""
+    done = 0
+    while done < n_paths:
+        count = min(batch_size, n_paths - done)
+        grid, m, p = _simulate_batch(model, horizon, n_steps, master_seed, done, count)
+        yield slice(done, done + count), grid, m, p
+        done += count
 
 
 # ---------------------------------------------------------------------------
@@ -265,102 +230,9 @@ def ac_policy(kernel: GKernel) -> Callable:
     return policy
 
 
-class _CappedSignalTable:
-    """Extra selling rate of a capped model, tabulated per time step.
-
-    For each queried time t the extra rate is a function of a single scaled
-    moneyness variable z; a table over a fixed uniform z grid is built with
-    the fine Gauss-Legendre panel scheme and cached, then linearly
-    interpolated (beyond the last z node the rate is 0, where it is below
-    1e-30 of scale anyway).
-    """
-
-    def __init__(self, model, kernel: GKernel, lam: float):
-        self.model = model
-        self.kernel = kernel
-        self.lam = lam
-        self.y, self.w = _panel_nodes(_PANELS_FINE)
-        if isinstance(model, CappedBachelier):
-            self.z_grid = np.linspace(0.0, 13.0, 1301)
-            with np.errstate(over="ignore"):
-                self._phi_over_y = _norm_pdf(self.z_grid[:, None] / self.y[None, :])
-        else:
-            self.z_grid = np.linspace(0.0, 16.0, 1601)
-        self._inv_step = (self.z_grid.size - 1) / self.z_grid[-1]
-        self._tables: dict[float, np.ndarray] = {}
-
-    def _build(self, t: float) -> np.ndarray:
-        tau = self.kernel.horizon - t
-        sig = self.model.sigma
-        root = sig * math.sqrt(tau)
-        ratio_w = _discount_ratio(self.kernel, t, tau, self.y) * self.w
-        if isinstance(self.model, CappedBachelier):
-            return root / self.lam * (self._phi_over_y @ ratio_w)
-        with np.errstate(over="ignore"):
-            f = 0.5 * root * self.y[None, :] - self.z_grid[:, None] / self.y[None, :]
-        return (2.0 * root * (_norm_pdf(f) @ ratio_w)
-                + sig * sig * tau * (ndtr(f) @ (ratio_w * self.y))) / (2.0 * self.lam)
-
-    def extra_values(self, t: float, p, m):
-        """Extra rate -v1 at time t for price/level arrays p, m."""
-        tau = self.kernel.horizon - t
-        if tau <= 0.0:
-            return np.zeros_like(np.asarray(p, dtype=float))
-        tab = self._tables.get(t)
-        if tab is None:
-            tab = self._tables[t] = self._build(t)
-        root = self.model.sigma * math.sqrt(tau)
-        money = self.model.p_bar - np.asarray(p, dtype=float)
-        if isinstance(self.model, CappedBachelier):
-            z = money / root
-        else:
-            z = np.log1p(money / np.asarray(m, dtype=float)) / root
-        # manual linear interpolation: the z grid is uniform, so the cell
-        # index is one multiply instead of a binary search per element
-        pos = np.asarray(z * self._inv_step)
-        idx = np.minimum(pos.astype(np.int64), self.z_grid.size - 2)
-        frac = pos - idx
-        vals = np.where(pos > self.z_grid.size - 1, 0.0,
-                        tab[idx] * (1.0 - frac) + tab[idx + 1] * frac)
-        if isinstance(self.model, CappedBlackScholes):
-            vals = vals * np.asarray(m, dtype=float)
-        return vals
-
-
-class _DriftSignalTable:
-    """Extra rate -v1(t) of a deterministic drift curve (state independent).
-
-    The whole curve is solved once on a dense grid; lookups interpolate.
-    """
-
-    _N_NODES = 8193
-
-    def __init__(self, model: DeterministicDrift, kernel: GKernel, lam: float):
-        self.kernel = kernel
-        self._grid = np.linspace(0.0, kernel.horizon, self._N_NODES)
-        self._curve = -v1_curve_deterministic(model, kernel, lam, self._grid)
-
-    def extra_values(self, t: float, p, m):
-        v = float(np.interp(t, self._grid, self._curve))
-        return np.broadcast_to(np.float64(v), np.asarray(p, dtype=float).shape)
-
-
-class _ZeroSignalTable:
-    def extra_values(self, t: float, p, m):
-        return np.zeros_like(np.asarray(p, dtype=float))
-
-
-def _signal_table(model, kernel: GKernel, lam: float):
-    if isinstance(model, (CappedBachelier, CappedBlackScholes)):
-        return _CappedSignalTable(model, kernel, lam)
-    if isinstance(model, DeterministicDrift):
-        return _DriftSignalTable(model, kernel, lam)
-    return _ZeroSignalTable()
-
-
 def optimal_policy(model, kernel: GKernel, costs: CostParams) -> Callable:
     """Feedback policy u = urgency(t) * x + extra(t, state) for the given model."""
-    table = _signal_table(model, kernel, costs.lam)
+    table = model._signal_table(kernel, costs.lam)
 
     def policy(t, x, state):
         return urgency(kernel, t) * np.asarray(x, dtype=float) + table.extra_values(t, state.p, state.m)
@@ -376,37 +248,25 @@ def optimal_policy(model, kernel: GKernel, costs: CostParams) -> Callable:
 def run_strategy(path: PathSample, policy: Callable, costs: CostParams):
     """Run a policy down one path; returns (TradePlan, GoalBreakdown).
 
-    Inventory follows forward Euler, all goal integrals use left-endpoint
-    Riemann sums on the path grid.
+    This is the batch runner on a single path.  Inventory follows forward
+    Euler with step grid[1] - grid[0], so the grid must be uniform; all goal
+    integrals use left-endpoint Riemann sums on the path grid.
     """
     grid = path.grid
-    n_steps = grid.size - 1
-    dt = float(grid[1] - grid[0])
-    x = costs.x0
-    cash = 0.0
-    run_pen = 0.0
-    positions = np.empty(n_steps + 1)
-    rates = np.empty(n_steps + 1)
-    for i in range(n_steps):
-        positions[i] = x
-        u = float(policy(float(grid[i]), x, MarketState(p=float(path.p[i]), m=float(path.m[i]))))
-        rates[i] = u
-        cash += (path.p[i] - costs.lam * u) * u * dt
-        run_pen += costs.gamma * x * x * dt
-        x -= u * dt
-    positions[n_steps] = x
-    rates[n_steps] = float(policy(float(grid[-1]), x, MarketState(p=float(path.p[-1]), m=float(path.m[-1]))))
-    breakdown = GoalBreakdown.build(
-        cash=cash,
-        terminal_asset=float(path.p[-1]) * x,
-        running_penalty=run_pen,
-        terminal_penalty=costs.big_gamma * x * x,
-    )
-    return TradePlan(grid=grid, positions=positions, rates=rates), breakdown
+    steps = np.diff(grid)
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ValueError("grid must be uniformly spaced")
+    p, m = path.p[:, None], path.m[:, None]
+    bk, xs, us = _run_batch(grid, p, m, policy, costs, collect=True)
+    u_end = policy(float(grid[-1]), xs[-1], MarketState(p=p[-1], m=m[-1]))
+    rates = np.append(us[:, 0], np.asarray(u_end, dtype=float))
+    parts = (bk.cash, bk.terminal_asset, bk.running_penalty, bk.terminal_penalty)
+    return (TradePlan(grid=grid, positions=xs[:, 0], rates=rates),
+            GoalBreakdown.build(*(float(part[0]) for part in parts)))
 
 
 def _run_batch(grid, p, m, policy, costs, collect=False):
-    """Per-path goal totals for one time-major batch; optionally keep (X, U)."""
+    """GoalBreakdown of per-path arrays for one time-major batch; optionally keep (X, U)."""
     n_grid, count = p.shape
     n_steps = n_grid - 1
     dt = float(grid[1] - grid[0])
@@ -428,8 +288,8 @@ def _run_batch(grid, p, m, policy, costs, collect=False):
         x = x - u * dt
     if collect:
         xs[n_steps] = x
-    totals = cash + p[-1] * x - run_pen - costs.big_gamma * np.square(x)
-    return (totals, xs, us) if collect else totals
+    breakdown = GoalBreakdown.build(cash, p[-1] * x, run_pen, costs.big_gamma * np.square(x))
+    return (breakdown, xs, us) if collect else breakdown
 
 
 def _check_mc_args(n_paths, n_steps):
@@ -442,13 +302,9 @@ def _check_mc_args(n_paths, n_steps):
 def _batched_totals(model, policies, costs, n_paths, n_steps, master_seed, batch_size):
     """Per-path totals for each policy on common paths, in path-index order."""
     out = [np.empty(n_paths) for _ in policies]
-    done = 0
-    while done < n_paths:
-        count = min(batch_size, n_paths - done)
-        grid, m, p = _simulate_batch(model, costs.horizon, n_steps, master_seed, done, count)
-        for sl, policy in zip(out, policies):
-            sl[done:done + count] = _run_batch(grid, p, m, policy, costs)
-        done += count
+    for sl, grid, m, p in _batches(model, costs.horizon, n_steps, master_seed, n_paths, batch_size):
+        for totals, policy in zip(out, policies):
+            totals[sl] = _run_batch(grid, p, m, policy, costs).total
     return out
 
 
@@ -491,19 +347,15 @@ def estimate_v0(model, kernel, costs, n_paths, n_steps, master_seed,
     martingale, deterministic for a drift curve); left-endpoint Riemann sum.
     """
     _check_mc_args(n_paths, n_steps)
-    table = _signal_table(model, kernel, costs.lam)
+    table = model._signal_table(kernel, costs.lam)
     dt = costs.horizon / n_steps
     totals = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
-        count = min(batch_size, n_paths - done)
-        grid, m, p = _simulate_batch(model, costs.horizon, n_steps, master_seed, done, count)
-        acc = np.zeros(count)
+    for sl, grid, m, p in _batches(model, costs.horizon, n_steps, master_seed, n_paths, batch_size):
+        acc = np.zeros(p.shape[1])
         for i in range(n_steps):
             e = np.asarray(table.extra_values(float(grid[i]), p[i], m[i]), dtype=float)
             acc += np.square(e) * dt
-        totals[done:done + count] = acc
-        done += count
+        totals[sl] = acc
     return _estimate(totals, master_seed)
 
 
@@ -582,18 +434,14 @@ def probe_optimality(model, kernel, costs, n_paths, n_steps, master_seed,
 
     lin = np.empty((n_paths, n_directions))
     totals = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
-        count = min(batch_size, n_paths - done)
-        grid, m, p = _simulate_batch(model, costs.horizon, n_steps, master_seed, done, count)
-        tot, xs, us = _run_batch(grid, p, m, policy, costs, collect=True)
-        totals[done:done + count] = tot
-        lin[done:done + count] = (
+    for sl, grid, m, p in _batches(model, costs.horizon, n_steps, master_seed, n_paths, batch_size):
+        bk, xs, us = _run_batch(grid, p, m, policy, costs, collect=True)
+        totals[sl] = bk.total
+        lin[sl] = (
             p[:-1].T @ w_price + np.outer(p[-1], c_price)
             + us.T @ w_rate
             + xs[:-1].T @ w_pos + np.outer(xs[-1], c_pos)
         )
-        done += count
 
     eps = np.asarray(epsilons, dtype=float)
     lin_mean = lin.mean(axis=0)

@@ -58,6 +58,14 @@ def _positive(name: str, value: float) -> float:
     return v
 
 
+def _check_grid(name: str, grid, min_size: int = 2) -> np.ndarray:
+    """grid as a float array; ValueError naming it unless 1-d and strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < min_size or not np.all(np.diff(grid) > 0.0):
+        raise ValueError(f"{name} must be a strictly increasing 1-d array of >= {min_size} points")
+    return grid
+
+
 @dataclass(frozen=True)
 class CostParams:
     """Cost and problem-size parameters of one liquidation problem.
@@ -117,13 +125,9 @@ class TradePlan:
     rates: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _check_grid("grid", self.grid)
         pos = np.asarray(self.positions, dtype=float)
         rates = np.asarray(self.rates, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be a 1-d array with at least two points")
-        if not np.all(np.diff(grid) > 0.0):
-            raise ValueError("grid must be strictly increasing")
         if pos.shape != grid.shape or rates.shape != grid.shape:
             raise ValueError("positions and rates must match the grid shape")
         object.__setattr__(self, "grid", grid)
@@ -215,7 +219,14 @@ def ac_position(kernel: GKernel, t: float, x0: float) -> float:
     beta, g = kernel.beta, kernel.gamma_ratio
     if beta * kernel.horizon <= _EXP_SWITCH:
         return x0 * _g_raw(beta, g, beta * tau) / _g_raw(beta, g, beta * kernel.horizon)
-    return x0 * math.exp(_log_g(beta, g, beta * tau) - _log_g(beta, g, beta * kernel.horizon))
+    # G(T) = 0.5 (beta + g) e^{beta T} (1 + r e^{-2 beta T}); dividing by the
+    # factors, not by a difference of two large logs, keeps full precision
+    r = (beta - g) / (beta + g)
+    tail_T = 1.0 + r * math.exp(-2.0 * beta * kernel.horizon)
+    if beta * tau <= _EXP_SWITCH:
+        g_T_scaled = 0.5 * (beta + g) * tail_T  # G(T) e^{-beta T}
+        return x0 * _g_raw(beta, g, beta * tau) * math.exp(-beta * kernel.horizon) / g_T_scaled
+    return x0 * math.exp(-beta * t) * (1.0 + r * math.exp(-2.0 * beta * tau)) / tail_T
 
 
 def optimal_rate(kernel: GKernel, t: float, x: float, v1_signal: float = 0.0) -> float:
@@ -240,11 +251,7 @@ def trajectory_from_signal(kernel, x0, v1_curve, grid) -> TradePlan:
     Raises ValueError for grids that are not strictly increasing, do not
     start at 0, or run past the horizon.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("grid must be a 1-d array with at least two points")
-    if not np.all(np.diff(grid) > 0.0):
-        raise ValueError("grid must be strictly increasing")
+    grid = _check_grid("grid", grid)
     if grid[0] != 0.0:
         raise ValueError("grid must start at t = 0")
     if grid[-1] > kernel.horizon * (1.0 + 1e-12):
@@ -252,12 +259,10 @@ def trajectory_from_signal(kernel, x0, v1_curve, grid) -> TradePlan:
 
     if isinstance(v1_curve, tuple):
         times, values = v1_curve
-        times = np.asarray(times, dtype=float)
+        times = _check_grid("v1 curve times", times)
         values = np.asarray(values, dtype=float)
-        if times.shape != values.shape or times.ndim != 1:
-            raise ValueError("v1 curve times and values must be 1-d arrays of equal length")
-        if not np.all(np.diff(times) > 0.0):
-            raise ValueError("v1 curve times must be strictly increasing")
+        if times.shape != values.shape:
+            raise ValueError("v1 curve times and values must have equal length")
         # every grid point must appear in the refinement
         idx = np.searchsorted(times, grid)
         if np.any(idx >= times.size) or np.any(np.abs(times[np.minimum(idx, times.size - 1)] - grid) > 1e-9 * max(kernel.horizon, 1.0)):

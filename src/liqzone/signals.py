@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from .schedule import CostParams, GKernel, _log_g, _log_g_array, urgency
+from .schedule import CostParams, GKernel, _check_grid, _log_g, _log_g_array, urgency
 
 __all__ = [
     "CappedBachelier",
@@ -78,9 +78,51 @@ def _norm_pdf(z):
     return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
 
 
+class _Model:
+    """Per-model behaviour of the signal term and the Monte Carlo engine.
+
+    The defaults fit an uncapped price started at p0 with no signal: paths
+    are p0 plus sigma times Brownian sums, and the capped price is the level
+    itself.  Subclasses override what differs.
+    """
+
+    def _fixed_levels(self, grid: np.ndarray):
+        """Levels on the grid for a noiseless model; None when paths need normals."""
+        return None
+
+    def _to_levels(self, m: np.ndarray, grid: np.ndarray) -> None:
+        """Turn scaled Brownian sums m (time-major, in place) into uncapped levels."""
+        m += self.p0
+
+    def _cap(self, m: np.ndarray) -> np.ndarray:
+        """Capped prices of time-major levels m."""
+        return m
+
+    def _check_state(self, state: TargetZoneState, horizon: float) -> float:
+        """Validate a state against the model; returns the time to go."""
+        tau = horizon - state.t
+        if state.t < 0.0 or tau <= 0.0:
+            raise ValueError(f"state.t must lie in [0, horizon), got {state.t!r}")
+        return tau
+
+    def _v1(self, kernel: GKernel, lam: float, state: TargetZoneState, tau: float) -> float:
+        return 0.0
+
+    def _signal_table(self, kernel: GKernel, lam: float):
+        """The extra rate -v1 as seen by the Monte Carlo policy, per time step."""
+        return _ZeroSignalTable()
+
+
 @dataclass(frozen=True)
-class CappedBachelier:
-    """Arithmetic Brownian background price capped at p_bar (p_bar >= m0)."""
+class _CappedModel(_Model):
+    """A background price started at m0 and pushed under p_bar by its running max.
+
+    Subclasses supply the theta integrand on panel nodes (_extra_nodes), an
+    upper bound on it that sets the quadrature's absolute error floor
+    (_extra_scale), the signal table's z grid (_TABLE_Z), builder
+    (_table_builder) and lookup (_table_lookup), and the surface's uncapped
+    levels (_surface_levels).
+    """
 
     m0: float
     sigma: float
@@ -94,26 +136,132 @@ class CappedBachelier:
         if self.p_bar < self.m0:
             raise ValueError(f"p_bar must be >= m0, got p_bar={self.p_bar!r} < m0={self.m0!r}")
 
+    def _to_levels(self, m, grid):
+        m += self.m0
+
+    def _cap(self, m):
+        # row by row: each row is one contiguous, cache-resident vector
+        p = np.empty_like(m)
+        run = np.array(m[0])
+        tmp = np.empty(m.shape[1])
+        for i in range(m.shape[0]):
+            np.maximum(run, m[i], out=run)
+            np.subtract(run, self.p_bar, out=tmp)
+            np.maximum(tmp, 0.0, out=tmp)
+            np.subtract(m[i], tmp, out=p[i])
+        return p
+
+    def _check_state(self, state, horizon):
+        tau = super()._check_state(state, horizon)
+        if state.p > self.p_bar:
+            raise ValueError(f"state.p must not exceed p_bar, got {state.p!r} > {self.p_bar!r}")
+        if state.p > state.m:
+            raise ValueError(f"capped price cannot exceed the uncapped level, got p={state.p!r} > m={state.m!r}")
+        return tau
+
+    def _v1(self, kernel, lam, state, tau):
+        coarse = _capped_extra_nodes(self, state, kernel, lam, tau, *_panel_nodes(_PANELS_COARSE))
+        fine = _capped_extra_nodes(self, state, kernel, lam, tau, *_panel_nodes(_PANELS_FINE))
+        err = abs(fine - coarse)
+        tol = _QUAD_RTOL * abs(fine) + _QUAD_ATOL_SCALE * self._extra_scale(state, lam, tau)
+        if err > tol:
+            raise QuadratureError(f"panel refinement disagrees: coarse={coarse!r} fine={fine!r} "
+                                  f"(err={err:.3e}, tol={tol:.3e})")
+        return -fine
+
+    def _signal_table(self, kernel, lam):
+        return _CappedSignalTable(self, kernel, lam)
+
 
 @dataclass(frozen=True)
-class CappedBlackScholes:
+class CappedBachelier(_CappedModel):
+    """Arithmetic Brownian background price capped at p_bar (p_bar >= m0)."""
+
+    # the signal table's z grid; beyond z = 13 the rate is below 1e-30 of scale
+    _TABLE_Z = np.linspace(0.0, 13.0, 1301)
+
+    def _extra_nodes(self, state, lam, tau, y, w, ratio):
+        root = self.sigma * math.sqrt(tau)
+        z = (self.p_bar - state.p) / root
+        vals = _norm_pdf(z / y)
+        return root / lam * float(np.dot(w, vals * ratio))
+
+    def _extra_scale(self, state, lam, tau):
+        return self.sigma * math.sqrt(tau) / (lam * _SQRT_2PI)
+
+    def _table_builder(self, lam, z_grid, y):
+        with np.errstate(over="ignore"):
+            phi_over_y = _norm_pdf(z_grid[:, None] / y[None, :])
+        return lambda tau, root, ratio_w: root / lam * (phi_over_y @ ratio_w)
+
+    def _table_lookup(self, interp, p, m, root):
+        return interp((self.p_bar - np.asarray(p, dtype=float)) / root)
+
+    def _surface_levels(self, bs_m, ks):
+        return np.full(ks.shape, self.p_bar)
+
+
+@dataclass(frozen=True)
+class CappedBlackScholes(_CappedModel):
     """Geometric Brownian background price capped at p_bar (p_bar >= m0 > 0)."""
 
-    m0: float
-    sigma: float
-    p_bar: float
+    _TABLE_Z = np.linspace(0.0, 16.0, 1601)
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be strictly positive, got {self.sigma!r}")
-        if not (math.isfinite(self.m0) and self.m0 > 0.0):
+        super().__post_init__()
+        if self.m0 <= 0.0:
             raise ValueError(f"m0 must be strictly positive, got {self.m0!r}")
-        if not math.isfinite(self.p_bar) or self.p_bar < self.m0:
-            raise ValueError(f"p_bar must be >= m0, got p_bar={self.p_bar!r} < m0={self.m0!r}")
+
+    def _to_levels(self, m, grid):
+        # exact in log space
+        m -= 0.5 * self.sigma * self.sigma * grid[:, None]
+        np.exp(m, out=m)
+        m *= self.m0
+
+    def _check_state(self, state, horizon):
+        tau = super()._check_state(state, horizon)
+        if state.m <= 0.0:
+            raise ValueError(f"m must be strictly positive, got {state.m!r}")
+        return tau
+
+    def _extra_nodes(self, state, lam, tau, y, w, ratio):
+        sig = self.sigma
+        root = sig * math.sqrt(tau)
+        # f = (sig sqrt(tau)/2) y - zb / y with zb = log1p(k/m)/(sig sqrt(tau))
+        zb = math.log1p((self.p_bar - state.p) / state.m) / root
+        f = 0.5 * root * y - zb / y
+        vals = 2.0 * root * _norm_pdf(f) + sig * sig * tau * y * ndtr(f)
+        return state.m / (2.0 * lam) * float(np.dot(w, vals * ratio))
+
+    def _extra_scale(self, state, lam, tau):
+        sig = self.sigma
+        root = sig * math.sqrt(tau)
+        return state.m / (2.0 * lam) * (2.0 * root / _SQRT_2PI + 0.5 * sig * sig * tau)
+
+    def _table_builder(self, lam, z_grid, y):
+        def build(tau, root, ratio_w):
+            with np.errstate(over="ignore"):
+                f = 0.5 * root * y[None, :] - z_grid[:, None] / y[None, :]
+            return (2.0 * root * (_norm_pdf(f) @ ratio_w)
+                    + self.sigma * self.sigma * tau * (ndtr(f) @ (ratio_w * y))) / (2.0 * lam)
+
+        return build
+
+    def _table_lookup(self, interp, p, m, root):
+        m = np.asarray(m, dtype=float)
+        return interp(np.log1p((self.p_bar - np.asarray(p, dtype=float)) / m) / root) * m
+
+    def _surface_levels(self, bs_m, ks):
+        if bs_m is None:
+            raise ValueError("bs_m is required for a Black-Scholes surface")
+        m_cols = np.broadcast_to(np.asarray(bs_m, dtype=float), ks.shape).astype(float)
+        if np.any(m_cols < self.p_bar - ks):
+            raise ValueError("bs_m must be >= the capped price p_bar - moneyness in every column")
+        return m_cols
 
 
 @dataclass(frozen=True)
-class DeterministicDrift:
+class DeterministicDrift(_Model):
     """Price with a known deterministic drift curve a(t) and no noise.
 
     times/values sample a piecewise-linear a(t); the curve must cover the
@@ -125,20 +273,36 @@ class DeterministicDrift:
     p0: float
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = _check_grid("drift curve times", self.times)
         values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape or times.size < 2:
-            raise ValueError("drift curve needs matching 1-d times and values, length >= 2")
-        if not np.all(np.diff(times) > 0.0):
-            raise ValueError("drift curve times must be strictly increasing")
+        if times.shape != values.shape:
+            raise ValueError("drift curve needs matching times and values")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise ValueError("drift curve must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
+    def _fixed_levels(self, grid):
+        a = np.interp(grid, self.times, self.values)
+        out = np.empty_like(grid)
+        out[0] = self.p0
+        np.cumsum(0.5 * np.diff(grid) * (a[:-1] + a[1:]), out=out[1:])
+        out[1:] += self.p0
+        return out
+
+    def _v1(self, kernel, lam, state, tau):
+        grid = np.union1d(
+            np.asarray([state.t, kernel.horizon]),
+            self.times[(self.times > state.t) & (self.times < kernel.horizon)],
+        )
+        return float(v1_curve_deterministic(self, kernel, lam, grid)[0])
+
+    def _signal_table(self, kernel, lam):
+        return _DriftSignalTable(self, kernel, lam)
+
 
 @dataclass(frozen=True)
-class Martingale:
+class Martingale(_Model):
     """Driftless price; sigma = 0 gives a constant price (useful as an exact case)."""
 
     p0: float
@@ -147,6 +311,9 @@ class Martingale:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
+
+    def _fixed_levels(self, grid):
+        return np.full(grid.size, self.p0) if self.sigma == 0.0 else None
 
 
 MarketModel = CappedBachelier | CappedBlackScholes | DeterministicDrift | Martingale
@@ -159,21 +326,6 @@ class TargetZoneState:
     t: float
     m: float
     p: float
-
-
-def _check_state(model, state: TargetZoneState, horizon: float) -> float:
-    """Validate a state against its model; returns the time to go."""
-    tau = horizon - state.t
-    if state.t < 0.0 or tau <= 0.0:
-        raise ValueError(f"state.t must lie in [0, horizon), got {state.t!r}")
-    if isinstance(model, (CappedBachelier, CappedBlackScholes)):
-        if state.p > model.p_bar:
-            raise ValueError(f"state.p must not exceed p_bar, got {state.p!r} > {model.p_bar!r}")
-        if state.p > state.m:
-            raise ValueError(f"capped price cannot exceed the uncapped level, got p={state.p!r} > m={state.m!r}")
-        if isinstance(model, CappedBlackScholes) and state.m <= 0.0:
-            raise ValueError(f"m must be strictly positive, got {state.m!r}")
-    return tau
 
 
 def bachelier_theta(u, moneyness, sigma):
@@ -287,27 +439,7 @@ def _discount_ratio(kernel: GKernel, t: float, tau: float, y: np.ndarray) -> np.
 def _capped_extra_nodes(model, state: TargetZoneState, kernel: GKernel, lam: float,
                         tau: float, y: np.ndarray, w: np.ndarray) -> float:
     """Extra selling rate -v1 on one panel scheme (nodes y, weights w)."""
-    ratio = _discount_ratio(kernel, state.t, tau, y)
-    sig = model.sigma
-    root = sig * math.sqrt(tau)
-    if isinstance(model, CappedBachelier):
-        z = (model.p_bar - state.p) / root
-        vals = _norm_pdf(z / y)
-        return root / lam * float(np.dot(w, vals * ratio))
-    # Black-Scholes: f = (sig sqrt(tau)/2) y - zb / y with zb = log1p(k/m)/(sig sqrt(tau))
-    zb = math.log1p((model.p_bar - state.p) / state.m) / root
-    f = 0.5 * root * y - zb / y
-    vals = 2.0 * root * _norm_pdf(f) + sig * sig * tau * y * ndtr(f)
-    return state.m / (2.0 * lam) * float(np.dot(w, vals * ratio))
-
-
-def _capped_extra_scale(model, state: TargetZoneState, lam: float, tau: float) -> float:
-    """Crude upper bound on the extra rate, used as an absolute error floor."""
-    sig = model.sigma
-    root = sig * math.sqrt(tau)
-    if isinstance(model, CappedBachelier):
-        return root / (lam * _SQRT_2PI)
-    return state.m / (2.0 * lam) * (2.0 * root / _SQRT_2PI + 0.5 * sig * sig * tau)
+    return model._extra_nodes(state, lam, tau, y, w, _discount_ratio(kernel, state.t, tau, y))
 
 
 def v1_target_zone(kernel: GKernel, costs: CostParams, model, state: TargetZoneState) -> float:
@@ -320,35 +452,8 @@ def v1_target_zone(kernel: GKernel, costs: CostParams, model, state: TargetZoneS
     QuadratureError.  DeterministicDrift integrates its curve by trapezoid;
     Martingale returns exactly 0.  The result is <= 0 for capped models.
     """
-    lam = costs.lam
-    if isinstance(model, Martingale):
-        tau = kernel.horizon - state.t
-        if state.t < 0.0 or tau <= 0.0:
-            raise ValueError(f"state.t must lie in [0, horizon), got {state.t!r}")
-        return 0.0
-    if isinstance(model, DeterministicDrift):
-        tau = kernel.horizon - state.t
-        if state.t < 0.0 or tau <= 0.0:
-            raise ValueError(f"state.t must lie in [0, horizon), got {state.t!r}")
-        grid = np.union1d(
-            np.asarray([state.t, kernel.horizon]),
-            model.times[(model.times > state.t) & (model.times < kernel.horizon)],
-        )
-        return float(v1_curve_deterministic(model, kernel, lam, grid)[0])
-
-    tau = _check_state(model, state, kernel.horizon)
-    yc, wc = _panel_nodes(_PANELS_COARSE)
-    yf, wf = _panel_nodes(_PANELS_FINE)
-    coarse = _capped_extra_nodes(model, state, kernel, lam, tau, yc, wc)
-    fine = _capped_extra_nodes(model, state, kernel, lam, tau, yf, wf)
-    err = abs(fine - coarse)
-    floor = _QUAD_ATOL_SCALE * _capped_extra_scale(model, state, lam, tau)
-    if err > _QUAD_RTOL * abs(fine) + floor:
-        raise QuadratureError(
-            f"panel refinement disagrees: coarse={coarse!r} fine={fine!r} "
-            f"(err={err:.3e}, tol={_QUAD_RTOL * abs(fine) + floor:.3e})"
-        )
-    return -fine
+    tau = model._check_state(state, kernel.horizon)
+    return model._v1(kernel, costs.lam, state, tau)
 
 
 def v1_curve_deterministic(model: DeterministicDrift, kernel: GKernel, lam: float,
@@ -359,11 +464,7 @@ def v1_curve_deterministic(model: DeterministicDrift, kernel: GKernel, lam: floa
     on the union of the grid and the curve's samples, via a backward recursion
     in discount ratios so that huge G values never appear.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a 1-d array")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
-        raise ValueError("grid must be strictly increasing")
+    grid = _check_grid("grid", grid, min_size=1)
     if grid[0] < 0.0 or grid[-1] > kernel.horizon * (1.0 + 1e-12):
         raise ValueError("grid must lie within [0, horizon]")
     if model.times[0] > grid[0] + 1e-12 or model.times[-1] < kernel.horizon * (1.0 - 1e-12):
@@ -389,6 +490,70 @@ def v1_curve_deterministic(model: DeterministicDrift, kernel: GKernel, lam: floa
         acc[j] = local + rho[j] * acc[j + 1]
     idx = np.searchsorted(fine, grid)
     return acc[idx] / (2.0 * lam)
+
+
+class _CappedSignalTable:
+    """Extra selling rate of a capped model, tabulated per time step.
+
+    For each queried time t the extra rate is a function of a single scaled
+    moneyness variable z; a table over the model's fixed uniform z grid is
+    built with the fine Gauss-Legendre panel scheme and cached, then linearly
+    interpolated (beyond the last z node the rate is 0, where it is below
+    1e-30 of scale anyway).
+    """
+
+    def __init__(self, model: _CappedModel, kernel: GKernel, lam: float):
+        self.model = model
+        self.kernel = kernel
+        self.y, self.w = _panel_nodes(_PANELS_FINE)
+        self.z_grid = model._TABLE_Z
+        self._build = model._table_builder(lam, self.z_grid, self.y)
+        self._inv_step = (self.z_grid.size - 1) / self.z_grid[-1]
+        self._tables: dict[float, np.ndarray] = {}
+
+    def _interp(self, tab: np.ndarray, z):
+        # manual linear interpolation: the z grid is uniform, so the cell
+        # index is one multiply instead of a binary search per element
+        pos = np.asarray(z * self._inv_step)
+        idx = np.minimum(pos.astype(np.int64), self.z_grid.size - 2)
+        frac = pos - idx
+        return np.where(pos > self.z_grid.size - 1, 0.0,
+                        tab[idx] * (1.0 - frac) + tab[idx + 1] * frac)
+
+    def extra_values(self, t: float, p, m):
+        """Extra rate -v1 at time t for price/level arrays p, m."""
+        tau = self.kernel.horizon - t
+        if tau <= 0.0:
+            return np.zeros_like(np.asarray(p, dtype=float))
+        root = self.model.sigma * math.sqrt(tau)
+        tab = self._tables.get(t)
+        if tab is None:
+            ratio_w = _discount_ratio(self.kernel, t, tau, self.y) * self.w
+            tab = self._tables[t] = self._build(tau, root, ratio_w)
+        return self.model._table_lookup(lambda z: self._interp(tab, z), p, m, root)
+
+
+class _DriftSignalTable:
+    """Extra rate -v1(t) of a deterministic drift curve (state independent).
+
+    The whole curve is solved once on a dense grid; lookups interpolate.
+    """
+
+    _N_NODES = 8193
+
+    def __init__(self, model: DeterministicDrift, kernel: GKernel, lam: float):
+        self.kernel = kernel
+        self._grid = np.linspace(0.0, kernel.horizon, self._N_NODES)
+        self._curve = -v1_curve_deterministic(model, kernel, lam, self._grid)
+
+    def extra_values(self, t: float, p, m):
+        v = float(np.interp(t, self._grid, self._curve))
+        return np.broadcast_to(np.float64(v), np.asarray(p, dtype=float).shape)
+
+
+class _ZeroSignalTable:
+    def extra_values(self, t: float, p, m):
+        return np.zeros_like(np.asarray(p, dtype=float))
 
 
 def extra_rate(kernel: GKernel, costs: CostParams, model, state: TargetZoneState) -> float:
@@ -428,38 +593,25 @@ def rate_surface(kernel: GKernel, costs: CostParams, model, grid_tau, grid_money
     value per moneyness column.  The model's m0 is not used; cells are
     hypothetical states.
     """
-    if not isinstance(model, (CappedBachelier, CappedBlackScholes)):
+    if not isinstance(model, _CappedModel):
         raise ValueError("rate_surface requires a capped market model")
-    taus = np.asarray(grid_tau, dtype=float)
-    ks = np.asarray(grid_money, dtype=float)
-    if taus.ndim != 1 or taus.size == 0 or (taus.size > 1 and not np.all(np.diff(taus) > 0.0)):
-        raise ValueError("taus must be a nonempty strictly increasing 1-d array")
+    taus = _check_grid("taus", grid_tau, min_size=1)
+    ks = _check_grid("moneyness", grid_money, min_size=1)
     if np.any(taus <= 0.0) or np.any(taus > kernel.horizon * (1.0 + 1e-12)):
         raise ValueError("taus must lie in (0, horizon]")
-    if ks.ndim != 1 or ks.size == 0 or (ks.size > 1 and not np.all(np.diff(ks) > 0.0)):
-        raise ValueError("moneyness must be a nonempty strictly increasing 1-d array")
     if np.any(ks < 0.0):
         raise ValueError("moneyness must be >= 0")
-
-    if isinstance(model, CappedBlackScholes):
-        if bs_m is None:
-            raise ValueError("bs_m is required for a Black-Scholes surface")
-        m_cols = np.broadcast_to(np.asarray(bs_m, dtype=float), ks.shape).astype(float)
-        if np.any(m_cols < model.p_bar - ks):
-            raise ValueError("bs_m must be >= the capped price p_bar - moneyness in every column")
-    else:
-        m_cols = np.full(ks.shape, model.p_bar)
+    m_cols = model._surface_levels(bs_m, ks)
 
     n_t, n_k = taus.size, ks.size
     rate_ex = np.empty((n_t, n_k))
     rate_ac = np.empty((n_t, n_k))
     for i, tau in enumerate(taus):
         t = kernel.horizon - tau
-        u_ac = urgency(kernel, t) * x
+        rate_ac[i] = urgency(kernel, t) * x
         for j, k in enumerate(ks):
             state = TargetZoneState(t=t, m=float(m_cols[j]), p=model.p_bar - k)
             rate_ex[i, j] = extra_rate(kernel, costs, model, state)
-            rate_ac[i, j] = u_ac
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(rate_ac != 0.0, rate_ex / rate_ac, np.inf)
     return RateSurface(

@@ -96,11 +96,15 @@ def test_batch_concatenation_is_bit_exact():
 
 
 def test_batch_column_matches_single_path():
-    _, m, p = _simulate_batch(BACH, 1.0, 256, 5, 0, 8)
-    for j in (0, 3, 7):
-        path = simulate_path(BACH, 1.0, 256, path_stream(5, j))
-        np.testing.assert_allclose(path.m, m[:, j], rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(path.p, p[:, j], rtol=1e-12, atol=1e-14)
+    # neither sigma = 1.7 nor sqrt(1 / 7) is a power of two, so any reordering
+    # of the level arithmetic between the single-path and batch code shows
+    for model in (BACH, CappedBachelier(m0=0.3, sigma=1.7, p_bar=2.0)):
+        for n_steps in (7, 256):
+            _, m, p = _simulate_batch(model, 1.0, n_steps, 5, 0, 8)
+            for j in (0, 3, 7):
+                path = simulate_path(model, 1.0, n_steps, path_stream(5, j))
+                np.testing.assert_array_equal(path.m, m[:, j])
+                np.testing.assert_array_equal(path.p, p[:, j])
 
 
 def test_skorokhod_invariants_many_seeds():
@@ -127,6 +131,15 @@ def test_goal_breakdown_constant_rate_hand_case():
     assert bk.terminal_asset == pytest.approx(0.5, abs=1e-15)
     assert bk.terminal_penalty == pytest.approx(0.25, abs=1e-15)
     assert bk.total == pytest.approx(0.25 + 0.5 - 0.78125 - 0.25, abs=1e-15)
+
+
+def test_run_strategy_rejects_non_uniform_grid():
+    # forward Euler steps by grid[1] - grid[0]; on [0, 0.1, 1.0] that would
+    # break the plan's exact Euler identity, so the runner refuses the grid
+    ones = np.ones(3)
+    path = PathSample(grid=np.array([0.0, 0.1, 1.0]), m=ones, m_star=ones, p=ones)
+    with pytest.raises(ValueError, match="grid"):
+        run_strategy(path, lambda t, x, state: 0.5, UNIT_COSTS)
 
 
 def test_no_trading_keeps_inventory_and_pays_penalties():

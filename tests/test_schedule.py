@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liqzone import (
     CostParams,
@@ -122,6 +122,8 @@ def test_ac_position_endpoints():
     big_gamma=st.floats(1e-6, 10.0),
     t=st.floats(0.01, 0.99),
 )
+# beta T = 31.2 puts G(T) past the exponential switch while G(T - t) is not
+@example(lam=0.01, gamma=9.75, big_gamma=1.0, t=0.0625)
 def test_ac_position_decreasing_in_time_and_terminal_cost(lam, gamma, big_gamma, t):
     costs = CostParams(lam=lam, gamma=gamma, big_gamma=big_gamma, horizon=1.0, x0=1.0)
     k = GKernel.from_costs(costs)
