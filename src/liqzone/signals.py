@@ -69,6 +69,18 @@ _GL_ORDER = 32
 _QUAD_RTOL = 1e-8
 _QUAD_ATOL_SCALE = 1e-12
 
+# The Monte Carlo signal table's y rule: 8-node Gauss-Legendre panels on the
+# dyadic intervals [0, 2^-30], [2^-30, 2^-29], ..., [1/2, 1], graded towards
+# y = 0 where phi(z / y) has its boundary layer at small z (248 nodes)
+_TABLE_LEVELS = 30
+_TABLE_ORDER = 8
+# Chebyshev-Lobatto rows in root = sigma sqrt(tau): start with 9 nodes and
+# double until the new nodes agree with the coarser interpolant to this
+# fraction of the table's largest entry, giving up past 513 nodes
+_CHEB_START = 8
+_CHEB_MAX = 512
+_CHEB_RTOL = 1e-6
+
 
 class QuadratureError(RuntimeError):
     """Raised when the panel refinement disagrees beyond tolerance."""
@@ -119,8 +131,8 @@ class _CappedModel(_Model):
 
     Subclasses supply the theta integrand on panel nodes (_extra_nodes), an
     upper bound on it that sets the quadrature's absolute error floor
-    (_extra_scale), the signal table's z grid (_TABLE_Z), builder
-    (_table_builder) and lookup (_table_lookup), and the surface's uncapped
+    (_extra_scale), the signal table's z grid (_TABLE_Z), rows
+    (_table_rows) and lookup (_table_lookup), and the surface's uncapped
     levels (_surface_levels).
     """
 
@@ -189,10 +201,9 @@ class CappedBachelier(_CappedModel):
     def _extra_scale(self, state, lam, tau):
         return self.sigma * math.sqrt(tau) / (lam * _SQRT_2PI)
 
-    def _table_builder(self, lam, z_grid, y):
-        with np.errstate(over="ignore"):
-            phi_over_y = _norm_pdf(z_grid[:, None] / y[None, :])
-        return lambda tau, root, ratio_w: root / lam * (phi_over_y @ ratio_w)
+    def _table_rows(self, lam, z_grid, y, roots, ratio_w):
+        # extra / root: one GEMM over every root node
+        return (ratio_w @ _norm_pdf(z_grid[:, None] / y[None, :]).T) / lam
 
     def _table_lookup(self, interp, p, m, root):
         return interp((self.p_bar - np.asarray(p, dtype=float)) / root)
@@ -238,14 +249,14 @@ class CappedBlackScholes(_CappedModel):
         root = sig * math.sqrt(tau)
         return state.m / (2.0 * lam) * (2.0 * root / _SQRT_2PI + 0.5 * sig * sig * tau)
 
-    def _table_builder(self, lam, z_grid, y):
-        def build(tau, root, ratio_w):
-            with np.errstate(over="ignore"):
-                f = 0.5 * root * y[None, :] - z_grid[:, None] / y[None, :]
-            return (2.0 * root * (_norm_pdf(f) @ ratio_w)
-                    + self.sigma * self.sigma * tau * (ndtr(f) @ (ratio_w * y))) / (2.0 * lam)
-
-        return build
+    def _table_rows(self, lam, z_grid, y, roots, ratio_w):
+        # extra / (root m); f depends on the root, so one node at a time
+        rows = np.empty((roots.size, z_grid.size))
+        z_over_y = z_grid[:, None] / y[None, :]
+        for row, root, rw in zip(rows, roots, ratio_w):
+            f = 0.5 * root * y[None, :] - z_over_y
+            row[:] = (2.0 * (_norm_pdf(f) @ rw) + root * (ndtr(f) @ (rw * y))) / (2.0 * lam)
+        return rows
 
     def _table_lookup(self, interp, p, m, root):
         m = np.asarray(m, dtype=float)
@@ -258,6 +269,11 @@ class CappedBlackScholes(_CappedModel):
         if np.any(m_cols < self.p_bar - ks):
             raise ValueError("bs_m must be >= the capped price p_bar - moneyness in every column")
         return m_cols
+
+
+def _check_p0(p0) -> None:
+    if not math.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0!r}")
 
 
 @dataclass(frozen=True)
@@ -279,6 +295,7 @@ class DeterministicDrift(_Model):
             raise ValueError("drift curve needs matching times and values")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise ValueError("drift curve must be finite")
+        _check_p0(self.p0)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -311,6 +328,7 @@ class Martingale(_Model):
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
+        _check_p0(self.p0)
 
     def _fixed_levels(self, grid):
         return np.full(grid.size, self.p0) if self.sigma == 0.0 else None
@@ -428,7 +446,7 @@ def _panel_nodes(n_panels: int, order: int = _GL_ORDER):
     return nodes, weights
 
 
-def _discount_ratio(kernel: GKernel, t: float, tau: float, y: np.ndarray) -> np.ndarray:
+def _discount_ratio(kernel: GKernel, tau: float, y: np.ndarray) -> np.ndarray:
     """G(T - s) / G(T - t) at s = t + tau * y^2, a stable value in (0, 1]."""
     beta = kernel.beta
     lg_t = _log_g(beta, kernel.gamma_ratio, beta * tau)
@@ -439,7 +457,7 @@ def _discount_ratio(kernel: GKernel, t: float, tau: float, y: np.ndarray) -> np.
 def _capped_extra_nodes(model, state: TargetZoneState, kernel: GKernel, lam: float,
                         tau: float, y: np.ndarray, w: np.ndarray) -> float:
     """Extra selling rate -v1 on one panel scheme (nodes y, weights w)."""
-    return model._extra_nodes(state, lam, tau, y, w, _discount_ratio(kernel, state.t, tau, y))
+    return model._extra_nodes(state, lam, tau, y, w, _discount_ratio(kernel, tau, y))
 
 
 def v1_target_zone(kernel: GKernel, costs: CostParams, model, state: TargetZoneState) -> float:
@@ -492,24 +510,94 @@ def v1_curve_deterministic(model: DeterministicDrift, kernel: GKernel, lam: floa
     return acc[idx] / (2.0 * lam)
 
 
-class _CappedSignalTable:
-    """Extra selling rate of a capped model, tabulated per time step.
+@lru_cache(maxsize=1)
+def _graded_nodes():
+    """Gauss-Legendre nodes/weights of the signal table's graded y rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(_TABLE_ORDER)
+    edges = np.concatenate(([0.0], np.ldexp(1.0, np.arange(-_TABLE_LEVELS, 1))))
+    half = 0.5 * np.diff(edges)
+    nodes = (edges[:-1, None] + half[:, None] * (x[None, :] + 1.0)).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
 
-    For each queried time t the extra rate is a function of a single scaled
-    moneyness variable z; a table over the model's fixed uniform z grid is
-    built with the fine Gauss-Legendre panel scheme and cached, then linearly
-    interpolated (beyond the last z node the rate is 0, where it is below
-    1e-30 of scale anyway).
+
+def _barycentric(nodes: np.ndarray, weights: np.ndarray, at) -> np.ndarray:
+    """Weights L with L @ values = the interpolant through (nodes, values) at points at.
+
+    Barycentric formula of the second kind (Berrut & Trefethen, SIAM Review
+    46(3), 2004); at (a scalar or a 1-D array) must not hit a node.
+    """
+    c = weights / (np.asarray(at, dtype=float)[..., None] - nodes)
+    return c / c.sum(axis=-1, keepdims=True)
+
+
+def _lobatto_weights(n: int) -> np.ndarray:
+    """Barycentric weights of the n + 1 Chebyshev-Lobatto nodes: (-1)^k, halved at the ends."""
+    weights = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
+    weights[[0, -1]] *= 0.5
+    return weights
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """even[0], odd[0], even[1], ..., odd[-1], even[-1] along the first axis."""
+    out = np.empty((even.shape[0] + odd.shape[0],) + even.shape[1:])
+    out[0::2], out[1::2] = even, odd
+    return out
+
+
+class _CappedSignalTable:
+    """Extra selling rate of a capped model as one table in (root, z).
+
+    At time t the extra rate depends on the state only through one scaled
+    moneyness z, and on t only through root = sigma sqrt(T - t).  The table
+    holds extra / root (extra / (root m) for Black-Scholes) on the model's
+    uniform z grid, one row per Chebyshev-Lobatto node in root on
+    [0, sigma sqrt(T)].  The y integral uses 248 Gauss-Legendre nodes on
+    dyadic panels graded towards y = 0.  Starting from 9 nodes the node set
+    is doubled until the new rows agree with the coarser interpolant to 1e-6
+    of the table's largest entry, else QuadratureError past 513 nodes.
+
+    The table is built on the first query, not on construction, and its
+    size does not depend on how many times are queried.  A query forms its
+    z row by barycentric interpolation in root (one GEMV over the nodes),
+    then interpolates linearly in z (beyond the last z node the rate is 0,
+    where it is below 1e-30 of scale anyway).
     """
 
     def __init__(self, model: _CappedModel, kernel: GKernel, lam: float):
         self.model = model
         self.kernel = kernel
-        self.y, self.w = _panel_nodes(_PANELS_FINE)
+        self.lam = lam
         self.z_grid = model._TABLE_Z
-        self._build = model._table_builder(lam, self.z_grid, self.y)
         self._inv_step = (self.z_grid.size - 1) / self.z_grid[-1]
-        self._tables: dict[float, np.ndarray] = {}
+        self.roots = None      # Chebyshev-Lobatto nodes in root, ascending
+        self.weights = None    # their barycentric weights
+        self.rows = None       # (roots.size, z_grid.size)
+
+    def _rows_at(self, roots: np.ndarray) -> np.ndarray:
+        """Table rows at the given roots, on the graded y rule."""
+        y, w = _graded_nodes()
+        ratio_w = np.stack([_discount_ratio(self.kernel, (root / self.model.sigma) ** 2, y)
+                            for root in roots]) * w
+        return self.model._table_rows(self.lam, self.z_grid, y, roots, ratio_w)
+
+    def _build(self) -> None:
+        top = self.model.sigma * math.sqrt(self.kernel.horizon)
+        n = _CHEB_START
+        # root_k = top (1 - cos(pi k / n)) / 2, written to be exact near 0
+        roots = top * np.square(np.sin(0.5 * np.pi * np.arange(n + 1) / n))
+        rows = self._rows_at(roots)
+        while n < _CHEB_MAX:
+            new = top * np.square(np.sin(0.5 * np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
+            new_rows = self._rows_at(new)
+            guess = _barycentric(roots, _lobatto_weights(n), new) @ rows
+            n *= 2
+            roots, rows = _interleave(roots, new), _interleave(rows, new_rows)
+            if np.max(np.abs(new_rows - guess)) <= _CHEB_RTOL * np.max(np.abs(rows)):
+                self.roots, self.weights, self.rows = roots, _lobatto_weights(n), rows
+                return
+        raise QuadratureError(f"signal table in root did not converge with {n + 1} "
+                              f"Chebyshev nodes")
 
     def _interp(self, tab: np.ndarray, z):
         # manual linear interpolation: the z grid is uniform, so the cell
@@ -525,11 +613,14 @@ class _CappedSignalTable:
         tau = self.kernel.horizon - t
         if tau <= 0.0:
             return np.zeros_like(np.asarray(p, dtype=float))
+        if self.rows is None:
+            self._build()
         root = self.model.sigma * math.sqrt(tau)
-        tab = self._tables.get(t)
-        if tab is None:
-            ratio_w = _discount_ratio(self.kernel, t, tau, self.y) * self.w
-            tab = self._tables[t] = self._build(tau, root, ratio_w)
+        hit = np.flatnonzero(self.roots == root)
+        if hit.size:
+            tab = root * self.rows[hit[0]]
+        else:
+            tab = root * (_barycentric(self.roots, self.weights, root) @ self.rows)
         return self.model._table_lookup(lambda z: self._interp(tab, z), p, m, root)
 
 

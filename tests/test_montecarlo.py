@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import norm
 
 from liqzone import (
     CappedBachelier,
@@ -268,6 +270,122 @@ def test_policy_signal_matches_scalar_extra_rate():
             want = extra_rate(kernel, UNIT_COSTS, model,
                               TargetZoneState(t=t, m=m, p=p))
             assert got == pytest.approx(want, rel=1e-4, abs=1e-8)
+
+
+def _quad_extra_rate(model, costs, t, p, m):
+    """Extra rate -v1 by adaptive quadrature, independent of liqzone.signals.
+
+    (1 / 2 lam) int_0^tau G(tau - u) / G(tau) theta(u) du with u = w^2,
+    G(s) = beta cosh(beta s) + g sinh(beta s), and the lookback thetas
+    written out here.
+    """
+    tau = costs.horizon - t
+    beta, g = math.sqrt(costs.gamma / costs.lam), costs.big_gamma / costs.lam
+    g_tau = beta * math.cosh(beta * tau) + g * math.sinh(beta * tau)
+    sig, k = model.sigma, model.p_bar - p
+    bs = isinstance(model, CappedBlackScholes)
+
+    def integrand(w):
+        s = tau - w * w
+        ratio = (beta * math.cosh(beta * s) + g * math.sinh(beta * s)) / g_tau
+        if not bs:
+            return ratio * 2.0 * sig * norm.pdf(k / (sig * w))
+        f = 0.5 * sig * w - math.log1p(k / m) / (sig * w)
+        return ratio * 2.0 * m * (sig * norm.pdf(f) + 0.5 * sig * sig * w * norm.cdf(f))
+
+    top = math.sqrt(tau)
+    # the theta's boundary layer sits at w ~ z sqrt(tau), the discount's at 1/sqrt(beta)
+    edge = (math.log1p(k / m) if bs else k) / sig
+    points = sorted({c * edge for c in (0.25, 0.5, 1.0, 2.0, 4.0)} | {1.0 / math.sqrt(beta)})
+    points = [x for x in points if 0.0 < x < top] or None
+    val, _ = quad(integrand, 0.0, top, points=points, epsabs=0.0, epsrel=1e-11, limit=1000)
+    return val / (2.0 * costs.lam)
+
+
+def _table_and_reference(table, costs, t, zs, m=1.2):
+    """Table values and quadrature references at scaled moneyness zs, time t."""
+    model = table.model
+    root = model.sigma * math.sqrt(costs.horizon - t)
+    got, want = [], []
+    for z in zs:
+        if isinstance(model, CappedBlackScholes):
+            p = model.p_bar - m * math.expm1(z * root)
+        else:
+            p = model.p_bar - z * root
+        got.append(float(table.extra_values(t, np.array([p]), np.array([m]))[0]))
+        want.append(_quad_extra_rate(model, costs, t, p, m))
+    return np.array(got), np.array(want)
+
+
+TABLE_Z = (0.0, 0.005, 0.05, 1.0, 4.0, 7.5)
+# grid times of 1-, 7-, 64- and 8192-step grids, from tau = T down to tau = T / 8192
+TABLE_TIMES = sorted({i / n for n in (1, 7, 64, 8192) for i in {0, 1, n // 2, n - 1} if i < n})
+
+
+@pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
+@pytest.mark.parametrize("sigma", [0.5, 1.7])
+@pytest.mark.parametrize("cls", [CappedBachelier, CappedBlackScholes])
+def test_signal_table_matches_independent_quadrature(cls, sigma, costs):
+    # worst cases: 1.26e-5 (small costs) and 8.1e-5 (unit costs), both at z = 0.005
+    model = cls(m0=1.0, sigma=sigma, p_bar=1.05)
+    table = optimal_policy(model, GKernel.from_costs(costs), costs).signal_table
+    for t in TABLE_TIMES:
+        got, want = _table_and_reference(table, costs, t, TABLE_Z)
+        tol = np.maximum(1e-4 * want, 1e-6 * want[0])
+        assert np.all(np.abs(got - want) <= tol), (t, got, want)
+
+
+@pytest.mark.parametrize("cls", [CappedBachelier, CappedBlackScholes])
+def test_signal_table_error_floor_at_large_beta(cls):
+    # beta T = 31.6.  The discount ratio confines the y integral to
+    # y < ~1 / sqrt(beta tau), which makes the rate's z profile bend in
+    # proportion to beta tau (60 times more than at small costs here), and
+    # the linear interpolation on the uniform z step of 0.01 errs in
+    # proportion: 7.9e-4 (Bachelier) and 7.4e-4 (Black-Scholes) at
+    # z = 0.005, t = 0, as with the per-step tables.  The root
+    # interpolation adds nothing measurable.
+    costs = CostParams(lam=0.01, gamma=10.0, big_gamma=1.0, horizon=1.0, x0=1.0)
+    model = cls(m0=1.0, sigma=0.5, p_bar=1.05)
+    table = optimal_policy(model, GKernel.from_costs(costs), costs).signal_table
+    got, want = _table_and_reference(table, costs, 0.0, (0.0, 0.005, 0.05, 1.0))
+    assert np.max(np.abs(got - want) / want) <= 1e-3
+
+
+def _footprint(table):
+    """Shape of every array and length of every container the table holds."""
+    return {name: np.shape(v) if isinstance(v, np.ndarray) else len(v)
+            for name, v in vars(table).items() if isinstance(v, (np.ndarray, dict, list))}
+
+
+def test_signal_table_is_lazy_and_bounded(monkeypatch):
+    calls = []
+    original = CappedBlackScholes._table_rows
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(CappedBlackScholes, "_table_rows", counted)
+    model = CappedBlackScholes(m0=1.0, sigma=0.5, p_bar=1.05)
+    costs = UNIT_COSTS
+    table = optimal_policy(model, GKernel.from_costs(costs), costs).signal_table
+    assert calls == [] and table.rows is None
+
+    p, m = np.array([1.0, 1.04]), np.array([1.05, 1.1])
+    table.extra_values(0.0, p, m)
+    built, footprint = len(calls), _footprint(table)
+    for t in np.linspace(0.0, costs.horizon, 4097)[1:-1]:
+        table.extra_values(float(t), p, m)
+    assert len(calls) == built
+    assert _footprint(table) == footprint
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_uncapped_models_reject_non_finite_p0(bad):
+    with pytest.raises(ValueError, match="p0"):
+        Martingale(p0=bad, sigma=0.5)
+    with pytest.raises(ValueError, match="p0"):
+        DeterministicDrift(times=np.array([0.0, 1.0]), values=np.array([0.1, 0.1]), p0=bad)
 
 
 def test_probe_expansion_matches_direct_replay():
