@@ -13,7 +13,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,48 +46,93 @@ class ConfigError(Exception):
     """Configuration problem; the message names the offending key or file."""
 
 
-_MODELS = ("bachelier-capped", "bs-capped", "martingale", "drift")
-
-# every recognized key with its parsed type; None marks "no default, may be
-# required by a subcommand"
-_FLOAT_KEYS = ("m0", "sigma", "p_bar", "lambda", "gamma", "big_gamma", "T", "x0",
-               "tau_min", "tau_max", "money_min", "money_max", "bs_m", "drift")
-_INT_KEYS = ("n_steps", "n_paths", "seed", "tau_count", "money_count")
-_STR_KEYS = ("model", "output")
-_ALL_KEYS = frozenset(_FLOAT_KEYS + _INT_KEYS + _STR_KEYS)
-
 # verification thresholds (see the oracle module for where they come from)
 _VERIFY_TRAJ_TOL = 1e-3
 _VERIFY_RATE_TOL = 1e-4
 _VERIFY_ORDER_MIN = 0.9
 _VERIFY_TERMINAL_TOL = 1e-6
 
+_REQUIRED = object()  # default of a key every config must set
+
+
+def _key(default, name=None):
+    """A RunConfig field read from config key `name` (the field's name if None).
+
+    default is a value, _REQUIRED, or a function of the fields above it; None
+    means no default (some models or subcommands require the key).
+    """
+    return field(metadata={"default": default, "name": name})
+
 
 @dataclass
 class RunConfig:
-    """Typed view of a config file with defaults resolved."""
+    """Typed view of a config file with defaults resolved: the table of keys.
 
-    model: str
-    m0: float
-    sigma: float
-    p_bar: float | None
-    lam: float
-    gamma: float
-    big_gamma: float
-    horizon: float
-    x0: float
-    n_steps: int
-    n_paths: int
-    seed: int
-    tau_min: float
-    tau_max: float
-    tau_count: int
-    money_min: float
-    money_max: float
-    money_count: int
-    bs_m: float | None
-    drift: float
-    output: str | None
+    Each field is one config key, parsed as its annotation says.
+    """
+
+    model: str = _key(_REQUIRED)
+    m0: float = _key(0.0)
+    sigma: float = _key(0.5)
+    p_bar: float | None = _key(None)
+    lam: float = _key(0.1, "lambda")
+    gamma: float = _key(_REQUIRED)
+    big_gamma: float = _key(_REQUIRED)
+    horizon: float = _key(1.0, "T")
+    x0: float = _key(1.0)
+    n_steps: int = _key(4096)
+    n_paths: int = _key(10000)
+    seed: int = _key(0)
+    tau_min: float = _key(lambda cfg: min(0.02, cfg["horizon"]))
+    tau_max: float = _key(lambda cfg: cfg["horizon"])
+    tau_count: int = _key(50)
+    money_min: float = _key(0.0)
+    money_max: float = _key(1.0)
+    money_count: int = _key(50)
+    bs_m: float | None = _key(None)
+    drift: float = _key(0.0)
+    output: str | None = _key(None)
+
+
+_KEYS = {f.metadata["name"] or f.name: f for f in fields(RunConfig)}
+
+
+def _parse(f, key: str, text: str):
+    """The value of config key `key` as its RunConfig field's annotation says."""
+    kind = f.type.removesuffix(" | None")
+    convert, noun = {"float": (float, "a number"), "int": (int, "an integer"),
+                     "str": (str, "")}[kind]
+    try:
+        value = convert(text)
+    except ValueError:
+        raise ConfigError(f"key '{key}' is not {noun}: {text!r}") from None
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"key '{key}' must be finite, got {text!r}")
+    return value
+
+
+class _ModelSpec(NamedTuple):
+    build: Callable[[RunConfig], object]  # the market model a config describes
+    commands: tuple[str, ...]             # the subcommands that accept it
+    requires: tuple[str, ...] = ()        # keys its config must set
+    reads_drift: bool = False             # whether a non-zero drift key applies
+
+
+_MODELS = {
+    "bachelier-capped": _ModelSpec(
+        lambda cfg: CappedBachelier(m0=cfg.m0, sigma=cfg.sigma, p_bar=cfg.p_bar),
+        ("surface", "simulate", "value"), requires=("m0", "p_bar")),
+    "bs-capped": _ModelSpec(
+        lambda cfg: CappedBlackScholes(m0=cfg.m0, sigma=cfg.sigma, p_bar=cfg.p_bar),
+        ("surface", "simulate", "value"), requires=("m0", "p_bar")),
+    "martingale": _ModelSpec(
+        lambda cfg: Martingale(p0=cfg.m0, sigma=cfg.sigma),
+        ("simulate", "value", "verify")),
+    "drift": _ModelSpec(
+        lambda cfg: DeterministicDrift(times=np.array([0.0, cfg.horizon]),
+                                       values=np.array([cfg.drift, cfg.drift]), p0=cfg.m0),
+        ("simulate", "verify"), reads_drift=True),
+}
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -100,7 +146,7 @@ def _parse_lines(text: str) -> dict[str, str]:
         value = value.strip()
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key '{key}' (line {lineno})")
         if key in raw:
             raise ConfigError(f"duplicate key '{key}' (line {lineno})")
@@ -110,82 +156,38 @@ def _parse_lines(text: str) -> dict[str, str]:
     return raw
 
 
-def _get_float(raw, key, default=None):
-    if key not in raw:
-        return default
-    try:
-        value = float(raw[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}' is not a number: {raw[key]!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"key '{key}' must be finite, got {raw[key]!r}")
-    return value
-
-
-def _get_int(raw, key, default=None):
-    if key not in raw:
-        return default
-    try:
-        value = int(raw[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}' is not an integer: {raw[key]!r}") from None
-    return value
-
-
-def _require(cfg_value, key):
-    if cfg_value is None:
-        raise ConfigError(f"missing required key '{key}'")
-    return cfg_value
-
-
-def load_config(path: str) -> RunConfig:
-    """Read and type-check a config file; required-per-subcommand keys may stay None."""
+def _read(path: str) -> tuple[RunConfig, frozenset]:
+    """The file's values over the defaults, not yet validated, and the keys it sets."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = _parse_lines(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    values = {}
+    for key, f in _KEYS.items():
+        default = f.metadata["default"]
+        if key in raw:
+            values[f.name] = _parse(f, key, raw[key])
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key '{key}'")
+        else:
+            values[f.name] = default(values) if callable(default) else default
+    return RunConfig(**values), frozenset(raw)
 
-    model = raw.get("model")
-    if model is None:
-        raise ConfigError("missing required key 'model'")
-    if model not in _MODELS:
-        raise ConfigError(f"key 'model' must be one of {', '.join(_MODELS)}; got {model!r}")
 
-    horizon = _get_float(raw, "T", 1.0)
-    if horizon <= 0.0:
-        raise ConfigError("key 'T' must be strictly positive")
-    cfg = RunConfig(
-        model=model,
-        m0=_get_float(raw, "m0", 0.0),
-        sigma=_get_float(raw, "sigma", 0.5),
-        p_bar=_get_float(raw, "p_bar"),
-        lam=_require(_get_float(raw, "lambda", 0.1), "lambda"),
-        gamma=_require(_get_float(raw, "gamma"), "gamma"),
-        big_gamma=_require(_get_float(raw, "big_gamma"), "big_gamma"),
-        horizon=horizon,
-        x0=_get_float(raw, "x0", 1.0),
-        n_steps=_get_int(raw, "n_steps", 4096),
-        n_paths=_get_int(raw, "n_paths", 10000),
-        seed=_get_int(raw, "seed", 0),
-        tau_min=_get_float(raw, "tau_min", min(0.02, horizon)),
-        tau_max=_get_float(raw, "tau_max", horizon),
-        tau_count=_get_int(raw, "tau_count", 50),
-        money_min=_get_float(raw, "money_min", 0.0),
-        money_max=_get_float(raw, "money_max", 1.0),
-        money_count=_get_int(raw, "money_count", 50),
-        bs_m=_get_float(raw, "bs_m"),
-        drift=_get_float(raw, "drift", 0.0),
-        output=raw.get("output"),
-    )
-    _validate(cfg, present=frozenset(raw))
+def load_config(path: str) -> RunConfig:
+    """Read and type-check a config file; required-per-subcommand keys may stay None."""
+    cfg, present = _read(path)
+    _validate(cfg, present)
     return cfg
 
 
 def _validate(cfg: RunConfig, present: frozenset) -> None:
-    for key, value, low in (("lambda", cfg.lam, 0.0), ("gamma", cfg.gamma, 0.0),
-                            ("big_gamma", cfg.big_gamma, 0.0), ("sigma", cfg.sigma, 0.0)):
-        if value <= low:
+    if cfg.model not in _MODELS:
+        raise ConfigError(f"key 'model' must be one of {', '.join(_MODELS)}; got {cfg.model!r}")
+    for key, value in (("T", cfg.horizon), ("lambda", cfg.lam), ("gamma", cfg.gamma),
+                       ("big_gamma", cfg.big_gamma), ("sigma", cfg.sigma)):
+        if value <= 0.0:
             raise ConfigError(f"key '{key}' must be strictly positive")
     if cfg.n_steps < 1:
         raise ConfigError("key 'n_steps' must be >= 1")
@@ -199,35 +201,26 @@ def _validate(cfg: RunConfig, present: frozenset) -> None:
         raise ConfigError("keys 'tau_min'/'tau_max' must satisfy 0 < tau_min <= tau_max <= T")
     if cfg.money_min < 0.0 or cfg.money_min > cfg.money_max:
         raise ConfigError("keys 'money_min'/'money_max' must satisfy 0 <= money_min <= money_max")
-    if cfg.model in ("bachelier-capped", "bs-capped"):
-        if "m0" not in present:
-            raise ConfigError("missing required key 'm0' (capped models)")
-        _require(cfg.p_bar, "p_bar")
-    if "drift" in present and cfg.model != "drift" and cfg.drift != 0.0:
-        raise ConfigError("key 'drift' requires model=drift")
+    for key in _MODELS[cfg.model].requires:
+        if key not in present:
+            raise ConfigError(f"missing required key '{key}' (model = {cfg.model})")
+    if cfg.drift != 0.0 and not _MODELS[cfg.model].reads_drift:
+        drift_models = ", ".join(name for name, m in _MODELS.items() if m.reads_drift)
+        raise ConfigError(f"key 'drift' requires model = {drift_models}")
 
 
-def make_costs(cfg: RunConfig) -> CostParams:
-    try:
-        return CostParams(lam=cfg.lam, gamma=cfg.gamma, big_gamma=cfg.big_gamma,
-                          horizon=cfg.horizon, x0=cfg.x0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _problem(cfg: RunConfig):
+    """The market model, costs and kernel a validated config describes."""
+    model = _MODELS[cfg.model].build(cfg)
+    costs = CostParams(lam=cfg.lam, gamma=cfg.gamma, big_gamma=cfg.big_gamma,
+                       horizon=cfg.horizon, x0=cfg.x0)
+    return model, costs, GKernel.from_costs(costs)
 
 
-def make_model(cfg: RunConfig):
-    try:
-        if cfg.model == "bachelier-capped":
-            return CappedBachelier(m0=cfg.m0, sigma=cfg.sigma, p_bar=_require(cfg.p_bar, "p_bar"))
-        if cfg.model == "bs-capped":
-            return CappedBlackScholes(m0=cfg.m0, sigma=cfg.sigma, p_bar=_require(cfg.p_bar, "p_bar"))
-        if cfg.model == "drift":
-            return DeterministicDrift(times=np.array([0.0, cfg.horizon]),
-                                      values=np.array([cfg.drift, cfg.drift]),
-                                      p0=cfg.m0)
-        return Martingale(p0=cfg.m0, sigma=cfg.sigma)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _output(cfg: RunConfig) -> str:
+    if cfg.output is None:
+        raise ConfigError("missing required key 'output'")
+    return cfg.output
 
 
 def _fmt(value) -> str:
@@ -235,8 +228,6 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header: str, rows) -> None:
-    if path is None:
-        raise ConfigError("missing required key 'output'")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -244,11 +235,9 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def cmd_surface(cfg: RunConfig) -> int:
-    model = make_model(cfg)
-    if not isinstance(model, (CappedBachelier, CappedBlackScholes)):
-        raise ConfigError("key 'model' must be a capped variant for surface")
-    costs = make_costs(cfg)
-    kernel = GKernel.from_costs(costs)
+    """Write the optimal-rate surface on the tau x moneyness grid (capped models)."""
+    output = _output(cfg)
+    model, costs, kernel = _problem(cfg)
     taus = np.linspace(cfg.tau_min, cfg.tau_max, cfg.tau_count)
     money = np.linspace(cfg.money_min, cfg.money_max, cfg.money_count)
     bs_m = cfg.bs_m if cfg.bs_m is not None else model.p_bar
@@ -258,34 +247,29 @@ def cmd_surface(cfg: RunConfig) -> int:
          _fmt(surf.rate_extra[i, j]), _fmt(surf.relative_increase[i, j]))
         for i in range(taus.size) for j in range(money.size)
     )
-    _write_csv(cfg.output, "tau,moneyness,rate,rate_ac,rate_extra,relative_increase", rows)
+    _write_csv(output, "tau,moneyness,rate,rate_ac,rate_extra,relative_increase", rows)
     return 0
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    model = make_model(cfg)
-    costs = make_costs(cfg)
-    kernel = GKernel.from_costs(costs)
+    """Write the simulated values of the optimal and signal-free policies."""
+    output = _output(cfg)
+    model, costs, kernel = _problem(cfg)
     comparison = paired_value_difference(
         model, optimal_policy(model, kernel, costs), ac_policy(kernel), costs,
         n_paths=cfg.n_paths, n_steps=cfg.n_steps, master_seed=cfg.seed,
     )
-    rows = [
-        ("optimal", _fmt(comparison.value_a.mean), _fmt(comparison.value_a.std_error),
-         str(comparison.value_a.n_paths), str(comparison.value_a.seed)),
-        ("almgren-chriss", _fmt(comparison.value_b.mean), _fmt(comparison.value_b.std_error),
-         str(comparison.value_b.n_paths), str(comparison.value_b.seed)),
-    ]
-    _write_csv(cfg.output, "policy,mean,std_error,n_paths,seed", rows)
+    rows = [(name, _fmt(est.mean), _fmt(est.std_error), str(est.n_paths), str(est.seed))
+            for name, est in (("optimal", comparison.value_a),
+                              ("almgren-chriss", comparison.value_b))]
+    _write_csv(output, "policy,mean,std_error,n_paths,seed", rows)
     return 0
 
 
 def cmd_value(cfg: RunConfig) -> int:
-    model = make_model(cfg)
-    if isinstance(model, DeterministicDrift):
-        raise ConfigError("key 'model' must be capped or martingale for value")
-    costs = make_costs(cfg)
-    kernel = GKernel.from_costs(costs)
+    """Write the closed-form value next to the simulated value of the policy."""
+    output = _output(cfg)
+    model, costs, kernel = _problem(cfg)
     if isinstance(model, Martingale):
         p0, v1_0, v0_0, v0_se = model.p0, 0.0, 0.0, 0.0
     else:
@@ -299,18 +283,13 @@ def cmd_value(cfg: RunConfig) -> int:
                         n_paths=cfg.n_paths, n_steps=cfg.n_steps, master_seed=cfg.seed)
     row = (_fmt(p0), _fmt(costs.x0), _fmt(-urgency(kernel, 0.0)), _fmt(v1_0),
            _fmt(v0_0), _fmt(v0_se), _fmt(value), _fmt(mc.mean), _fmt(mc.std_error))
-    _write_csv(cfg.output, "p0,x0,v2_0,v1_0,v0_0,v0_se,value,mc_value,mc_se", [row])
+    _write_csv(output, "p0,x0,v2_0,v1_0,v0_0,v0_se,value,mc_value,mc_se", [row])
     return 0
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    model = make_model(cfg)
-    if not isinstance(model, (Martingale, DeterministicDrift)):
-        raise ConfigError("key 'model' must be drift or martingale for verify")
-    costs = make_costs(cfg)
-    kernel = GKernel.from_costs(costs)
-    drift_level = cfg.drift if isinstance(model, DeterministicDrift) else 0.0
-
+    """Check the closed-form schedule against the discrete optimizer (exit 1 on failure)."""
+    model, costs, kernel = _problem(cfg)
     ns = sorted({max(2, cfg.n_steps // 100), max(2, cfg.n_steps // 10), cfg.n_steps})
     if len(ns) < 2:
         raise ConfigError("key 'n_steps' must be >= 20 for verify (order needs a refinement)")
@@ -318,9 +297,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     terminal_residuals = []
     u0_disc = x_n = None
     for n in ns:
-        plan = solve_discrete(DiscreteProblem.uniform(costs, n, drift_level))
+        plan = solve_discrete(DiscreteProblem.uniform(costs, n, cfg.drift))
         grid = plan.grid
-        if drift_level == 0.0:
+        if cfg.drift == 0.0:  # _validate keeps it 0 unless model = drift
             v1_values = np.zeros(grid.size)
         else:
             v1_values = v1_curve_deterministic(model, kernel, costs.lam, grid)
@@ -375,32 +354,28 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _COMMANDS.items():
-        p = sub.add_parser(name, help=handler.__doc__)
+        # flags left out stay out of the namespace; each given one sets its key
+        p = sub.add_parser(name, help=handler.__doc__, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--output", help="output path (overrides the config's output key)")
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--paths", type=int, help="Monte Carlo path count override")
-        p.add_argument("--steps", type=int, help="time step count override")
-    args = parser.parse_args(argv)
+        p.add_argument("--paths", type=int, dest="n_paths", metavar="PATHS",
+                       help="Monte Carlo path count override")
+        p.add_argument("--steps", type=int, dest="n_steps", metavar="STEPS",
+                       help="time step count override")
+    overrides = vars(parser.parse_args(argv))
+    command = overrides.pop("command")
 
     try:
-        cfg = load_config(args.config)
-        if args.output is not None:
-            cfg.output = args.output
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("key 'seed' must fit in 64 bits")
-            cfg.seed = args.seed
-        if args.paths is not None:
-            if args.paths < 2:
-                raise ConfigError("key 'n_paths' must be >= 2")
-            cfg.n_paths = args.paths
-        if args.steps is not None:
-            if args.steps < 1:
-                raise ConfigError("key 'n_steps' must be >= 1")
-            cfg.n_steps = args.steps
-        return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+        cfg, present = _read(overrides.pop("config"))
+        cfg = replace(cfg, **overrides)
+        _validate(cfg, present)
+        if command not in _MODELS[cfg.model].commands:
+            served = ", ".join(name for name, m in _MODELS.items() if command in m.commands)
+            raise ConfigError(f"key 'model' must be one of {served} for {command}; "
+                              f"got {cfg.model!r}")
+        return _COMMANDS[command](cfg)
+    except (ConfigError, ValueError) as exc:  # the library names the field it rejects
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:

@@ -240,10 +240,8 @@ def optimal_rate(kernel: GKernel, t: float, x: float, v1_signal: float = 0.0) ->
 
 
 def trajectory_from_signal(kernel, x0, v1_curve, grid) -> TradePlan:
-    """Optimal trajectory on a grid given a sampled signal curve v1.
+    """Optimal trajectory on a grid given the signal curve v1 sampled on it.
 
-    v1_curve is either an array aligned with grid, or a pair (times, values)
-    sampled on a refinement of grid (times must contain every grid point).
     The position integral is evaluated by composite trapezoid on the sampled
     curve, propagated stepwise through ratios of G so that no intermediate
     overflows; rates are urgency * X - v1 at the grid points.
@@ -257,37 +255,23 @@ def trajectory_from_signal(kernel, x0, v1_curve, grid) -> TradePlan:
     if grid[-1] > kernel.horizon * (1.0 + 1e-12):
         raise ValueError("grid runs past the horizon")
 
-    if isinstance(v1_curve, tuple):
-        times, values = v1_curve
-        times = _check_grid("v1 curve times", times)
-        values = np.asarray(values, dtype=float)
-        if times.shape != values.shape:
-            raise ValueError("v1 curve times and values must have equal length")
-        # every grid point must appear in the refinement
-        idx = np.searchsorted(times, grid)
-        if np.any(idx >= times.size) or np.any(np.abs(times[np.minimum(idx, times.size - 1)] - grid) > 1e-9 * max(kernel.horizon, 1.0)):
-            raise ValueError("v1 curve must be sampled on a refinement containing the grid")
-    else:
-        values = np.asarray(v1_curve, dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError("v1 curve must align with the grid (or pass a (times, values) refinement)")
-        times = grid
-        idx = np.arange(grid.size)
+    values = np.asarray(v1_curve, dtype=float)
+    if values.shape != grid.shape:
+        raise ValueError("v1 curve must align with the grid")
 
     beta, g, horizon = kernel.beta, kernel.gamma_ratio, kernel.horizon
-    lg = _log_g_array(beta, g, beta * (horizon - times))
+    lg = _log_g_array(beta, g, beta * (horizon - grid))
     # step ratio rho_j = G(T - s_{j+1}) / G(T - s_j) <= 1
     rho = np.exp(np.diff(lg))
-    h = np.diff(times)
+    h = np.diff(grid)
 
-    x_fine = np.empty(times.size)
-    x_fine[0] = x0 * math.exp(lg[0] - _log_g(beta, g, beta * horizon))
-    for j in range(times.size - 1):
-        x_fine[j + 1] = rho[j] * x_fine[j] + 0.5 * h[j] * (rho[j] * values[j] + values[j + 1])
+    positions = np.empty(grid.size)
+    positions[0] = x0 * math.exp(lg[0] - _log_g(beta, g, beta * horizon))
+    for j in range(grid.size - 1):
+        positions[j + 1] = (rho[j] * positions[j]
+                            + 0.5 * h[j] * (rho[j] * values[j] + values[j + 1]))
 
-    positions = x_fine[idx]
-    v1_grid = values[idx]
-    rates = np.array([urgency(kernel, t) for t in grid]) * positions - v1_grid
+    rates = np.array([urgency(kernel, t) for t in grid]) * positions - values
     return TradePlan(grid=grid, positions=positions, rates=rates)
 
 

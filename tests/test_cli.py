@@ -1,20 +1,22 @@
 """End-to-end CLI tests: config parsing, CSV contracts, exit codes."""
 
-import numpy as np
+import re
+from pathlib import Path
+
 import pytest
 
 from liqzone import (
     CappedBachelier,
     CostParams,
     GKernel,
-    Martingale,
+    QuadratureError,
     TargetZoneState,
     ac_policy,
     extra_rate,
     estimate_value,
     urgency,
 )
-from liqzone.cli import ConfigError, load_config, main
+from liqzone.cli import _KEYS, ConfigError, load_config, main
 
 BASE = """
 model = bachelier-capped
@@ -247,3 +249,74 @@ def test_missing_output_named(tmp_path, capsys):
 
 def test_missing_config_file_exit_2(tmp_path):
     assert main(["surface", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+def test_value_rejects_drift_model(tmp_path, capsys):
+    cfg = BASE.replace("model = bachelier-capped", "model = drift") + "drift = -0.1\n"
+    assert main(["value", "--config", write(tmp_path, cfg),
+                 "--output", str(tmp_path / "v.csv")]) == 2
+    assert "model" in capsys.readouterr().err
+
+
+def test_path_and_step_overrides_reach_simulate(tmp_path):
+    flagged, keyed = tmp_path / "flagged.csv", tmp_path / "keyed.csv"
+    assert main(["simulate", "--config", write(tmp_path, BASE), "--output", str(flagged),
+                 "--paths", "7", "--steps", "16"]) == 0
+    cfg = BASE + "n_paths = 7\nn_steps = 16\n"
+    assert main(["simulate", "--config", write(tmp_path, cfg, "keyed.cfg"),
+                 "--output", str(keyed)]) == 0
+    rows = flagged.read_text().splitlines()
+    assert [row.split(",")[3] for row in rows[1:]] == ["7", "7"]
+    assert flagged.read_bytes() == keyed.read_bytes()  # same paths, same steps
+
+
+def test_flag_replaces_config_value_before_check(tmp_path):
+    path = write(tmp_path, BASE + "n_paths = 1\nn_steps = 0\n")
+    assert main(["simulate", "--config", path, "--output", str(tmp_path / "x.csv"),
+                 "--paths", "7", "--steps", "16"]) == 0
+
+
+def test_quadrature_error_exits_1(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise QuadratureError("panel refinement disagrees")
+
+    monkeypatch.setattr("liqzone.cli.rate_surface", fail)
+    assert main(["surface", "--config", write(tmp_path, BASE),
+                 "--output", str(tmp_path / "s.csv")]) == 1
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_bs_m_below_capped_price_exits_2(tmp_path, capsys):
+    cfg = BASE.replace("bachelier-capped", "bs-capped") + "bs_m = 0.5\n"
+    assert main(["surface", "--config", write(tmp_path, cfg),
+                 "--output", str(tmp_path / "s.csv")]) == 2
+    assert "bs_m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["surface", "simulate", "value"])
+def test_missing_output_reported_before_any_computation(tmp_path, monkeypatch, capsys,
+                                                        command):
+    def engine(*args, **kwargs):
+        raise AssertionError("ran before checking the output key")
+
+    for name in ("rate_surface", "paired_value_difference", "estimate_value",
+                 "estimate_v0", "v1_target_zone"):
+        monkeypatch.setattr(f"liqzone.cli.{name}", engine)
+    assert main([command, "--config", write(tmp_path, BASE)]) == 2
+    assert "'output'" in capsys.readouterr().err
+
+
+def test_help_describes_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for command in ("surface", "simulate", "value", "verify"):
+        described = [line for line in lines if line.split()[:1] == [command]]
+        assert described and len(described[0].split()) > 1, command
+
+
+def test_readme_key_table_matches_accepted_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.findall(r"^\| `(\w+)` \|", readme, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(_KEYS)  # each accepted key, once
