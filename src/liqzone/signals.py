@@ -21,8 +21,10 @@ uncapped level m).  DeterministicDrift and Martingale variants cover plain
 signal models with no cap.
 
 The time integral has an inverse-square-root singularity at s = t; the
-substitution s = t + w^2 removes it, and the integral is evaluated by
-fixed Gauss-Legendre panels with one refinement used as an error estimate.
+substitution s = t + tau y^2 removes it.  Each capped model states the
+integrand once (_table_rows) and its scaled moneyness once (_moneyness);
+v1 and the rate surface integrate it on Gauss-Legendre panels checked by one
+refinement (_panel_extra), the Monte Carlo policy via _CappedSignalTable.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ _PANELS_FINE = 32
 _GL_ORDER = 32
 _QUAD_RTOL = 1e-8
 _QUAD_ATOL_SCALE = 1e-12
+# How far below 0 the scaled moneyness may fall before a price is above the cap:
+# engine paths exceed p_bar by rounding (~3e-15 in z), -1e-10 moves the rate ~1e-10
+_Z_SLACK = 1e-10
 
 # The Monte Carlo signal table's y rule: 8-node Gauss-Legendre panels on the
 # dyadic intervals [0, 2^-30], [2^-30, 2^-29], ..., [1/2, 1], graded towards
@@ -124,15 +129,20 @@ class _Model:
         """The extra rate -v1 as seen by the Monte Carlo policy, per time step."""
         return _ZeroSignalTable()
 
+    def _surface_levels(self, bs_m, ks: np.ndarray) -> np.ndarray:
+        """Uncapped level of each moneyness column of a rate surface."""
+        raise ValueError("rate_surface requires a capped market model")
+
 
 @dataclass(frozen=True)
 class _CappedModel(_Model):
     """A background price started at m0 and pushed under p_bar by its running max.
 
-    Subclasses supply the theta integrand on panel nodes (_extra_nodes), an
-    upper bound on it that sets the quadrature's absolute error floor
-    (_extra_scale), the signal table's z grid (_TABLE_Z), rows
-    (_table_rows) and lookup (_table_lookup), and the surface's uncapped
+    The rate is root * level times an integral over y in [0, 1] of a theta
+    integrand in the scaled moneyness z.  Subclasses supply (z, level) from
+    price and level (_moneyness), the integrand per root (_table_rows), a
+    bound on the rate per unit level for the quadrature's error floor
+    (_extra_scale), the table's z grid (_TABLE_Z) and the surface's uncapped
     levels (_surface_levels).
     """
 
@@ -172,14 +182,37 @@ class _CappedModel(_Model):
         return tau
 
     def _v1(self, kernel, lam, state, tau):
-        coarse = _capped_extra_nodes(self, state, kernel, lam, tau, *_panel_nodes(_PANELS_COARSE))
-        fine = _capped_extra_nodes(self, state, kernel, lam, tau, *_panel_nodes(_PANELS_FINE))
-        err = abs(fine - coarse)
-        tol = _QUAD_RTOL * abs(fine) + _QUAD_ATOL_SCALE * self._extra_scale(state, lam, tau)
-        if err > tol:
-            raise QuadratureError(f"panel refinement disagrees: coarse={coarse!r} fine={fine!r} "
-                                  f"(err={err:.3e}, tol={tol:.3e})")
-        return -fine
+        return -float(self._panel_extra(kernel, lam, tau, np.array([state.p]), np.array([state.m]))[0])
+
+    def _panel_extra(self, kernel: GKernel, lam: float, tau: float, p: np.ndarray,
+                     m: np.ndarray) -> np.ndarray:
+        """Extra rate -v1 at the cells (p, m), 1-D arrays sharing the time to go tau.
+
+        QuadratureError names the first cell where the 16- and 32-panel passes disagree.
+        """
+        root = self.sigma * math.sqrt(tau)
+        z, level = self._moneyness(p, m, root)
+        coarse, fine = (root * level * self._table_rows(
+            lam, z, y, np.array([root]), (_discount_ratio(kernel, tau, y) * w)[None, :])[0]
+            for y, w in map(_panel_nodes, (_PANELS_COARSE, _PANELS_FINE)))
+        err = np.abs(fine - coarse)
+        tol = _QUAD_RTOL * np.abs(fine) + _QUAD_ATOL_SCALE * level * self._extra_scale(lam, tau)
+        bad = np.flatnonzero(err > tol)
+        if bad.size:
+            j = bad[0]
+            raise QuadratureError(
+                f"panel refinement disagrees at tau={float(tau)!r}, p={float(p[j])!r} (moneyness "
+                f"{float(self.p_bar - p[j])!r}): coarse={float(coarse[j])!r} "
+                f"fine={float(fine[j])!r} (err={err[j]:.3e}, tol={tol[j]:.3e})")
+        return fine
+
+    def _in_zone(self, z: np.ndarray, p) -> np.ndarray:
+        """z, once every price p is finite and at most p_bar up to rounding."""
+        if z.size and not (np.minimum.reduce(z, axis=None) >= -_Z_SLACK
+                           and np.maximum.reduce(z, axis=None) < math.inf):
+            bad = np.broadcast_to(p, z.shape)[~((z >= -_Z_SLACK) & (z < math.inf))]
+            raise ValueError(f"p must be finite and at most p_bar = {self.p_bar!r}, got {float(bad[0])!r}")
+        return z
 
     def _signal_table(self, kernel, lam):
         return _CappedSignalTable(self, kernel, lam)
@@ -192,21 +225,16 @@ class CappedBachelier(_CappedModel):
     # the signal table's z grid; beyond z = 13 the rate is below 1e-30 of scale
     _TABLE_Z = np.linspace(0.0, 13.0, 1301)
 
-    def _extra_nodes(self, state, lam, tau, y, w, ratio):
-        root = self.sigma * math.sqrt(tau)
-        z = (self.p_bar - state.p) / root
-        vals = _norm_pdf(z / y)
-        return root / lam * float(np.dot(w, vals * ratio))
+    def _moneyness(self, p, m, root):
+        p = np.asarray(p, dtype=float)
+        return self._in_zone((self.p_bar - p) / root, p), 1.0
 
-    def _extra_scale(self, state, lam, tau):
+    def _extra_scale(self, lam, tau):
         return self.sigma * math.sqrt(tau) / (lam * _SQRT_2PI)
 
     def _table_rows(self, lam, z_grid, y, roots, ratio_w):
         # extra / root: one GEMM over every root node
         return (ratio_w @ _norm_pdf(z_grid[:, None] / y[None, :]).T) / lam
-
-    def _table_lookup(self, interp, p, m, root):
-        return interp((self.p_bar - np.asarray(p, dtype=float)) / root)
 
     def _surface_levels(self, bs_m, ks):
         return np.full(ks.shape, self.p_bar)
@@ -229,38 +257,27 @@ class CappedBlackScholes(_CappedModel):
         np.exp(m, out=m)
         m *= self.m0
 
-    def _check_state(self, state, horizon):
-        tau = super()._check_state(state, horizon)
-        if state.m <= 0.0:
-            raise ValueError(f"m must be strictly positive, got {state.m!r}")
-        return tau
+    def _moneyness(self, p, m, root):
+        m = np.asarray(m, dtype=float)
+        if m.size and not np.minimum.reduce(m, axis=None) > 0.0:
+            raise ValueError(f"m must be strictly positive, got {float(m[~(m > 0.0)][0])!r}")
+        p = np.asarray(p, dtype=float)
+        return self._in_zone(np.log1p((self.p_bar - p) / m) / root, p), m
 
-    def _extra_nodes(self, state, lam, tau, y, w, ratio):
+    def _extra_scale(self, lam, tau):
         sig = self.sigma
         root = sig * math.sqrt(tau)
-        # f = (sig sqrt(tau)/2) y - zb / y with zb = log1p(k/m)/(sig sqrt(tau))
-        zb = math.log1p((self.p_bar - state.p) / state.m) / root
-        f = 0.5 * root * y - zb / y
-        vals = 2.0 * root * _norm_pdf(f) + sig * sig * tau * y * ndtr(f)
-        return state.m / (2.0 * lam) * float(np.dot(w, vals * ratio))
-
-    def _extra_scale(self, state, lam, tau):
-        sig = self.sigma
-        root = sig * math.sqrt(tau)
-        return state.m / (2.0 * lam) * (2.0 * root / _SQRT_2PI + 0.5 * sig * sig * tau)
+        return (2.0 * root / _SQRT_2PI + 0.5 * sig * sig * tau) / (2.0 * lam)
 
     def _table_rows(self, lam, z_grid, y, roots, ratio_w):
-        # extra / (root m); f depends on the root, so one node at a time
+        # extra / (root m) with f = root y / 2 - z / y; f depends on the
+        # root, so one node at a time
         rows = np.empty((roots.size, z_grid.size))
         z_over_y = z_grid[:, None] / y[None, :]
         for row, root, rw in zip(rows, roots, ratio_w):
             f = 0.5 * root * y[None, :] - z_over_y
             row[:] = (2.0 * (_norm_pdf(f) @ rw) + root * (ndtr(f) @ (rw * y))) / (2.0 * lam)
         return rows
-
-    def _table_lookup(self, interp, p, m, root):
-        m = np.asarray(m, dtype=float)
-        return interp(np.log1p((self.p_bar - np.asarray(p, dtype=float)) / m) / root) * m
 
     def _surface_levels(self, bs_m, ks):
         if bs_m is None:
@@ -454,12 +471,6 @@ def _discount_ratio(kernel: GKernel, tau: float, y: np.ndarray) -> np.ndarray:
     return np.exp(lg_s - lg_t)
 
 
-def _capped_extra_nodes(model, state: TargetZoneState, kernel: GKernel, lam: float,
-                        tau: float, y: np.ndarray, w: np.ndarray) -> float:
-    """Extra selling rate -v1 on one panel scheme (nodes y, weights w)."""
-    return model._extra_nodes(state, lam, tau, y, w, _discount_ratio(kernel, tau, y))
-
-
 def v1_target_zone(kernel: GKernel, costs: CostParams, model, state: TargetZoneState) -> float:
     """Signal term v1 at a state: minus the G-discounted integral of the drift.
 
@@ -548,20 +559,16 @@ def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
 class _CappedSignalTable:
     """Extra selling rate of a capped model as one table in (root, z).
 
-    At time t the extra rate depends on the state only through one scaled
-    moneyness z, and on t only through root = sigma sqrt(T - t).  The table
-    holds extra / root (extra / (root m) for Black-Scholes) on the model's
-    uniform z grid, one row per Chebyshev-Lobatto node in root on
-    [0, sigma sqrt(T)].  The y integral uses 248 Gauss-Legendre nodes on
-    dyadic panels graded towards y = 0.  Starting from 9 nodes the node set
-    is doubled until the new rows agree with the coarser interpolant to 1e-6
-    of the table's largest entry, else QuadratureError past 513 nodes.
-
-    The table is built on the first query, not on construction, and its
-    size does not depend on how many times are queried.  A query forms its
-    z row by barycentric interpolation in root (one GEMV over the nodes),
-    then interpolates linearly in z (beyond the last z node the rate is 0,
-    where it is below 1e-30 of scale anyway).
+    The rate over root * level depends on the state only through the scaled
+    moneyness z (_moneyness) and on t only through root = sigma sqrt(T - t).
+    The table holds it (_table_rows, y integral on 248 Gauss-Legendre nodes
+    graded towards y = 0) on the model's z grid, one row per Chebyshev-Lobatto
+    node in root on [0, sigma sqrt(T)]: from 9 nodes the set doubles until the
+    new rows agree with the coarser interpolant to 1e-6 of the table's max,
+    else QuadratureError past 513 nodes.  It is built on the first query and
+    does not grow with the number of times queried.  A query interpolates in
+    root by barycentric weights (one GEMV), then linearly in z (0 beyond the
+    last z node, where the rate is below 1e-30 of scale).
     """
 
     def __init__(self, model: _CappedModel, kernel: GKernel, lam: float):
@@ -613,15 +620,16 @@ class _CappedSignalTable:
         tau = self.kernel.horizon - t
         if tau <= 0.0:
             return np.zeros_like(np.asarray(p, dtype=float))
+        root = self.model.sigma * math.sqrt(tau)
+        z, level = self.model._moneyness(p, m, root)
         if self.rows is None:
             self._build()
-        root = self.model.sigma * math.sqrt(tau)
         hit = np.flatnonzero(self.roots == root)
         if hit.size:
             tab = root * self.rows[hit[0]]
         else:
             tab = root * (_barycentric(self.roots, self.weights, root) @ self.rows)
-        return self.model._table_lookup(lambda z: self._interp(tab, z), p, m, root)
+        return self._interp(tab, z) * level
 
 
 class _DriftSignalTable:
@@ -684,25 +692,16 @@ def rate_surface(kernel: GKernel, costs: CostParams, model, grid_tau, grid_money
     value per moneyness column.  The model's m0 is not used; cells are
     hypothetical states.
     """
-    if not isinstance(model, _CappedModel):
-        raise ValueError("rate_surface requires a capped market model")
     taus = _check_grid("taus", grid_tau, min_size=1)
     ks = _check_grid("moneyness", grid_money, min_size=1)
-    if np.any(taus <= 0.0) or np.any(taus > kernel.horizon * (1.0 + 1e-12)):
+    if np.any(taus <= 0.0) or np.any(taus > kernel.horizon):
         raise ValueError("taus must lie in (0, horizon]")
     if np.any(ks < 0.0):
         raise ValueError("moneyness must be >= 0")
     m_cols = model._surface_levels(bs_m, ks)
-
-    n_t, n_k = taus.size, ks.size
-    rate_ex = np.empty((n_t, n_k))
-    rate_ac = np.empty((n_t, n_k))
-    for i, tau in enumerate(taus):
-        t = kernel.horizon - tau
-        rate_ac[i] = urgency(kernel, t) * x
-        for j, k in enumerate(ks):
-            state = TargetZoneState(t=t, m=float(m_cols[j]), p=model.p_bar - k)
-            rate_ex[i, j] = extra_rate(kernel, costs, model, state)
+    rate_ex = np.array([model._panel_extra(kernel, costs.lam, tau, model.p_bar - ks, m_cols)
+                        for tau in taus])
+    rate_ac = np.repeat([[urgency(kernel, kernel.horizon - tau) * x] for tau in taus], ks.size, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(rate_ac != 0.0, rate_ex / rate_ac, np.inf)
     return RateSurface(

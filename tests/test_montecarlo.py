@@ -380,6 +380,32 @@ def test_signal_table_is_lazy_and_bounded(monkeypatch):
     assert _footprint(table) == footprint
 
 
+@pytest.mark.parametrize("p", [1.05, 1.001, math.nan])
+def test_signal_table_rejects_prices_above_the_cap(p):
+    # before the check: 6.1e-39 at p = 1.05, 1.99958 (above the at-barrier
+    # 1.99460) at p = 1.001, and an IndexError for nan
+    table = optimal_policy(BACH, GKernel.from_costs(SMALL_COSTS), SMALL_COSTS).signal_table
+    with pytest.raises(ValueError, match="p must be finite and at most p_bar"):
+        table.extra_values(0.0, np.array([0.9, p]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("m", [0.0, -0.5, math.nan])
+def test_bs_signal_table_rejects_non_positive_level(m):
+    model = CappedBlackScholes(m0=1.0, sigma=0.5, p_bar=1.0)
+    table = optimal_policy(model, GKernel.from_costs(SMALL_COSTS), SMALL_COSTS).signal_table
+    with pytest.raises(ValueError, match="m must be strictly positive"):
+        table.extra_values(0.0, np.array([0.9, 0.9]), np.array([1.0, m]))
+
+
+def test_optimal_policy_accepts_engine_paths_over_the_cap_by_rounding():
+    # the engine's capped prices exceed p_bar = 0.3 by up to 7.2e-16 here
+    # (81 359 grid points); a check with no slack rejects them
+    model = CappedBachelier(m0=0.1, sigma=5.0, p_bar=0.3)
+    policy = optimal_policy(model, GKernel.from_costs(SMALL_COSTS), SMALL_COSTS)
+    est = estimate_value(model, policy, SMALL_COSTS, n_paths=10_240, n_steps=512, master_seed=7)
+    assert math.isfinite(est.mean) and est.std_error > 0.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_uncapped_models_reject_non_finite_p0(bad):
     with pytest.raises(ValueError, match="p0"):

@@ -31,7 +31,7 @@ from liqzone import (
     v1_curve_deterministic,
     v1_target_zone,
 )
-from liqzone.signals import _capped_extra_nodes, _panel_nodes
+from liqzone import signals
 
 SMALL_COSTS = CostParams(lam=0.1, gamma=1e-5, big_gamma=1e-5, horizon=1.0, x0=1.0)
 UNIT_COSTS = CostParams(lam=0.1, gamma=1.0, big_gamma=1.0, horizon=1.0, x0=1.0)
@@ -133,16 +133,20 @@ def test_capped_extra_frozen_at_barrier():
         assert v1_target_zone(k, costs, model, st) == pytest.approx(-expected, rel=1e-12)
 
 
-def test_panel_refinement_converged():
+def test_panel_refinement_converged(monkeypatch):
     # doubling the panel count again moves the quadrature by < 1e-10 rel
     k = GKernel.from_costs(UNIT_COSTS)
     model = CappedBachelier(m0=1.0, sigma=SIGMA, p_bar=1.0)
+
+    def on_panels(n, tau, money):
+        # both passes of the evaluator on n panels: its value is the n-panel sum
+        monkeypatch.setattr(signals, "_PANELS_COARSE", n)
+        monkeypatch.setattr(signals, "_PANELS_FINE", n)
+        return model._panel_extra(k, UNIT_COSTS.lam, tau, np.array([1.0 - money]),
+                                  np.array([1.0]))[0]
+
     for tau, money in ((1.0, 0.0), (0.5, 0.2), (0.05, 0.05)):
-        st = TargetZoneState(t=1.0 - tau, m=1.0, p=1.0 - money)
-        vals = [
-            _capped_extra_nodes(model, st, k, UNIT_COSTS.lam, tau, *_panel_nodes(n))
-            for n in (16, 32)
-        ]
+        vals = [on_panels(n, tau, money) for n in (16, 32)]
         assert vals[0] == pytest.approx(vals[1], rel=1e-10, abs=1e-18)
 
 
@@ -204,19 +208,84 @@ def test_full_rate_is_ac_plus_extra():
 
 def test_rate_surface_structure():
     k = GKernel.from_costs(UNIT_COSTS)
-    model = CappedBachelier(m0=1.0, sigma=SIGMA, p_bar=1.0)
     taus = np.array([0.1, 0.5, 1.0])
     moneys = np.array([0.0, 0.2, 0.5, 1.0])
-    surf = rate_surface(k, UNIT_COSTS, model, taus, moneys, x=1.0)
-    assert surf.rate.shape == (taus.size, moneys.size)
-    np.testing.assert_allclose(surf.rate, surf.rate_ac + surf.rate_extra, rtol=1e-14)
-    np.testing.assert_allclose(
-        surf.relative_increase, surf.rate_extra / surf.rate_ac, rtol=1e-14)
-    # spot check one cell against the scalar path
-    st = TargetZoneState(t=1.0 - taus[1], m=model.p_bar - moneys[2],
-                         p=model.p_bar - moneys[2])
-    assert surf.rate_extra[1, 2] == pytest.approx(
-        extra_rate(k, UNIT_COSTS, model, st), rel=1e-12)
+    # one uncapped level per column, each above the column's capped price
+    bs_m = 1.0 - moneys + np.array([0.0, 0.1, 0.3, 1.5])
+    for cls in (CappedBachelier, CappedBlackScholes):
+        model = cls(m0=1.0, sigma=SIGMA, p_bar=1.0)
+        surf = rate_surface(k, UNIT_COSTS, model, taus, moneys, x=1.0, bs_m=bs_m)
+        assert surf.rate.shape == (taus.size, moneys.size)
+        np.testing.assert_allclose(surf.rate, surf.rate_ac + surf.rate_extra, rtol=1e-14)
+        np.testing.assert_allclose(
+            surf.relative_increase, surf.rate_extra / surf.rate_ac, rtol=1e-14)
+        # spot check one cell against the scalar path (Bachelier ignores the level)
+        st = TargetZoneState(t=1.0 - taus[1], m=bs_m[2], p=model.p_bar - moneys[2])
+        assert surf.rate_extra[1, 2] == pytest.approx(
+            extra_rate(k, UNIT_COSTS, model, st), rel=1e-12)
+
+
+def _quad_extra(model, costs, tau, k, m):
+    """(1 / 2 lam) int_0^tau G(tau - u) / G(tau) theta(u) du by adaptive quad, u = w^2.
+
+    Written from the closed forms with math only, independently of the
+    library's panels; G(s) = beta cosh(beta s) + (big_gamma / lam) sinh(beta s).
+    """
+    sig, lam = model.sigma, costs.lam
+    beta, g_ratio = math.sqrt(costs.gamma / lam), costs.big_gamma / lam
+
+    def g(s):
+        return beta * math.cosh(beta * s) + g_ratio * math.sinh(beta * s)
+
+    def pdf(x):
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+    def integrand(w):  # 2 w theta(w^2) times the discount ratio
+        if w == 0.0:
+            return 0.0
+        if isinstance(model, CappedBlackScholes):
+            f = 0.5 * sig * w - math.log1p(k / m) / (sig * w)
+            theta_2w = m * (2.0 * sig * pdf(f) + sig * sig * w * 0.5 * math.erfc(-f / math.sqrt(2.0)))
+        else:
+            theta_2w = 2.0 * sig * pdf(k / (sig * w))
+        return theta_2w * g(tau - w * w) / g(tau)
+
+    val, _ = quad(integrand, 0.0, math.sqrt(tau), epsabs=0.0, epsrel=1e-12, limit=500)
+    return val / (2.0 * lam)
+
+
+@pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
+@pytest.mark.parametrize("cls", [CappedBachelier, CappedBlackScholes])
+def test_rate_surface_within_1e8_of_quad_in_every_cell(cls, costs):
+    # the far-field corner (tau = 0.02, k = 1) is ~1e-44 for Bachelier
+    model = cls(m0=1.0, sigma=SIGMA, p_bar=1.0)
+    taus, moneys = np.linspace(0.02, 1.0, 6), np.linspace(0.0, 1.0, 6)
+    surf = rate_surface(GKernel.from_costs(costs), costs, model, taus, moneys, x=1.0,
+                        bs_m=model.p_bar)
+    want = np.array([[_quad_extra(model, costs, tau, k, model.p_bar) for k in moneys]
+                     for tau in taus])
+    assert np.all(want > 0.0)
+    np.testing.assert_allclose(surf.rate_extra, want, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("model", [
+    Martingale(p0=1.0, sigma=SIGMA),
+    DeterministicDrift(times=np.array([0.0, 1.0]), values=np.array([-0.1, -0.1]), p0=1.0),
+], ids=["martingale", "drift"])
+def test_rate_surface_rejects_uncapped_models(model):
+    with pytest.raises(ValueError, match="capped market model"):
+        rate_surface(GKernel.from_costs(UNIT_COSTS), UNIT_COSTS, model, [0.5, 1.0],
+                     [0.0, 0.1], x=1.0)
+
+
+@pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
+@pytest.mark.parametrize("cls", [CappedBachelier, CappedBlackScholes])
+def test_quadrature_error_names_the_cell(cls, costs):
+    # just below the cap the uniform panels under-resolve phi(z / y) at y ~ z
+    model = cls(m0=1.0, sigma=SIGMA, p_bar=1.0)
+    with pytest.raises(QuadratureError, match=r"tau=1\.0, p=0\.999 "):
+        rate_surface(GKernel.from_costs(costs), costs, model, [1.0], [0.0, 1e-3], 1.0,
+                     bs_m=1.0)
 
 
 def test_state_validation():
@@ -229,6 +298,12 @@ def test_state_validation():
     bs = CappedBlackScholes(m0=1.0, sigma=SIGMA, p_bar=1.0)
     with pytest.raises(ValueError):
         v1_target_zone(k, UNIT_COSTS, bs, TargetZoneState(t=0.0, m=-1.0, p=-1.0))
+    # non-finite inputs used to come back as nan
+    for capped in (model, bs):
+        with pytest.raises(ValueError, match="p must be finite"):
+            v1_target_zone(k, UNIT_COSTS, capped, TargetZoneState(t=0.0, m=1.0, p=math.nan))
+    with pytest.raises(ValueError, match="m must be strictly positive"):
+        v1_target_zone(k, UNIT_COSTS, bs, TargetZoneState(t=0.0, m=math.nan, p=0.9))
     with pytest.raises(ValueError):
         bs_f(0.5, 1.0, 1.5, SIGMA, 1.2)
 
