@@ -26,8 +26,7 @@ from liqzone import (
     GKernel,
     TargetZoneState,
     ac_policy,
-    estimate_v0,
-    estimate_value,
+    estimate_v0_and_value,
     optimal_policy,
     paired_value_difference,
     probe_optimality,
@@ -75,12 +74,11 @@ def main():
           f"{probe.margins.max():.2e} -> {verdict}")
 
     v_steps = 8192 if args.full else n_steps
-    v0 = estimate_v0(MODEL, kernel, COSTS, n_paths, v_steps, args.seed)
+    v0, mc = estimate_v0_and_value(MODEL, kernel, COSTS, n_paths, v_steps, args.seed)
     v1_0 = v1_target_zone(kernel, COSTS, MODEL,
                           TargetZoneState(t=0.0, m=MODEL.m0, p=MODEL.m0))
     formula = value_formula(kernel, COSTS, p0=MODEL.m0,
                             v0_0=v0.mean, v1_0=v1_0)
-    mc = estimate_value(MODEL, policy, COSTS, n_paths, v_steps, args.seed)
     combined = math.hypot(COSTS.lam * v0.std_error, mc.std_error)
     print(f"value identity ({v_steps} steps): formula {formula:.6f}, "
           f"simulated {mc.mean:.6f}, deviation "

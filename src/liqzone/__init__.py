@@ -46,6 +46,7 @@ from .montecarlo import (
     PathSample,
     ac_policy,
     estimate_v0,
+    estimate_v0_and_value,
     estimate_value,
     optimal_policy,
     paired_value_difference,
@@ -75,7 +76,8 @@ __all__ = [
     "v1_curve_deterministic", "v1_target_zone",
     "MarketState", "PathSample", "GoalBreakdown", "MCEstimate",
     "PairedComparison", "OptimalityProbe", "path_stream", "simulate_path",
-    "run_strategy", "estimate_value", "estimate_v0", "paired_value_difference",
+    "run_strategy", "estimate_value", "estimate_v0", "estimate_v0_and_value",
+    "paired_value_difference",
     "probe_optimality", "ac_policy", "optimal_policy",
     "DiscreteProblem", "ConcavityReport", "solve_discrete", "solve_discrete_many",
     "discrete_goal", "concavity_probe",

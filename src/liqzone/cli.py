@@ -20,8 +20,7 @@ import numpy as np
 
 from .montecarlo import (
     ac_policy,
-    estimate_v0,
-    estimate_value,
+    estimate_v0_and_value,
     optimal_policy,
     paired_value_difference,
 )
@@ -51,6 +50,9 @@ _VERIFY_TRAJ_TOL = 1e-3
 _VERIFY_RATE_TOL = 1e-4
 _VERIFY_ORDER_MIN = 0.9
 _VERIFY_TERMINAL_TOL = 1e-6
+# finer ladders fail the order check on roundoff in the twice-differenced
+# oracle system (order 0.899 at 2**19 steps, martingale), not on the closed form
+_VERIFY_STEPS_MAX = 2**18
 
 _REQUIRED = object()  # default of a key every config must set
 
@@ -270,19 +272,13 @@ def cmd_value(cfg: RunConfig) -> int:
     """Write the closed-form value next to the simulated value of the policy."""
     output = _output(cfg)
     model, costs, kernel = _problem(cfg)
-    if isinstance(model, Martingale):
-        p0, v1_0, v0_0, v0_se = model.p0, 0.0, 0.0, 0.0
-    else:
-        p0 = model.m0  # the cap is above m0, so the capped price starts at m0
-        v1_0 = v1_target_zone(kernel, costs, model, TargetZoneState(t=0.0, m=p0, p=p0))
-        v0 = estimate_v0(model, kernel, costs, n_paths=cfg.n_paths, n_steps=cfg.n_steps,
-                         master_seed=cfg.seed)
-        v0_0, v0_se = v0.mean, v0.std_error
-    value = value_formula(kernel, costs, p0, v0_0, v1_0)
-    mc = estimate_value(model, optimal_policy(model, kernel, costs), costs,
-                        n_paths=cfg.n_paths, n_steps=cfg.n_steps, master_seed=cfg.seed)
+    p0 = cfg.m0  # the martingale's p0; a capped price starts at m0, below its cap
+    v1_0 = v1_target_zone(kernel, costs, model, TargetZoneState(t=0.0, m=p0, p=p0))
+    v0, mc = estimate_v0_and_value(model, kernel, costs, n_paths=cfg.n_paths,
+                                   n_steps=cfg.n_steps, master_seed=cfg.seed)
+    value = value_formula(kernel, costs, p0, v0.mean, v1_0)
     row = (_fmt(p0), _fmt(costs.x0), _fmt(-urgency(kernel, 0.0)), _fmt(v1_0),
-           _fmt(v0_0), _fmt(v0_se), _fmt(value), _fmt(mc.mean), _fmt(mc.std_error))
+           _fmt(v0.mean), _fmt(v0.std_error), _fmt(value), _fmt(mc.mean), _fmt(mc.std_error))
     _write_csv(output, "p0,x0,v2_0,v1_0,v0_0,v0_se,value,mc_value,mc_se", [row])
     return 0
 
@@ -293,6 +289,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     ns = sorted({max(2, cfg.n_steps // 100), max(2, cfg.n_steps // 10), cfg.n_steps})
     if len(ns) < 2:
         raise ConfigError("key 'n_steps' must be >= 20 for verify (order needs a refinement)")
+    if cfg.n_steps > _VERIFY_STEPS_MAX:
+        raise ConfigError(f"key 'n_steps' must be <= {_VERIFY_STEPS_MAX} for verify "
+                          "(roundoff in the oracle beyond)")
     traj_errors = []
     terminal_residuals = []
     u0_disc = x_n = None

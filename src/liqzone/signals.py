@@ -143,7 +143,8 @@ class _CappedModel(_Model):
     price and level (_moneyness), the integrand per root (_table_rows), a
     bound on the rate per unit level for the quadrature's error floor
     (_extra_scale), the table's z grid (_TABLE_Z) and the surface's uncapped
-    levels (_surface_levels).
+    levels (_surface_levels), and may narrow the uncapped levels it accepts
+    (_check_levels, which rejects only NaN here).
     """
 
     m0: float
@@ -179,7 +180,14 @@ class _CappedModel(_Model):
             raise ValueError(f"state.p must not exceed p_bar, got {state.p!r} > {self.p_bar!r}")
         if state.p > state.m:
             raise ValueError(f"capped price cannot exceed the uncapped level, got p={state.p!r} > m={state.m!r}")
+        self._check_levels(np.array([state.m], dtype=float))
         return tau
+
+    def _check_levels(self, m: np.ndarray) -> np.ndarray:
+        """m, once no uncapped level is NaN (p <= m cannot catch one)."""
+        if m.size and np.isnan(np.minimum.reduce(m, axis=None)):
+            raise ValueError(f"m must be a number, got {float(m[np.isnan(m)][0])!r}")
+        return m
 
     def _v1(self, kernel, lam, state, tau):
         return -float(self._panel_extra(kernel, lam, tau, np.array([state.p]), np.array([state.m]))[0])
@@ -257,10 +265,13 @@ class CappedBlackScholes(_CappedModel):
         np.exp(m, out=m)
         m *= self.m0
 
-    def _moneyness(self, p, m, root):
-        m = np.asarray(m, dtype=float)
+    def _check_levels(self, m):
         if m.size and not np.minimum.reduce(m, axis=None) > 0.0:
             raise ValueError(f"m must be strictly positive, got {float(m[~(m > 0.0)][0])!r}")
+        return m
+
+    def _moneyness(self, p, m, root):
+        m = self._check_levels(np.asarray(m, dtype=float))
         p = np.asarray(p, dtype=float)
         return self._in_zone(np.log1p((self.p_bar - p) / m) / root, p), m
 

@@ -26,8 +26,7 @@ from liqzone import (
     bachelier_lookback_price,
     bachelier_theta,
     bs_theta,
-    estimate_v0,
-    estimate_value,
+    estimate_v0_and_value,
     extra_rate,
     extra_rate_small_beta,
     optimal_policy,
@@ -183,12 +182,10 @@ def test_value_formula_matches_simulated_realized_goal():
     # closed-form value and compare with the simulated goal of the policy
     kernel = GKernel.from_costs(SMALL_COSTS)
     n_paths, n_steps, seed = 100_000, 8192, 2024
-    v0 = estimate_v0(BACH, kernel, SMALL_COSTS, n_paths, n_steps, seed)
+    v0, mc = estimate_v0_and_value(BACH, kernel, SMALL_COSTS, n_paths, n_steps, seed)
     v1_0 = v1_target_zone(kernel, SMALL_COSTS, BACH,
                           TargetZoneState(t=0.0, m=1.0, p=1.0))
     formula = value_formula(kernel, SMALL_COSTS, p0=BACH.m0, v0_0=v0.mean, v1_0=v1_0)
-    mc = estimate_value(BACH, optimal_policy(BACH, kernel, SMALL_COSTS), SMALL_COSTS,
-                        n_paths, n_steps, seed)
     combined = math.hypot(SMALL_COSTS.lam * v0.std_error, mc.std_error)
     dev = abs(formula - mc.mean)
     assert dev <= 3.0 * combined

@@ -17,6 +17,7 @@ from liqzone import (
     urgency,
 )
 from liqzone.cli import _KEYS, ConfigError, load_config, main
+from liqzone.signals import _CappedSignalTable
 
 BASE = """
 model = bachelier-capped
@@ -184,6 +185,23 @@ def test_value_row_is_self_consistent(tmp_path):
     assert value == pytest.approx(p0 * x0 + 0.1 * quad, rel=1e-12)
 
 
+def test_value_simulates_and_looks_up_the_signal_once(tmp_path, monkeypatch):
+    # v0 and the policy value share one pass: one table build, one lookup per step
+    calls = {"_build": 0, "extra_values": 0}
+    for name in calls:
+        method = getattr(_CappedSignalTable, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(_CappedSignalTable, name, counted)
+    n_paths, n_steps = 2100, 16  # two batches of the default 2048 paths
+    assert main(["value", "--config", write(tmp_path, BASE), "--output",
+                 str(tmp_path / "v.csv"), "--paths", str(n_paths), "--steps", str(n_steps)]) == 0
+    assert calls == {"_build": 1, "extra_values": n_steps * 2}
+
+
 def test_verify_passes_at_moderate_resolution(tmp_path, capsys):
     cfg = """
 model = drift
@@ -220,6 +238,16 @@ n_steps = 40
     out = capsys.readouterr().out
     assert "verify: FAIL" in out
     assert "initial rate error" in out
+
+
+def test_verify_rejects_steps_beyond_oracle_roundoff(tmp_path, monkeypatch, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before checking n_steps")
+
+    monkeypatch.setattr("liqzone.cli.solve_discrete", solve)
+    cfg = BASE.replace("model = bachelier-capped", "model = martingale")
+    assert main(["verify", "--config", write(tmp_path, cfg), "--steps", str(2**18 + 1)]) == 2
+    assert "'n_steps'" in capsys.readouterr().err
 
 
 def test_verify_rejects_capped_models(tmp_path):
@@ -299,8 +327,8 @@ def test_missing_output_reported_before_any_computation(tmp_path, monkeypatch, c
     def engine(*args, **kwargs):
         raise AssertionError("ran before checking the output key")
 
-    for name in ("rate_surface", "paired_value_difference", "estimate_value",
-                 "estimate_v0", "v1_target_zone"):
+    for name in ("rate_surface", "paired_value_difference", "estimate_v0_and_value",
+                 "v1_target_zone"):
         monkeypatch.setattr(f"liqzone.cli.{name}", engine)
     assert main([command, "--config", write(tmp_path, BASE)]) == 2
     assert "'output'" in capsys.readouterr().err

@@ -27,6 +27,7 @@ from liqzone import (
     ac_position,
     discrete_goal,
     estimate_v0,
+    estimate_v0_and_value,
     estimate_value,
     extra_rate,
     optimal_policy,
@@ -255,6 +256,27 @@ def test_estimate_v0_positive_and_reproducible():
     b = estimate_v0(BACH, kernel, SMALL_COSTS, n_paths=500, n_steps=128, master_seed=8)
     assert a.mean > 0.0
     assert a.mean == b.mean and a.std_error == b.std_error
+
+
+@pytest.mark.parametrize("model", [BACH, CappedBlackScholes(m0=1.0, sigma=0.5, p_bar=1.0),
+                                   Martingale(p0=1.0, sigma=0.5)],
+                         ids=["bachelier", "bs", "martingale"])
+def test_v0_and_value_equal_the_separate_estimates(model):
+    kernel = GKernel.from_costs(SMALL_COSTS)
+    args = dict(n_paths=300, n_steps=64, master_seed=2024)
+    v0, value = estimate_v0_and_value(model, kernel, SMALL_COSTS, **args)
+    assert v0 == estimate_v0(model, kernel, SMALL_COSTS, **args)
+    assert value == estimate_value(model, optimal_policy(model, kernel, SMALL_COSTS),
+                                   SMALL_COSTS, **args)
+
+
+def test_v0_and_value_batch_size_independent():
+    kernel = GKernel.from_costs(SMALL_COSTS)
+    n_paths = 2500
+    runs = [estimate_v0_and_value(BACH, kernel, SMALL_COSTS, n_paths=n_paths, n_steps=32,
+                                  master_seed=5, batch_size=size)
+            for size in (1000, 2048, n_paths)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_policy_signal_matches_scalar_extra_rate():

@@ -304,6 +304,9 @@ def test_state_validation():
             v1_target_zone(k, UNIT_COSTS, capped, TargetZoneState(t=0.0, m=1.0, p=math.nan))
     with pytest.raises(ValueError, match="m must be strictly positive"):
         v1_target_zone(k, UNIT_COSTS, bs, TargetZoneState(t=0.0, m=math.nan, p=0.9))
+    # p <= m holds for no NaN m, so the Bachelier state check used to let it through
+    with pytest.raises(ValueError, match="m must be a number"):
+        v1_target_zone(k, UNIT_COSTS, model, TargetZoneState(t=0.0, m=math.nan, p=0.9))
     with pytest.raises(ValueError):
         bs_f(0.5, 1.0, 1.5, SIGMA, 1.2)
 
