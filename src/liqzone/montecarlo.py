@@ -44,7 +44,10 @@ model classes in liqzone.signals.
 
 Batch arrays are laid out time-major, shape (n_steps + 1, n_paths): the
 per-step loop then touches contiguous rows, which is what makes 10^5 paths
-at 4096 steps affordable on one core.
+at 4096 steps affordable on one core.  A batch is drawn from one Philox
+generator re-keyed per path (_simulate_batch), a cache-sized block of paths
+at a time that is summed along each path and copied into the batch
+(_fill_sums), so no full-size array of normals is held.
 """
 
 from __future__ import annotations
@@ -77,6 +80,8 @@ __all__ = [
 ]
 
 _BATCH_DEFAULT = 2048
+# paths drawn and summed at a time: 64 x 1024 steps is 0.5 MB, cache resident
+_PATH_BLOCK = 64
 
 
 class MarketState(NamedTuple):
@@ -167,27 +172,38 @@ def path_stream(master_seed: int, path_index: int) -> np.random.Generator:
 def _simulate(model, horizon, n_steps, count, draw):
     """(grid, m, p): levels and capped prices, time-major (n_steps + 1, count).
 
-    draw fills a (count, n_steps) array with each path's standard normals;
-    it is not called for a noiseless model.
+    draw(block, offset) fills each row k of a (rows, n_steps) block with the
+    standard normals of path offset + k; it is not called for a noiseless
+    model.
     """
     grid = np.linspace(0.0, horizon, n_steps + 1)
     fixed = model._fixed_levels(grid)
     if fixed is not None:
         m = np.broadcast_to(fixed[:, None], (n_steps + 1, count)).copy()
         return grid, m, m
-    z = np.empty((count, n_steps))
-    draw(z)
     m = np.empty((n_steps + 1, count))
     m[0] = 0.0
-    m[1:] = z.T
-    del z
-    # running sums row by row: each row is one contiguous, cache-resident
-    # vector, much faster than an axis-0 ufunc accumulate
-    for i in range(1, n_steps + 1):
-        m[i] += m[i - 1]
+    _fill_sums(m, draw)
     m *= model.sigma * math.sqrt(horizon / n_steps)
     model._to_levels(m, grid)
     return grid, m, model._cap(m)
+
+
+def _fill_sums(m, draw):
+    """Fill m[1:] with each path's running sums of its normals, a block of paths at a time.
+
+    Each block of _PATH_BLOCK paths is drawn into one cache-sized scratch
+    array, summed along each path (a sequential accumulate, so bit for bit
+    the step-by-step running sum) and copied transposed into m.  The scratch
+    array is freed on return, before the capped prices are allocated.
+    """
+    n_steps, count = m.shape[0] - 1, m.shape[1]
+    block = np.empty((min(_PATH_BLOCK, count), n_steps))
+    for start in range(0, count, _PATH_BLOCK):
+        rows = block[:min(_PATH_BLOCK, count - start)]
+        draw(rows, start)
+        np.cumsum(rows, axis=1, out=rows)
+        m[1:, start:start + rows.shape[0]] = rows.T
 
 
 def simulate_path(model, horizon: float, n_steps: int, rng: np.random.Generator) -> PathSample:
@@ -202,18 +218,30 @@ def simulate_path(model, horizon: float, n_steps: int, rng: np.random.Generator)
         raise ValueError("n_steps must be >= 1")
     if horizon <= 0.0:
         raise ValueError("horizon must be strictly positive")
-    grid, m, p = _simulate(model, horizon, n_steps, 1, lambda z: rng.standard_normal(out=z[0]))
+    grid, m, p = _simulate(model, horizon, n_steps, 1,
+                           lambda block, offset: rng.standard_normal(out=block[0]))
     m = m.ravel()
     return PathSample(grid=grid, m=m, m_star=np.maximum.accumulate(m), p=p.ravel())
 
 
 def _simulate_batch(model, horizon, n_steps, master_seed, first_index, count):
-    """(grid, m, p) for paths first_index .. first_index + count - 1 of master_seed."""
-    _check_seed(master_seed)
+    """(grid, m, p) for paths first_index .. first_index + count - 1 of master_seed.
 
-    def draw(z):
-        for j in range(count):
-            path_stream(master_seed, first_index + j).standard_normal(out=z[j])
+    One Philox generator serves the batch: Philox is counter based, so
+    loading path j's key (word 0 of path_stream's key is the path index)
+    with a zero counter and an empty buffer gives exactly path_stream(seed,
+    j), without building a generator per path.
+    """
+    rng = path_stream(master_seed, first_index)
+    bits = rng.bit_generator
+    fresh = bits.state
+    key = fresh["state"]["key"]
+
+    def draw(block, offset):
+        for k, row in enumerate(block):
+            key[0] = first_index + offset + k
+            bits.state = fresh
+            rng.standard_normal(out=row)
 
     return _simulate(model, horizon, n_steps, count, draw)
 

@@ -73,6 +73,9 @@ _QUAD_ATOL_SCALE = 1e-12
 # How far below 0 the scaled moneyness may fall before a price is above the cap:
 # engine paths exceed p_bar by rounding (~3e-15 in z), -1e-10 moves the rate ~1e-10
 _Z_SLACK = 1e-10
+# The level _moneyness returns for a model whose rate does not scale with the
+# level; the table lookup skips its (exact) multiply by it
+_UNIT_LEVEL = 1.0
 
 # The Monte Carlo signal table's y rule: 8-node Gauss-Legendre panels on the
 # dyadic intervals [0, 2^-30], [2^-30, 2^-29], ..., [1/2, 1], graded towards
@@ -235,7 +238,7 @@ class CappedBachelier(_CappedModel):
 
     def _moneyness(self, p, m, root):
         p = np.asarray(p, dtype=float)
-        return self._in_zone((self.p_bar - p) / root, p), 1.0
+        return self._in_zone((self.p_bar - p) / root, p), _UNIT_LEVEL
 
     def _extra_scale(self, lam, tau):
         return self.sigma * math.sqrt(tau) / (lam * _SQRT_2PI)
@@ -577,9 +580,17 @@ class _CappedSignalTable:
     node in root on [0, sigma sqrt(T)]: from 9 nodes the set doubles until the
     new rows agree with the coarser interpolant to 1e-6 of the table's max,
     else QuadratureError past 513 nodes.  It is built on the first query and
-    does not grow with the number of times queried.  A query interpolates in
-    root by barycentric weights (one GEMV), then linearly in z (0 beyond the
-    last z node, where the rate is below 1e-30 of scale).
+    does not grow with the number of times queried.  A query takes the row of
+    its root when the root is a node (t = 0; a dict lookup), else
+    interpolates in root by barycentric weights (one GEMV).  It then
+    interpolates linearly in z on the uniform grid: the cell index is one
+    multiply, clamped to the last cell before the cast to int, both cell
+    ends a and b are gathered with take, a (1 - frac) + b frac is computed
+    in place, and z beyond the last node gives 0 (the rate there is below
+    1e-30 of scale).  The level multiply is skipped for a model whose rate
+    is per unit level.  Two cheaper forms round differently and are not
+    used: a + slope frac, and a zero pad node past the grid, which gives
+    a (1 - frac) != 0 between the last node and the pad.
     """
 
     def __init__(self, model: _CappedModel, kernel: GKernel, lam: float):
@@ -591,6 +602,7 @@ class _CappedSignalTable:
         self.roots = None      # Chebyshev-Lobatto nodes in root, ascending
         self.weights = None    # their barycentric weights
         self.rows = None       # (roots.size, z_grid.size)
+        self._root_index = {}  # root node -> its row, for queries on a node
 
     def _rows_at(self, roots: np.ndarray) -> np.ndarray:
         """Table rows at the given roots, on the graded y rule."""
@@ -613,6 +625,7 @@ class _CappedSignalTable:
             roots, rows = _interleave(roots, new), _interleave(rows, new_rows)
             if np.max(np.abs(new_rows - guess)) <= _CHEB_RTOL * np.max(np.abs(rows)):
                 self.roots, self.weights, self.rows = roots, _lobatto_weights(n), rows
+                self._root_index = {float(root): k for k, root in enumerate(roots)}
                 return
         raise QuadratureError(f"signal table in root did not converge with {n + 1} "
                               f"Chebyshev nodes")
@@ -620,11 +633,22 @@ class _CappedSignalTable:
     def _interp(self, tab: np.ndarray, z):
         # manual linear interpolation: the z grid is uniform, so the cell
         # index is one multiply instead of a binary search per element
-        pos = np.asarray(z * self._inv_step)
-        idx = np.minimum(pos.astype(np.int64), self.z_grid.size - 2)
-        frac = pos - idx
-        return np.where(pos > self.z_grid.size - 1, 0.0,
-                        tab[idx] * (1.0 - frac) + tab[idx + 1] * frac)
+        if np.ndim(z) == 0:
+            return self._interp(tab, np.reshape(z, 1))[0]
+        last = self.z_grid.size - 1
+        pos = z * self._inv_step
+        # clamp before the cast: a far-field z must not overflow the index
+        frac = np.minimum(pos, last - 1)
+        idx = frac.astype(np.intp)
+        np.subtract(pos, idx, out=frac)
+        out = tab.take(idx)
+        right = tab[1:].take(idx)
+        right *= frac
+        np.subtract(1.0, frac, out=frac)
+        out *= frac
+        out += right
+        np.putmask(out, pos > last, 0.0)
+        return out
 
     def extra_values(self, t: float, p, m):
         """Extra rate -v1 at time t for price/level arrays p, m."""
@@ -635,12 +659,13 @@ class _CappedSignalTable:
         z, level = self.model._moneyness(p, m, root)
         if self.rows is None:
             self._build()
-        hit = np.flatnonzero(self.roots == root)
-        if hit.size:
-            tab = root * self.rows[hit[0]]
+        hit = self._root_index.get(root)
+        if hit is not None:
+            tab = root * self.rows[hit]
         else:
             tab = root * (_barycentric(self.roots, self.weights, root) @ self.rows)
-        return self._interp(tab, z) * level
+        out = self._interp(tab, z)
+        return out if level is _UNIT_LEVEL else out * level
 
 
 class _DriftSignalTable:

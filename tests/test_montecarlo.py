@@ -7,6 +7,7 @@ price-level shift p0 * x0).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ from liqzone import (
     value_formula,
     TargetZoneState,
 )
-from liqzone.montecarlo import _probe_alphas, _simulate_batch
+from liqzone.montecarlo import _PATH_BLOCK, _probe_alphas, _simulate_batch
+from liqzone.signals import _Z_SLACK, _barycentric
 
 SMALL_COSTS = CostParams(lam=0.1, gamma=1e-5, big_gamma=1e-5, horizon=1.0, x0=1.0)
 UNIT_COSTS = CostParams(lam=0.1, gamma=1.0, big_gamma=1.0, horizon=1.0, x0=1.0)
@@ -108,6 +110,38 @@ def test_batch_column_matches_single_path():
                 path = simulate_path(model, 1.0, n_steps, path_stream(5, j))
                 np.testing.assert_array_equal(path.m, m[:, j])
                 np.testing.assert_array_equal(path.p, p[:, j])
+
+
+@pytest.mark.parametrize("model", [BACH, CappedBlackScholes(m0=1.0, sigma=0.5, p_bar=1.1),
+                                   Martingale(p0=1.0, sigma=0.5)],
+                         ids=["bachelier", "bs", "martingale"])
+def test_batch_across_path_blocks_is_bit_exact(model):
+    # 150 paths from index 70 fill three path blocks, and the split at 83
+    # starts the second batch inside the first one's second block
+    seed, first, count, cut, n_steps = 99, 70, 150, 83, 64
+    assert count > 2 * _PATH_BLOCK and cut > _PATH_BLOCK
+    _, m, p = _simulate_batch(model, 1.0, n_steps, seed, first, count)
+    _, m1, p1 = _simulate_batch(model, 1.0, n_steps, seed, first, cut)
+    _, m2, p2 = _simulate_batch(model, 1.0, n_steps, seed, first + cut, count - cut)
+    np.testing.assert_array_equal(m, np.hstack((m1, m2)))
+    np.testing.assert_array_equal(p, np.hstack((p1, p2)))
+    for j in range(count):
+        path = simulate_path(model, 1.0, n_steps, path_stream(seed, first + j))
+        np.testing.assert_array_equal(path.m, m[:, j])
+        np.testing.assert_array_equal(path.p, p[:, j])
+
+
+def test_batch_simulation_holds_no_full_size_scratch():
+    # m and p are the only full-size arrays: the normals pass through one
+    # block of paths, freed before the capped prices are allocated
+    n_steps, count = 1024, 2048
+    tracemalloc.start()
+    try:
+        _simulate_batch(BACH, 1.0, n_steps, 5, 0, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (n_steps + 1) * count * 8 + 2 * 2**20
 
 
 def test_skorokhod_invariants_many_seeds():
@@ -200,6 +234,23 @@ def test_estimate_value_batch_size_independent():
                            n_paths=300, n_steps=64, master_seed=17, batch_size=256)
     assert est_a.mean == est_b.mean
     assert est_a.std_error == est_b.std_error
+
+
+def test_paired_and_probe_batch_size_independent():
+    kernel = GKernel.from_costs(SMALL_COSTS)
+    policies = (optimal_policy(BACH, kernel, SMALL_COSTS), ac_policy(kernel))
+    n_paths = 300
+    args = dict(n_paths=n_paths, n_steps=64, master_seed=17)
+    sizes = (64, 256, n_paths)
+    paired = [paired_value_difference(BACH, *policies, SMALL_COSTS, batch_size=size, **args)
+              for size in sizes]
+    assert paired[0] == paired[1] == paired[2]
+    probes = [probe_optimality(BACH, kernel, SMALL_COSTS, batch_size=size, **args)
+              for size in sizes]
+    for probe in probes[1:]:
+        assert probe.value == probes[0].value
+        for name in ("epsilons", "mean_gain", "std_error", "curvature"):
+            np.testing.assert_array_equal(getattr(probe, name), getattr(probes[0], name))
 
 
 def test_paired_difference_uses_common_paths():
@@ -373,6 +424,52 @@ def test_signal_table_error_floor_at_large_beta(cls):
     assert np.max(np.abs(got - want) / want) <= 1e-3
 
 
+def _reference_interp(table, tab, z):
+    """The z interpolation as first written, kept as the bitwise reference."""
+    pos = np.asarray(z * table._inv_step)
+    idx = np.minimum(pos.astype(np.int64), table.z_grid.size - 2)
+    frac = pos - idx
+    return np.where(pos > table.z_grid.size - 1, 0.0,
+                    tab[idx] * (1.0 - frac) + tab[idx + 1] * frac)
+
+
+def _reference_lookup(table, t, p, m):
+    """extra_values as first written: node test, root interpolation, z interpolation, level."""
+    root = table.model.sigma * math.sqrt(table.kernel.horizon - t)
+    z, level = table.model._moneyness(p, m, root)
+    hit = np.flatnonzero(table.roots == root)
+    if hit.size:
+        tab = root * table.rows[hit[0]]
+    else:
+        tab = root * (_barycentric(table.roots, table.weights, root) @ table.rows)
+    return _reference_interp(table, tab, z) * level
+
+
+@pytest.mark.parametrize("model", [BACH, CappedBlackScholes(m0=1.0, sigma=0.5, p_bar=1.05)],
+                         ids=["bachelier", "bs"])
+def test_table_lookup_equals_reference_formula(model):
+    table = optimal_policy(model, GKernel.from_costs(UNIT_COSTS), UNIT_COSTS).signal_table
+    table.extra_values(0.0, np.array([model.p_bar]), np.array([model.p_bar]))
+    z_grid, top = table.z_grid, table.z_grid[-1]
+    rng = np.random.default_rng(3)
+    # grid nodes, the last node, cells beyond the grid, the cap and random z
+    zs = np.concatenate((z_grid[::7], [top, top + 1e-9, 1.5 * top, 0.0],
+                         rng.uniform(0.0, top, 400)))
+    for t in (0.0, 0.3, 0.875):  # t = 0 queries a root node's row
+        root = model.sigma * math.sqrt(UNIT_COSTS.horizon - t)
+        tab = root * table.rows[-1]
+        for z in (zs, np.array([-_Z_SLACK, 1e3])):
+            assert np.array_equal(table._interp(tab, z), _reference_interp(table, tab, z))
+        z = np.append(zs, -0.5 * _Z_SLACK)
+        m = np.full(z.shape, 1.2)
+        p = model.p_bar - (m * np.expm1(z * root) if isinstance(model, CappedBlackScholes)
+                           else z * root)
+        assert np.array_equal(table.extra_values(t, p, m), _reference_lookup(table, t, p, m))
+        for j in (0, zs.size - 1):
+            got, want = table.extra_values(t, p[j], m[j]), _reference_lookup(table, t, p[j], m[j])
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
 def _footprint(table):
     """Shape of every array and length of every container the table holds."""
     return {name: np.shape(v) if isinstance(v, np.ndarray) else len(v)
@@ -409,6 +506,14 @@ def test_signal_table_rejects_prices_above_the_cap(p):
     table = optimal_policy(BACH, GKernel.from_costs(SMALL_COSTS), SMALL_COSTS).signal_table
     with pytest.raises(ValueError, match="p must be finite and at most p_bar"):
         table.extra_values(0.0, np.array([0.9, p]), np.array([1.0, 1.0]))
+
+
+def test_signal_table_is_zero_far_below_the_cap():
+    # z ~ 2e17 and 2e300: the cell index overflowed to -2^63 in the cast to
+    # int and the lookup raised IndexError
+    table = optimal_policy(BACH, GKernel.from_costs(SMALL_COSTS), SMALL_COSTS).signal_table
+    got = table.extra_values(0.3, np.array([-1e17, -1e300, 0.9]), np.ones(3))
+    assert got[0] == 0.0 and got[1] == 0.0 and got[2] > 0.0
 
 
 @pytest.mark.parametrize("m", [0.0, -0.5, math.nan])
