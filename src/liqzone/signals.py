@@ -22,16 +22,17 @@ signal models with no cap.
 
 The time integral has an inverse-square-root singularity at s = t; the
 substitution s = t + tau y^2 removes it.  Each capped model states the
-integrand once (_table_rows) and its scaled moneyness once (_moneyness);
-v1 and the rate surface integrate it on Gauss-Legendre panels checked by one
-refinement (_panel_extra), the Monte Carlo policy via _CappedSignalTable.
+integrand once (_table_rows) and its scaled moneyness once (_moneyness).
+One y rule integrates it for v1, for each tau row of a rate surface and for
+the rows of the Monte Carlo table (_CappedSignalTable): adaptive
+Gauss-Kronrod 7/15 panels graded towards both ends of [0, 1], with a
+per-cell error estimate (_y_integral).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr
@@ -61,15 +62,38 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Gauss-Legendre panel scheme on the substituted variable: the coarse pass
-# and its refinement must agree to this relative tolerance.  16 base panels:
-# 8 underresolve the phi(z/y) boundary layer near y = 0 for moneyness around
-# 0.02 at tau = 1, overshooting the gate by ~30%
-_PANELS_COARSE = 16
-_PANELS_FINE = 32
-_GL_ORDER = 32
+# The y rule: Gauss-Kronrod 7/15 panels (Kronrod 1965; Piessens et al.,
+# QUADPACK, 1983, sec. 2.2).  Abscissae on [-1, 1] from -1 up, with their
+# Kronrod weights and the weights of the embedded 7-point Gauss rule, which
+# uses every other abscissa; |Kronrod - Gauss| is a panel's error estimate
+_GK_HALF = np.array([
+    [0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0],
+    [0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082],
+    [0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0],
+    [0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780],
+    [0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0],
+    [0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975],
+    [0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0],
+    [0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327],
+])
+_GK_X = np.concatenate((-_GK_HALF[:, 0], _GK_HALF[-2::-1, 0]))
+_GK_W = np.concatenate((_GK_HALF[:, 1:], _GK_HALF[-2::-1, 1:])).T
+# Start panels: dyadic towards y = 0, where phi(z / y) has its layer at
+# small z and a steep discount confines the integrand, and towards y = 1,
+# where the far field puts it: [0, 2^-8], ..., [1/4, 1/2], ..., [1 - 2^-8, 1]
+_Y_EDGES = np.concatenate(([0.0], np.ldexp(1.0, np.arange(-8, 0)),
+                           1.0 - np.ldexp(1.0, np.arange(-2, -9, -1)), [1.0]))
+# A cell passes when its panel estimates sum to at most this fraction of its
+# value, or to at most the smallest normal double for a value near underflow,
+# whose subnormal digits no refinement can fix.  Failing cells bisect panels
+# for at most _QUAD_ROUNDS rounds; cells down to z = 1e-8 take up to 19,
+# smaller z up to 24
 _QUAD_RTOL = 1e-8
-_QUAD_ATOL_SCALE = 1e-12
+_QUAD_FLOOR = np.finfo(float).tiny
+_QUAD_ROUNDS = 40
 # How far below 0 the scaled moneyness may fall before a price is above the cap:
 # engine paths exceed p_bar by rounding (~3e-15 in z), -1e-10 moves the rate ~1e-10
 _Z_SLACK = 1e-10
@@ -77,11 +101,6 @@ _Z_SLACK = 1e-10
 # level; the table lookup skips its (exact) multiply by it
 _UNIT_LEVEL = 1.0
 
-# The Monte Carlo signal table's y rule: 8-node Gauss-Legendre panels on the
-# dyadic intervals [0, 2^-30], [2^-30, 2^-29], ..., [1/2, 1], graded towards
-# y = 0 where phi(z / y) has its boundary layer at small z (248 nodes)
-_TABLE_LEVELS = 30
-_TABLE_ORDER = 8
 # Chebyshev-Lobatto rows in root = sigma sqrt(tau): start with 9 nodes and
 # double until the new nodes agree with the coarser interpolant to this
 # fraction of the table's largest entry, giving up past 513 nodes
@@ -91,7 +110,12 @@ _CHEB_RTOL = 1e-6
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the panel refinement disagrees beyond tolerance."""
+    """Raised when a quadrature misses its tolerance within its refinement budget.
+
+    The y rule raises it after _QUAD_ROUNDS rounds of panel bisection (no
+    in-domain state swept has needed more than 24), and the signal table
+    when its rows in root do not converge on 513 Chebyshev nodes.
+    """
 
 
 def _norm_pdf(z):
@@ -142,12 +166,13 @@ class _CappedModel(_Model):
     """A background price started at m0 and pushed under p_bar by its running max.
 
     The rate is root * level times an integral over y in [0, 1] of a theta
-    integrand in the scaled moneyness z.  Subclasses supply (z, level) from
-    price and level (_moneyness), the integrand per root (_table_rows), a
-    bound on the rate per unit level for the quadrature's error floor
-    (_extra_scale), the table's z grid (_TABLE_Z) and the surface's uncapped
-    levels (_surface_levels), and may narrow the uncapped levels it accepts
-    (_check_levels, which rejects only NaN here).
+    integrand in the scaled moneyness z (_y_integral).  Subclasses supply
+    (z, level) from price and level (_moneyness), the integrand's sums
+    (_table_rows: from nodes y of shape (panels, 15) and weights of shape
+    (panels, roots, 2, 15), the Kronrod and Gauss sums of each panel, root
+    and z, shape (2, panels, roots, z)), the table's z grid (_TABLE_Z) and
+    the surface's uncapped levels (_surface_levels), and may narrow the
+    uncapped levels they accept (_check_levels, which rejects only NaN here).
     """
 
     m0: float
@@ -193,29 +218,79 @@ class _CappedModel(_Model):
         return m
 
     def _v1(self, kernel, lam, state, tau):
-        return -float(self._panel_extra(kernel, lam, tau, np.array([state.p]), np.array([state.m]))[0])
+        return -float(self._extra(kernel, lam, tau, np.array([state.p]), np.array([state.m]))[0][0])
 
-    def _panel_extra(self, kernel: GKernel, lam: float, tau: float, p: np.ndarray,
-                     m: np.ndarray) -> np.ndarray:
-        """Extra rate -v1 at the cells (p, m), 1-D arrays sharing the time to go tau.
-
-        QuadratureError names the first cell where the 16- and 32-panel passes disagree.
-        """
+    def _extra(self, kernel: GKernel, lam: float, tau: float, p: np.ndarray,
+               m: np.ndarray):
+        """Extra rate -v1 and its error estimate at the cells (p, m), 1-D
+        arrays sharing the time to go tau."""
         root = self.sigma * math.sqrt(tau)
         z, level = self._moneyness(p, m, root)
-        coarse, fine = (root * level * self._table_rows(
-            lam, z, y, np.array([root]), (_discount_ratio(kernel, tau, y) * w)[None, :])[0]
-            for y, w in map(_panel_nodes, (_PANELS_COARSE, _PANELS_FINE)))
-        err = np.abs(fine - coarse)
-        tol = _QUAD_RTOL * np.abs(fine) + _QUAD_ATOL_SCALE * level * self._extra_scale(lam, tau)
-        bad = np.flatnonzero(err > tol)
-        if bad.size:
-            j = bad[0]
-            raise QuadratureError(
-                f"panel refinement disagrees at tau={float(tau)!r}, p={float(p[j])!r} (moneyness "
-                f"{float(self.p_bar - p[j])!r}): coarse={float(coarse[j])!r} "
-                f"fine={float(fine[j])!r} (err={err[j]:.3e}, tol={tol[j]:.3e})")
-        return fine
+        value, err = self._y_integral(kernel, lam, np.array([tau]), z, p)
+        return root * level * value[0], root * level * err[0]
+
+    def _y_integral(self, kernel: GKernel, lam: float, taus: np.ndarray, z: np.ndarray,
+                    p=None):
+        """The rate over root * level at the cells (taus[i], z[j]), and its error estimate.
+
+        Every cell starts on the same 16 panels (_Y_EDGES).  Its value is the
+        sum of the panels' Kronrod sums, its estimate the sum of the panels'
+        |Kronrod - Gauss|, plus, on the panel [0, h] while z < h, twice the
+        share of the phi(z / y) layer that its nodes may not see.
+        While a cell's estimate exceeds _QUAD_RTOL of its value, every panel
+        on which a failing cell's estimate exceeds an equal share of that
+        tolerance is bisected, and only the new halves are evaluated, for
+        the rows and columns that hold a failing cell.  A cell keeps the
+        value and estimate with which it first passes.  All cells of a call
+        share the nodes, so each pass is one _table_rows call.  After
+        _QUAD_ROUNDS rounds, QuadratureError names the first failing cell by
+        tau and p (scaled moneyness z when p is not given).
+        """
+        roots = self.sigma * np.sqrt(taus)
+
+        def panel_sums(lo, hi, rows, cols):
+            half = 0.5 * (hi - lo)
+            y = (lo + half)[:, None] + half[:, None] * _GK_X
+            ratio = np.stack([_discount_ratio(kernel, tau, y) for tau in taus[rows]], axis=1)
+            w = ratio[:, :, None, :] * (half[:, None, None] * _GK_W)[:, None]
+            sums = self._table_rows(lam, z[cols], y, roots[rows], w)
+            sums[1] = np.abs(sums[0] - sums[1])
+            if lo[0] == 0.0:
+                # phi(z / y) falls from phi(0) to 0 on y < ~z, which takes
+                # about sqrt(pi / 2) z times the mean off the panel [0, h].
+                # While z < h the nodes need not see that, so count twice
+                # it: a bound for z << h, and more than the panel near z ~ h,
+                # which then splits until the layer lies outside it
+                hidden = np.where(z[cols] < hi[0], z[cols], 0.0)
+                sums[1, 0] += (_SQRT_2PI / hi[0]) * hidden * np.abs(sums[0, 0])
+            return sums
+
+        lo, hi = _Y_EDGES[:-1], _Y_EDGES[1:]
+        sums = panel_sums(lo, hi, slice(None), slice(None))
+        value, err = sums.sum(axis=1)
+        for rounds in range(_QUAD_ROUNDS + 1):
+            tol = np.maximum(_QUAD_RTOL * np.abs(value), _QUAD_FLOOR)
+            fail = ~(err <= tol)
+            if not fail.any():
+                return value, err
+            if rounds == _QUAD_ROUNDS:
+                break
+            split = np.flatnonzero((sums[1][:, fail] > tol[fail] / lo.size).any(axis=1))
+            rows, cols = np.flatnonzero(fail.any(axis=1)), np.flatnonzero(fail.any(axis=0))
+            # the left halves replace their panels, the right halves are appended
+            new = np.concatenate((split, lo.size + np.arange(split.size)))
+            mid = 0.5 * (lo[split] + hi[split])
+            lo, hi = np.concatenate((lo, mid)), np.concatenate((hi, hi[split]))
+            hi[split] = mid
+            sums = np.concatenate((sums, np.zeros((2, split.size) + sums.shape[2:])), axis=1)
+            sums[:, new[:, None, None], rows[:, None], cols] = panel_sums(lo[new], hi[new], rows, cols)
+            value, err = np.where(fail, sums.sum(axis=1), (value, err))
+        i, j = np.argwhere(fail)[0]
+        cell = (f"z={float(z[j])!r}" if p is None else
+                f"p={float(p[j])!r} (moneyness {float(self.p_bar - p[j])!r})")
+        raise QuadratureError(
+            f"y quadrature did not converge in {_QUAD_ROUNDS} rounds at tau={float(taus[i])!r}, "
+            f"{cell}: value={float(value[i, j])!r} (err={err[i, j]:.3e}, tol={tol[i, j]:.3e})")
 
     def _in_zone(self, z: np.ndarray, p) -> np.ndarray:
         """z, once every price p is finite and at most p_bar up to rounding."""
@@ -240,12 +315,15 @@ class CappedBachelier(_CappedModel):
         p = np.asarray(p, dtype=float)
         return self._in_zone((self.p_bar - p) / root, p), _UNIT_LEVEL
 
-    def _extra_scale(self, lam, tau):
-        return self.sigma * math.sqrt(tau) / (lam * _SQRT_2PI)
-
-    def _table_rows(self, lam, z_grid, y, roots, ratio_w):
-        # extra / root: one GEMM over every root node
-        return (ratio_w @ _norm_pdf(z_grid[:, None] / y[None, :]).T) / lam
+    def _table_rows(self, lam, z_grid, y, roots, w):
+        # extra / root: the integrand does not depend on the root, so one
+        # GEMM per panel covers every root and both rules
+        pdf = _norm_pdf(z_grid / y[..., None])
+        sums = np.empty(w.shape[:3] + z_grid.shape)
+        for p in range(y.shape[0]):
+            np.matmul(w[p].reshape(-1, y.shape[1]), pdf[p], out=sums[p].reshape(-1, z_grid.size))
+        sums /= lam
+        return sums.transpose(2, 0, 1, 3)
 
     def _surface_levels(self, bs_m, ks):
         return np.full(ks.shape, self.p_bar)
@@ -278,20 +356,16 @@ class CappedBlackScholes(_CappedModel):
         p = np.asarray(p, dtype=float)
         return self._in_zone(np.log1p((self.p_bar - p) / m) / root, p), m
 
-    def _extra_scale(self, lam, tau):
-        sig = self.sigma
-        root = sig * math.sqrt(tau)
-        return (2.0 * root / _SQRT_2PI + 0.5 * sig * sig * tau) / (2.0 * lam)
-
-    def _table_rows(self, lam, z_grid, y, roots, ratio_w):
+    def _table_rows(self, lam, z_grid, y, roots, w):
         # extra / (root m) with f = root y / 2 - z / y; f depends on the
-        # root, so one node at a time
-        rows = np.empty((roots.size, z_grid.size))
-        z_over_y = z_grid[:, None] / y[None, :]
-        for row, root, rw in zip(rows, roots, ratio_w):
-            f = 0.5 * root * y[None, :] - z_over_y
-            row[:] = (2.0 * (_norm_pdf(f) @ rw) + root * (ndtr(f) @ (rw * y))) / (2.0 * lam)
-        return rows
+        # root, so one root at a time
+        sums = np.empty(w.shape[:3] + z_grid.shape)
+        z_over_y = z_grid / y[..., None]
+        for k, root in enumerate(roots):
+            f = 0.5 * root * y[..., None] - z_over_y
+            sums[:, k] = 2.0 * (w[:, k] @ _norm_pdf(f)) + root * ((w[:, k] * y[:, None]) @ ndtr(f))
+        sums /= 2.0 * lam
+        return sums.transpose(2, 0, 1, 3)
 
     def _surface_levels(self, bs_m, ks):
         if bs_m is None:
@@ -466,17 +540,6 @@ def bs_theta(u, m, p, sigma, p_bar):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=8)
-def _panel_nodes(n_panels: int, order: int = _GL_ORDER):
-    """Gauss-Legendre nodes/weights for n_panels uniform panels on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    width = 1.0 / n_panels
-    starts = np.arange(n_panels) * width
-    nodes = (starts[:, None] + 0.5 * width * (x[None, :] + 1.0)).ravel()
-    weights = np.broadcast_to(0.5 * width * w, (n_panels, order)).ravel()
-    return nodes, weights
-
-
 def _discount_ratio(kernel: GKernel, tau: float, y: np.ndarray) -> np.ndarray:
     """G(T - s) / G(T - t) at s = t + tau * y^2, a stable value in (0, 1]."""
     beta = kernel.beta
@@ -489,11 +552,10 @@ def v1_target_zone(kernel: GKernel, costs: CostParams, model, state: TargetZoneS
     """Signal term v1 at a state: minus the G-discounted integral of the drift.
 
     The kernel is expected to be GKernel.from_costs(costs).  Capped models
-    integrate the lookback theta after the s = t + w^2 substitution on fixed
-    Gauss-Legendre panels; the coarse and refined passes must agree to
-    relative 1e-8 (with an absolute floor tied to the at-barrier scale), else
-    QuadratureError.  DeterministicDrift integrates its curve by trapezoid;
-    Martingale returns exactly 0.  The result is <= 0 for capped models.
+    integrate the lookback theta after the s = t + tau y^2 substitution on
+    adaptive Gauss-Kronrod panels until the error estimate is within
+    relative 1e-8, else QuadratureError.  DeterministicDrift integrates its
+    curve by trapezoid; Martingale returns exactly 0.  The result is <= 0 for capped models.
     """
     tau = model._check_state(state, kernel.horizon)
     return model._v1(kernel, costs.lam, state, tau)
@@ -535,17 +597,6 @@ def v1_curve_deterministic(model: DeterministicDrift, kernel: GKernel, lam: floa
     return acc[idx] / (2.0 * lam)
 
 
-@lru_cache(maxsize=1)
-def _graded_nodes():
-    """Gauss-Legendre nodes/weights of the signal table's graded y rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(_TABLE_ORDER)
-    edges = np.concatenate(([0.0], np.ldexp(1.0, np.arange(-_TABLE_LEVELS, 1))))
-    half = 0.5 * np.diff(edges)
-    nodes = (edges[:-1, None] + half[:, None] * (x[None, :] + 1.0)).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def _barycentric(nodes: np.ndarray, weights: np.ndarray, at) -> np.ndarray:
     """Weights L with L @ values = the interpolant through (nodes, values) at points at.
 
@@ -575,8 +626,9 @@ class _CappedSignalTable:
 
     The rate over root * level depends on the state only through the scaled
     moneyness z (_moneyness) and on t only through root = sigma sqrt(T - t).
-    The table holds it (_table_rows, y integral on 248 Gauss-Legendre nodes
-    graded towards y = 0) on the model's z grid, one row per Chebyshev-Lobatto
+    The table holds it (the y rule of _y_integral, 240 Gauss-Kronrod nodes
+    and more where a cell needs them; its worst error estimate is kept in
+    quad_error) on the model's z grid, one row per Chebyshev-Lobatto
     node in root on [0, sigma sqrt(T)]: from 9 nodes the set doubles until the
     new rows agree with the coarser interpolant to 1e-6 of the table's max,
     else QuadratureError past 513 nodes.  It is built on the first query and
@@ -603,13 +655,14 @@ class _CappedSignalTable:
         self.weights = None    # their barycentric weights
         self.rows = None       # (roots.size, z_grid.size)
         self._root_index = {}  # root node -> its row, for queries on a node
+        self.quad_error = 0.0  # largest y-quadrature estimate over the rows built
 
     def _rows_at(self, roots: np.ndarray) -> np.ndarray:
-        """Table rows at the given roots, on the graded y rule."""
-        y, w = _graded_nodes()
-        ratio_w = np.stack([_discount_ratio(self.kernel, (root / self.model.sigma) ** 2, y)
-                            for root in roots]) * w
-        return self.model._table_rows(self.lam, self.z_grid, y, roots, ratio_w)
+        """Table rows at the given roots; keeps the worst error estimate in quad_error."""
+        taus = np.square(roots / self.model.sigma)
+        rows, err = self.model._y_integral(self.kernel, self.lam, taus, self.z_grid)
+        self.quad_error = max(self.quad_error, float(np.max(err)))
+        return rows
 
     def _build(self) -> None:
         top = self.model.sigma * math.sqrt(self.kernel.horizon)
@@ -708,6 +761,8 @@ class RateSurface:
 
     All matrices are indexed [i_tau, i_moneyness].  relative_increase is
     rate_extra / rate_ac, the cap-induced speedup over the signal-free rate.
+    quad_error is the y rule's error estimate of each rate_extra cell, at
+    most 1e-8 of the cell (or the smallest normal double, near underflow).
     """
 
     taus: np.ndarray
@@ -716,6 +771,7 @@ class RateSurface:
     rate_ac: np.ndarray
     rate_extra: np.ndarray
     relative_increase: np.ndarray
+    quad_error: np.ndarray
 
 
 def rate_surface(kernel: GKernel, costs: CostParams, model, grid_tau, grid_money,
@@ -735,8 +791,8 @@ def rate_surface(kernel: GKernel, costs: CostParams, model, grid_tau, grid_money
     if np.any(ks < 0.0):
         raise ValueError("moneyness must be >= 0")
     m_cols = model._surface_levels(bs_m, ks)
-    rate_ex = np.array([model._panel_extra(kernel, costs.lam, tau, model.p_bar - ks, m_cols)
-                        for tau in taus])
+    rate_ex, quad_err = np.array([model._extra(kernel, costs.lam, tau, model.p_bar - ks, m_cols)
+                                  for tau in taus]).transpose(1, 0, 2)
     rate_ac = np.repeat([[urgency(kernel, kernel.horizon - tau) * x] for tau in taus], ks.size, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(rate_ac != 0.0, rate_ex / rate_ac, np.inf)
@@ -747,4 +803,5 @@ def rate_surface(kernel: GKernel, costs: CostParams, model, grid_tau, grid_money
         rate_ac=rate_ac,
         rate_extra=rate_ex,
         relative_increase=rel,
+        quad_error=quad_err,
     )

@@ -43,6 +43,9 @@ from liqzone import (
     value_formula,
 )
 
+# a quad reference that did not converge fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+
 SMALL_COSTS = CostParams(lam=0.1, gamma=1e-5, big_gamma=1e-5, horizon=1.0, x0=1.0)
 UNIT_COSTS = CostParams(lam=0.1, gamma=1.0, big_gamma=1.0, horizon=1.0, x0=1.0)
 BACH = CappedBachelier(m0=1.0, sigma=0.5, p_bar=1.0)

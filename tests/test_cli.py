@@ -1,5 +1,6 @@
 """End-to-end CLI tests: config parsing, CSV contracts, exit codes."""
 
+import math
 import re
 from pathlib import Path
 
@@ -111,6 +112,24 @@ def test_surface_csv_contract(tmp_path):
     main(["surface", "--config", write(tmp_path, cfg, "again.cfg"),
           "--output", str(out2)])
     assert out2.read_bytes() == raw
+
+
+def test_surface_just_below_the_cap(tmp_path):
+    # the README example with money_max = 0.01 puts every cell in the band
+    # just below the cap, where the uniform-panel rule raised QuadratureError
+    cfg = ("model = bachelier-capped\nm0 = 1.0\nsigma = 0.5\np_bar = 1.0\nlambda = 0.1\n"
+           "gamma = 1e-5\nbig_gamma = 1e-5\nmoney_max = 0.01\n")
+    out = tmp_path / "surf.csv"
+    assert main(["surface", "--config", write(tmp_path, cfg), "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 50 * 50
+    by_tau = {}
+    for tau, money, _, _, extra, _ in rows:
+        by_tau.setdefault(tau, []).append((float(money), float(extra)))
+    for cells in by_tau.values():
+        extra = [e for _, e in sorted(cells)]
+        assert all(math.isfinite(e) for e in extra)
+        assert all(a > b for a, b in zip(extra, extra[1:]))
 
 
 def test_simulate_csv_contract(tmp_path):

@@ -43,6 +43,9 @@ from liqzone import (
 from liqzone.montecarlo import _PATH_BLOCK, _probe_alphas, _simulate_batch
 from liqzone.signals import _Z_SLACK, _barycentric
 
+# a quad reference that did not converge fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+
 SMALL_COSTS = CostParams(lam=0.1, gamma=1e-5, big_gamma=1e-5, horizon=1.0, x0=1.0)
 UNIT_COSTS = CostParams(lam=0.1, gamma=1.0, big_gamma=1.0, horizon=1.0, x0=1.0)
 BACH = CappedBachelier(m0=1.0, sigma=0.5, p_bar=1.0)
@@ -422,6 +425,16 @@ def test_signal_table_error_floor_at_large_beta(cls):
     table = optimal_policy(model, GKernel.from_costs(costs), costs).signal_table
     got, want = _table_and_reference(table, costs, 0.0, (0.0, 0.005, 0.05, 1.0))
     assert np.max(np.abs(got - want) / want) <= 1e-3
+
+
+@pytest.mark.parametrize("model", [BACH, CappedBlackScholes(m0=1.0, sigma=0.5, p_bar=1.05)],
+                         ids=["bachelier", "bs"])
+def test_signal_table_reports_its_quadrature_estimate(model):
+    table = optimal_policy(model, GKernel.from_costs(UNIT_COSTS), UNIT_COSTS).signal_table
+    assert table.quad_error == 0.0
+    table.extra_values(0.0, np.array([model.p_bar]), np.array([model.p_bar]))
+    # each row cell is within 1e-8 of itself, so the worst is within 1e-8 of the largest
+    assert 0.0 < table.quad_error <= 1e-8 * np.max(table.rows)
 
 
 def _reference_interp(table, tab, z):

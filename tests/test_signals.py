@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from liqzone import (
@@ -33,8 +34,13 @@ from liqzone import (
 )
 from liqzone import signals
 
+# a quad reference that did not converge fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+
 SMALL_COSTS = CostParams(lam=0.1, gamma=1e-5, big_gamma=1e-5, horizon=1.0, x0=1.0)
 UNIT_COSTS = CostParams(lam=0.1, gamma=1.0, big_gamma=1.0, horizon=1.0, x0=1.0)
+# beta T = 31.6: the discount confines the integrand to y < ~0.18
+LARGE_BETA_COSTS = CostParams(lam=0.01, gamma=10.0, big_gamma=1.0, horizon=1.0, x0=1.0)
 SIGMA = 0.5
 
 
@@ -133,21 +139,14 @@ def test_capped_extra_frozen_at_barrier():
         assert v1_target_zone(k, costs, model, st) == pytest.approx(-expected, rel=1e-12)
 
 
-def test_panel_refinement_converged(monkeypatch):
-    # doubling the panel count again moves the quadrature by < 1e-10 rel
+def test_panel_refinement_converged():
+    # the Gauss-Kronrod rule agrees with an independent adaptive quad to < 1e-10 rel
     k = GKernel.from_costs(UNIT_COSTS)
     model = CappedBachelier(m0=1.0, sigma=SIGMA, p_bar=1.0)
-
-    def on_panels(n, tau, money):
-        # both passes of the evaluator on n panels: its value is the n-panel sum
-        monkeypatch.setattr(signals, "_PANELS_COARSE", n)
-        monkeypatch.setattr(signals, "_PANELS_FINE", n)
-        return model._panel_extra(k, UNIT_COSTS.lam, tau, np.array([1.0 - money]),
-                                  np.array([1.0]))[0]
-
     for tau, money in ((1.0, 0.0), (0.5, 0.2), (0.05, 0.05)):
-        vals = [on_panels(n, tau, money) for n in (16, 32)]
-        assert vals[0] == pytest.approx(vals[1], rel=1e-10, abs=1e-18)
+        got = model._extra(k, UNIT_COSTS.lam, tau, np.array([1.0 - money]), np.array([1.0]))[0][0]
+        want = _quad_extra(model, UNIT_COSTS, tau, money, 1.0)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-18)
 
 
 def test_far_from_barrier_extra_vanishes():
@@ -225,8 +224,8 @@ def test_rate_surface_structure():
             extra_rate(k, UNIT_COSTS, model, st), rel=1e-12)
 
 
-def _quad_extra(model, costs, tau, k, m):
-    """(1 / 2 lam) int_0^tau G(tau - u) / G(tau) theta(u) du by adaptive quad, u = w^2.
+def _extra_integrand(model, costs, tau, k, m):
+    """2 w theta(w^2) G(tau - w^2) / G(tau), the integrand in u = w^2.
 
     Written from the closed forms with math only, independently of the
     library's panels; G(s) = beta cosh(beta s) + (big_gamma / lam) sinh(beta s).
@@ -240,7 +239,7 @@ def _quad_extra(model, costs, tau, k, m):
     def pdf(x):
         return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
-    def integrand(w):  # 2 w theta(w^2) times the discount ratio
+    def integrand(w):
         if w == 0.0:
             return 0.0
         if isinstance(model, CappedBlackScholes):
@@ -250,8 +249,33 @@ def _quad_extra(model, costs, tau, k, m):
             theta_2w = 2.0 * sig * pdf(k / (sig * w))
         return theta_2w * g(tau - w * w) / g(tau)
 
-    val, _ = quad(integrand, 0.0, math.sqrt(tau), epsabs=0.0, epsrel=1e-12, limit=500)
-    return val / (2.0 * lam)
+    return integrand
+
+
+def _quad_extra(model, costs, tau, k, m):
+    """(1 / 2 lam) int_0^tau G(tau - u) / G(tau) theta(u) du by adaptive quad, u = w^2."""
+    val, _ = quad(_extra_integrand(model, costs, tau, k, m), 0.0, math.sqrt(tau),
+                  epsabs=0.0, epsrel=1e-12, limit=500)
+    return val / (2.0 * costs.lam)
+
+
+def _quad_extra_at_layer(model, costs, tau, k, m):
+    """_quad_extra summed over pieces that double in width away from the layer.
+
+    phi(z / y) switches on at w ~ e = log1p(k / m) / sigma (k / sigma for
+    Bachelier).  The pieces are [0, e / 64], [e / 64, e / 32], ... up to
+    sqrt(tau), split at the discount's scale 1 / sqrt(beta).  One quad with
+    a few breakpoints at the layer missed it by up to 1e-7 for z ~ 1e-7 at
+    beta T = 31.6, and said nothing.
+    """
+    top = math.sqrt(tau)
+    edge = (math.log1p(k / m) if isinstance(model, CappedBlackScholes) else k) / model.sigma
+    cuts = [0.0] + [edge * 2.0 ** j for j in range(-6, 60) if edge * 2.0 ** j < top]
+    cuts += sorted(c for c in (math.sqrt(costs.lam / costs.gamma), top) if cuts[-1] < c <= top)
+    f = _extra_integrand(model, costs, tau, k, m)
+    val = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+              for a, b in zip(cuts, cuts[1:]))
+    return val / (2.0 * costs.lam)
 
 
 @pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
@@ -268,6 +292,93 @@ def test_rate_surface_within_1e8_of_quad_in_every_cell(cls, costs):
     np.testing.assert_allclose(surf.rate_extra, want, rtol=1e-8, atol=0.0)
 
 
+@pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
+@pytest.mark.parametrize("cls", [CappedBachelier, CappedBlackScholes])
+def test_rate_surface_error_estimate_bounds_the_error(cls, costs):
+    model = cls(m0=1.0, sigma=SIGMA, p_bar=1.0)
+    taus, moneys = np.linspace(0.02, 1.0, 6), np.linspace(0.0, 1.0, 6)
+    surf = rate_surface(GKernel.from_costs(costs), costs, model, taus, moneys, x=1.0,
+                        bs_m=model.p_bar)
+    want = np.array([[_quad_extra(model, costs, tau, k, model.p_bar) for k in moneys]
+                     for tau in taus])
+    assert surf.quad_error.shape == surf.rate_extra.shape
+    assert np.all(surf.quad_error <= 1e-8 * surf.rate_extra)
+    assert np.all(np.abs(surf.rate_extra - want) <= surf.quad_error + 1e-15 * want)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.02])
+@pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS, LARGE_BETA_COSTS],
+                         ids=["small", "unit", "beta32"])
+@pytest.mark.parametrize("cls", [CappedBachelier, CappedBlackScholes])
+def test_extra_rate_within_1e8_of_quad_just_below_the_cap(cls, costs, tau):
+    # the phi(z / y) layer at y ~ z is far narrower than the panel [0, 2^-8]
+    # here; uniform panels raised QuadratureError for z in [8e-7, 0.015]
+    model = cls(m0=1.0, sigma=SIGMA, p_bar=1.0)
+    kernel = GKernel.from_costs(costs)
+    root = SIGMA * math.sqrt(tau)
+    for z in np.geomspace(1e-8, 0.02, 13):
+        k = math.expm1(z * root) if cls is CappedBlackScholes else z * root
+        got = extra_rate(kernel, costs, model, TargetZoneState(t=1.0 - tau, m=1.0, p=1.0 - k))
+        want = _quad_extra_at_layer(model, costs, costs.horizon - (1.0 - tau), k, 1.0)
+        assert got == pytest.approx(want, rel=1e-8), z
+
+
+def test_extra_rate_resolves_a_layer_inside_the_first_panel():
+    # z = 1.24e-3 lies inside [0, 2^-9] after one split, where the 7- and
+    # 15-point sums agree by chance to 3e-8 while both miss the layer by
+    # 2.4e-8 of the rate: the panel must split past z
+    costs = LARGE_BETA_COSTS
+    model = CappedBlackScholes(m0=1.0, sigma=1.7, p_bar=1.0)
+    tau, k = 0.2555097090352507, 0.0010676904730688404
+    got = extra_rate(GKernel.from_costs(costs), costs, model,
+                     TargetZoneState(t=1.0 - tau, m=1.0, p=1.0 - k))
+    want = _quad_extra_at_layer(model, costs, costs.horizon - (1.0 - tau), k, 1.0)
+    assert got == pytest.approx(want, rel=1e-8)
+
+
+_SCALED_MONEYNESS = st.one_of(st.just(0.0), st.floats(-12.0, 1.6).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    black_scholes=st.booleans(),
+    sigma=st.floats(0.05, 3.0),
+    lam=st.floats(1e-3, 1.0),
+    beta_t=st.floats(1e-3, 1e3),
+    big_gamma=st.floats(1e-6, 10.0),
+    tau=st.floats(1e-4, 1.0),
+    zs=st.lists(_SCALED_MONEYNESS, min_size=2, max_size=6, unique=True),
+)
+def test_rate_is_finite_non_negative_and_non_increasing(black_scholes, sigma, lam, beta_t,
+                                                       big_gamma, tau, zs):
+    costs = CostParams(lam=lam, gamma=lam * beta_t ** 2, big_gamma=big_gamma, horizon=1.0,
+                       x0=1.0)
+    cls = CappedBlackScholes if black_scholes else CappedBachelier
+    model = cls(m0=1.0, sigma=sigma, p_bar=1.0)
+    root = sigma * math.sqrt(tau)
+    z = np.sort(np.array(zs))
+    ks = np.expm1(z * root) if black_scholes else z * root
+    ks = np.unique(ks)
+    surf = rate_surface(GKernel.from_costs(costs), costs, model, [tau], ks, x=1.0, bs_m=1.0)
+    rate, err = surf.rate_extra[0], surf.quad_error[0]
+    assert np.all(np.isfinite(rate)) and np.all(rate >= 0.0)
+    # non-increasing up to the quadrature's own error estimates
+    assert np.all(np.diff(rate) <= err[1:] + err[:-1])
+
+
+def test_gauss_kronrod_constants():
+    # the embedded Gauss rule is Gauss-Legendre of order 7, and the Kronrod
+    # rule integrates every polynomial of degree <= 22 exactly on [-1, 1]
+    x, (kronrod, gauss) = signals._GK_X, signals._GK_W
+    g_x, g_w = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_allclose(x[1::2], g_x, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(gauss[1::2], g_w, rtol=0.0, atol=1e-15)
+    assert np.all(gauss[0::2] == 0.0)
+    for n in range(23):
+        exact = 2.0 / (n + 1) if n % 2 == 0 else 0.0
+        assert kronrod @ x ** n == pytest.approx(exact, abs=1e-15)
+
+
 @pytest.mark.parametrize("model", [
     Martingale(p0=1.0, sigma=SIGMA),
     DeterministicDrift(times=np.array([0.0, 1.0]), values=np.array([-0.1, -0.1]), p0=1.0),
@@ -280,8 +391,9 @@ def test_rate_surface_rejects_uncapped_models(model):
 
 @pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
 @pytest.mark.parametrize("cls", [CappedBachelier, CappedBlackScholes])
-def test_quadrature_error_names_the_cell(cls, costs):
-    # just below the cap the uniform panels under-resolve phi(z / y) at y ~ z
+def test_quadrature_error_names_the_cell(cls, costs, monkeypatch):
+    # z = 0.002 just below the cap needs refinement rounds; with none allowed it fails
+    monkeypatch.setattr(signals, "_QUAD_ROUNDS", 0)
     model = cls(m0=1.0, sigma=SIGMA, p_bar=1.0)
     with pytest.raises(QuadratureError, match=r"tau=1\.0, p=0\.999 "):
         rate_surface(GKernel.from_costs(costs), costs, model, [1.0], [0.0, 1e-3], 1.0,
