@@ -225,15 +225,16 @@ def _output(cfg: RunConfig) -> str:
     return cfg.output
 
 
-def _fmt(value) -> str:
-    return f"{float(value):.17g}"
+def _write_csv(path: str, header: str, row_format: str, rows) -> None:
+    """Write the header, then each row tuple as `row_format % row`.
 
-
-def _write_csv(path: str, header: str, rows) -> None:
+    %.17g prints a float exactly as f"{value:.17g}" does, nan, inf and -0
+    included.
+    """
+    line = row_format + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def cmd_surface(cfg: RunConfig) -> int:
@@ -244,12 +245,11 @@ def cmd_surface(cfg: RunConfig) -> int:
     money = np.linspace(cfg.money_min, cfg.money_max, cfg.money_count)
     bs_m = cfg.bs_m if cfg.bs_m is not None else model.p_bar
     surf = rate_surface(kernel, costs, model, taus, money, x=cfg.x0, bs_m=bs_m)
-    rows = (
-        (_fmt(taus[i]), _fmt(money[j]), _fmt(surf.rate[i, j]), _fmt(surf.rate_ac[i, j]),
-         _fmt(surf.rate_extra[i, j]), _fmt(surf.relative_increase[i, j]))
-        for i in range(taus.size) for j in range(money.size)
-    )
-    _write_csv(output, "tau,moneyness,rate,rate_ac,rate_extra,relative_increase", rows)
+    tau_col, money_col = np.meshgrid(taus, money, indexing="ij")
+    columns = (tau_col, money_col, surf.rate, surf.rate_ac, surf.rate_extra,
+               surf.relative_increase)
+    _write_csv(output, "tau,moneyness,rate,rate_ac,rate_extra,relative_increase",
+               ",".join(["%.17g"] * len(columns)), zip(*(c.ravel().tolist() for c in columns)))
     return 0
 
 
@@ -261,10 +261,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         model, optimal_policy(model, kernel, costs), ac_policy(kernel), costs,
         n_paths=cfg.n_paths, n_steps=cfg.n_steps, master_seed=cfg.seed,
     )
-    rows = [(name, _fmt(est.mean), _fmt(est.std_error), str(est.n_paths), str(est.seed))
+    rows = [(name, est.mean, est.std_error, est.n_paths, est.seed)
             for name, est in (("optimal", comparison.value_a),
                               ("almgren-chriss", comparison.value_b))]
-    _write_csv(output, "policy,mean,std_error,n_paths,seed", rows)
+    _write_csv(output, "policy,mean,std_error,n_paths,seed", "%s,%.17g,%.17g,%s,%s", rows)
     return 0
 
 
@@ -277,9 +277,10 @@ def cmd_value(cfg: RunConfig) -> int:
     v0, mc = estimate_v0_and_value(model, kernel, costs, n_paths=cfg.n_paths,
                                    n_steps=cfg.n_steps, master_seed=cfg.seed)
     value = value_formula(kernel, costs, p0, v0.mean, v1_0)
-    row = (_fmt(p0), _fmt(costs.x0), _fmt(-urgency(kernel, 0.0)), _fmt(v1_0),
-           _fmt(v0.mean), _fmt(v0.std_error), _fmt(value), _fmt(mc.mean), _fmt(mc.std_error))
-    _write_csv(output, "p0,x0,v2_0,v1_0,v0_0,v0_se,value,mc_value,mc_se", [row])
+    row = (p0, costs.x0, -urgency(kernel, 0.0), v1_0, v0.mean, v0.std_error, value,
+           mc.mean, mc.std_error)
+    _write_csv(output, "p0,x0,v2_0,v1_0,v0_0,v0_se,value,mc_value,mc_se",
+               ",".join(["%.17g"] * len(row)), [row])
     return 0
 
 

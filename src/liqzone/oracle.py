@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_banded
 
 from .schedule import CostParams, TradePlan
 
@@ -174,6 +173,8 @@ def solve_discrete_many(problems: Sequence[DiscreteProblem]) -> list[TradePlan]:
     row operations; the rank-one sum term of the terminal row is removed with
     one extra banded solve (Sherman-Morrison), shared across the batch.
     """
+    from scipy.linalg import solve_banded  # not at module load: only oracle solves need it
+
     if not problems:
         return []
     head = _check_shared_geometry(problems)
@@ -204,6 +205,8 @@ def _solve_dense_many(problems: Sequence[DiscreteProblem]) -> list[TradePlan]:
 
     O(n^3); kept as the independent route the fast solver is tested against.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     if not problems:
         return []
     head = _check_shared_geometry(problems)

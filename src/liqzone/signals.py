@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .schedule import CostParams, GKernel, _check_grid, _log_g, _log_g_array, urgency
 
@@ -120,6 +119,16 @@ class QuadratureError(RuntimeError):
 
 def _norm_pdf(z):
     return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
+
+
+def _ndtr(x):
+    """Standard normal CDF; scipy.special is imported at the first call.
+
+    Only the Black-Scholes forms and bachelier_lookback_price need it, and
+    importing it with the module would cost every liqzone process ~0.3 s.
+    """
+    from scipy.special import ndtr
+    return ndtr(x)
 
 
 class _Model:
@@ -363,7 +372,7 @@ class CappedBlackScholes(_CappedModel):
         z_over_y = z_grid / y[..., None]
         for k, root in enumerate(roots):
             f = 0.5 * root * y[..., None] - z_over_y
-            sums[:, k] = 2.0 * (w[:, k] @ _norm_pdf(f)) + root * ((w[:, k] * y[:, None]) @ ndtr(f))
+            sums[:, k] = 2.0 * (w[:, k] @ _norm_pdf(f)) + root * ((w[:, k] * y[:, None]) @ _ndtr(f))
         sums /= 2.0 * lam
         return sums.transpose(2, 0, 1, 3)
 
@@ -491,7 +500,7 @@ def bachelier_lookback_price(u, moneyness, sigma):
     s = sigma * np.sqrt(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(s > 0.0, k / np.where(s > 0.0, s, 1.0), np.inf)
-    out = np.where(s > 0.0, 2.0 * s * _norm_pdf(a) - 2.0 * k * ndtr(-a), 0.0)
+    out = np.where(s > 0.0, 2.0 * s * _norm_pdf(a) - 2.0 * k * _ndtr(-a), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -536,7 +545,7 @@ def bs_theta(u, m, p, sigma, p_bar):
     """
     f = bs_f(u, m, p, sigma, p_bar)
     root_u = np.sqrt(np.asarray(u, dtype=float))
-    out = np.asarray(m, dtype=float) * (sigma / root_u * _norm_pdf(f) + 0.5 * sigma * sigma * ndtr(f))
+    out = np.asarray(m, dtype=float) * (sigma / root_u * _norm_pdf(f) + 0.5 * sigma * sigma * _ndtr(f))
     return out if out.ndim else float(out)
 
 

@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from liqzone import (
@@ -17,7 +18,7 @@ from liqzone import (
     estimate_value,
     urgency,
 )
-from liqzone.cli import _KEYS, ConfigError, load_config, main
+from liqzone.cli import _KEYS, ConfigError, _write_csv, load_config, main
 from liqzone.signals import _CappedSignalTable
 
 BASE = """
@@ -80,6 +81,17 @@ def test_unknown_model_exits_2(tmp_path, capsys):
 def test_drift_key_requires_drift_model(tmp_path):
     with pytest.raises(ConfigError, match="drift"):
         load_config(write(tmp_path, BASE + "drift = -0.1\n"))
+
+
+def test_csv_row_format_prints_what_the_per_value_format_prints(tmp_path):
+    values = [0.0, -0.0, 5e-324, 1e-300, 1e300, math.nan, math.inf, -math.inf,
+              0.1, 1.0 / 3.0, -2.5, 2.0**53 + 2.0, 0.020408163265306121, 7.0]
+    values += [np.float64(v) for v in values]
+    rows = [tuple(values), tuple(reversed(values))]
+    path = tmp_path / "rows.csv"
+    _write_csv(str(path), "h", ",".join(["%.17g"] * len(values)), rows)
+    want = "h\n" + "".join(",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode()
 
 
 def test_surface_csv_contract(tmp_path):

@@ -354,12 +354,24 @@ def _quad_extra_rate(model, costs, t, p, m):
     (1 / 2 lam) int_0^tau G(tau - u) / G(tau) theta(u) du with u = w^2,
     G(s) = beta cosh(beta s) + g sinh(beta s), and the lookback thetas
     written out here.
+
+    Raises ValueError for a scaled moneyness 0 < z < 1e-3: there the
+    theta's boundary layer at w ~ z sqrt(tau) is too thin for the
+    breakpoints below, and quad missed by up to 1e-7 relative near
+    z ~ 1e-7 without an IntegrationWarning.  _quad_extra_at_layer in
+    tests/test_signals.py is the piecewise reference that holds there.
+    At z = 0 the layer is gone and the integrand is smooth.
     """
     tau = costs.horizon - t
     beta, g = math.sqrt(costs.gamma / costs.lam), costs.big_gamma / costs.lam
     g_tau = beta * math.cosh(beta * tau) + g * math.sinh(beta * tau)
     sig, k = model.sigma, model.p_bar - p
     bs = isinstance(model, CappedBlackScholes)
+    # the theta's boundary layer sits at w ~ z sqrt(tau), the discount's at 1/sqrt(beta)
+    edge = (math.log1p(k / m) if bs else k) / sig
+    top = math.sqrt(tau)
+    if 0.0 < edge < 1e-3 * top:
+        raise ValueError(f"scaled moneyness {edge / top:.3g} < 1e-3: use _quad_extra_at_layer")
 
     def integrand(w):
         s = tau - w * w
@@ -369,9 +381,6 @@ def _quad_extra_rate(model, costs, t, p, m):
         f = 0.5 * sig * w - math.log1p(k / m) / (sig * w)
         return ratio * 2.0 * m * (sig * norm.pdf(f) + 0.5 * sig * sig * w * norm.cdf(f))
 
-    top = math.sqrt(tau)
-    # the theta's boundary layer sits at w ~ z sqrt(tau), the discount's at 1/sqrt(beta)
-    edge = (math.log1p(k / m) if bs else k) / sig
     points = sorted({c * edge for c in (0.25, 0.5, 1.0, 2.0, 4.0)} | {1.0 / math.sqrt(beta)})
     points = [x for x in points if 0.0 < x < top] or None
     val, _ = quad(integrand, 0.0, top, points=points, epsabs=0.0, epsrel=1e-11, limit=1000)
@@ -391,6 +400,14 @@ def _table_and_reference(table, costs, t, zs, m=1.2):
         got.append(float(table.extra_values(t, np.array([p]), np.array([m]))[0]))
         want.append(_quad_extra_rate(model, costs, t, p, m))
     return np.array(got), np.array(want)
+
+
+@pytest.mark.parametrize("cls", [CappedBachelier, CappedBlackScholes])
+def test_quad_reference_refuses_a_thin_boundary_layer(cls):
+    model = cls(m0=1.0, sigma=0.5, p_bar=1.05)
+    table = optimal_policy(model, GKernel.from_costs(UNIT_COSTS), UNIT_COSTS).signal_table
+    with pytest.raises(ValueError, match="scaled moneyness"):
+        _table_and_reference(table, UNIT_COSTS, 0.0, (1e-7,))
 
 
 TABLE_Z = (0.0, 0.005, 0.05, 1.0, 4.0, 7.5)
