@@ -34,7 +34,6 @@ from .signals import (
     QuadratureError,
     TargetZoneState,
     rate_surface,
-    v1_curve_deterministic,
     v1_target_zone,
 )
 
@@ -243,6 +242,15 @@ def cmd_surface(cfg: RunConfig) -> int:
     model, costs, kernel = _problem(cfg)
     taus = np.linspace(cfg.tau_min, cfg.tau_max, cfg.tau_count)
     money = np.linspace(cfg.money_min, cfg.money_max, cfg.money_count)
+    # _validate admits these for every subcommand; only a surface reads them
+    if cfg.tau_max > cfg.horizon:
+        raise ConfigError(f"key 'tau_max' must be <= T for surface; got {cfg.tau_max!r} > "
+                          f"{cfg.horizon!r}")
+    for axis, grid in (("tau", taus), ("money", money)):
+        if np.any(np.diff(grid) <= 0.0):
+            raise ConfigError(f"keys '{axis}_min'/'{axis}_max' must span a strictly increasing "
+                              f"grid of '{axis}_count' = {grid.size} points for surface; got "
+                              f"{float(grid[0])!r} to {float(grid[-1])!r}")
     bs_m = cfg.bs_m if cfg.bs_m is not None else model.p_bar
     surf = rate_surface(kernel, costs, model, taus, money, x=cfg.x0, bs_m=bs_m)
     tau_col, money_col = np.meshgrid(taus, money, indexing="ij")
@@ -298,12 +306,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     u0_disc = x_n = None
     for n in ns:
         plan = solve_discrete(DiscreteProblem.uniform(costs, n, cfg.drift))
-        grid = plan.grid
-        if cfg.drift == 0.0:  # _validate keeps it 0 unless model = drift
-            v1_values = np.zeros(grid.size)
-        else:
-            v1_values = v1_curve_deterministic(model, kernel, costs.lam, grid)
-        exact = trajectory_from_signal(kernel, costs.x0, v1_values, grid)
+        exact = trajectory_from_signal(kernel, costs.x0,
+                                       model._v1_curve(kernel, costs.lam, plan.grid), plan.grid)
         traj_errors.append(float(np.max(np.abs(plan.positions - exact.positions))) / costs.x0)
         terminal_residuals.append(plan.rates[-1] - kernel.gamma_ratio * plan.positions[-1])
         u0_disc, x_n = plan.rates[0], plan.positions[-1]

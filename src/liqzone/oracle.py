@@ -19,12 +19,14 @@ obtained by differentiating through the position recursion.  Nothing here
 reuses the kernel machinery, which is the point: agreement with the closed
 form is evidence for both sides.
 
-Two equivalent solvers are kept.  The production path subtracts consecutive
-stationarity rows twice, which cancels the min kernel into a tridiagonal
-stencil (the last row keeps a rank-one sum term, absorbed by a
-Sherman-Morrison correction); this is row elimination on the same linear
-system, runs in O(n), and is unit-tested against the O(n^3) dense Cholesky
-of H itself, which remains as the reference (_solve_dense_many).
+Two equivalent solvers are kept, each solving one problem.  The production
+path (solve_discrete) subtracts consecutive stationarity rows twice, which
+cancels the min kernel into a tridiagonal stencil (the last row keeps a
+rank-one sum term, absorbed by a Sherman-Morrison correction); this is row
+elimination on the same linear system, runs in O(n), and is unit-tested
+against the O(n^3) dense Cholesky of H itself, which remains as the
+reference (_solve_dense).  solve_discrete_many solves a list of problems one
+by one, whatever their geometries.
 
 Price levels enter the objective only through the drift increments; a
 constant price shift adds exactly level * x0 (everything sold plus the
@@ -133,19 +135,6 @@ def _plan_from_rates(problem: DiscreteProblem, u: np.ndarray) -> TradePlan:
     return TradePlan(grid=grid, positions=positions, rates=rates)
 
 
-def solve_discrete(problem: DiscreteProblem) -> TradePlan:
-    """Exact maximizer of the discrete objective."""
-    return solve_discrete_many([problem])[0]
-
-
-def _check_shared_geometry(problems: Sequence[DiscreteProblem]) -> DiscreteProblem:
-    head = problems[0]
-    for p in problems[1:]:
-        if p.n_steps != head.n_steps or p.delta != head.delta or p.costs != head.costs:
-            raise ValueError("solve_discrete_many requires identical n_steps, delta and costs")
-    return head
-
-
 def _difference_bands(costs: CostParams, n: int, delta: float) -> np.ndarray:
     """Banded matrix of the twice-differenced stationarity system.
 
@@ -166,56 +155,51 @@ def _difference_bands(costs: CostParams, n: int, delta: float) -> np.ndarray:
     return ab
 
 
-def solve_discrete_many(problems: Sequence[DiscreteProblem]) -> list[TradePlan]:
-    """Solve several problems sharing (n_steps, delta, costs) in O(n) each.
+def solve_discrete(problem: DiscreteProblem) -> TradePlan:
+    """Exact maximizer of the discrete objective, in O(n).
 
     The differenced tridiagonal system is equivalent to H u = b by invertible
     row operations; the rank-one sum term of the terminal row is removed with
-    one extra banded solve (Sherman-Morrison), shared across the batch.
+    one extra banded solve (Sherman-Morrison).
     """
     from scipy.linalg import solve_banded  # not at module load: only oracle solves need it
 
-    if not problems:
-        return []
-    head = _check_shared_geometry(problems)
-    n, delta = head.n_steps, head.delta
-    costs = head.costs
+    costs = problem.costs
+    n, delta = problem.n_steps, problem.delta
     ab = _difference_bands(costs, n, delta)
     e_last = np.zeros(n)
     e_last[-1] = 1.0
     z = solve_banded((1, 1), ab, e_last, check_finite=False)
     coeff = 2.0 * costs.big_gamma * delta
     denom = 1.0 + coeff * float(np.sum(z))
-
-    plans = []
-    for p in problems:
-        b = _rhs(p)
-        c = np.empty(n)
-        c[0] = b[0] - b[1]
-        c[1 : n - 1] = 2.0 * b[1 : n - 1] - b[: n - 2] - b[2:]
-        c[n - 1] = b[n - 1]
-        y = solve_banded((1, 1), ab, c, check_finite=False)
-        u = y - z * (coeff * float(np.sum(y)) / denom)
-        plans.append(_plan_from_rates(p, u))
-    return plans
+    b = _rhs(problem)
+    c = np.empty(n)
+    c[0] = b[0] - b[1]
+    c[1 : n - 1] = 2.0 * b[1 : n - 1] - b[: n - 2] - b[2:]
+    c[n - 1] = b[n - 1]
+    y = solve_banded((1, 1), ab, c, check_finite=False)
+    u = y - z * (coeff * float(np.sum(y)) / denom)
+    return _plan_from_rates(problem, u)
 
 
-def _solve_dense_many(problems: Sequence[DiscreteProblem]) -> list[TradePlan]:
-    """Reference solver: dense Cholesky of H itself, one factor per geometry.
+def solve_discrete_many(problems: Sequence[DiscreteProblem]) -> list[TradePlan]:
+    """solve_discrete of each problem; the problems may differ in n_steps, delta and costs."""
+    return [solve_discrete(p) for p in problems]
+
+
+def _solve_dense(problem: DiscreteProblem) -> TradePlan:
+    """Reference solver: dense Cholesky of H itself.
 
     O(n^3); kept as the independent route the fast solver is tested against.
     """
     from scipy.linalg import cho_factor, cho_solve
 
-    if not problems:
-        return []
-    head = _check_shared_geometry(problems)
-    h = _hessian(head.costs, head.n_steps, head.delta)
+    h = _hessian(problem.costs, problem.n_steps, problem.delta)
     try:
         factor = cho_factor(h, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:  # unreachable for positive costs
         raise RuntimeError("discrete Hessian lost positive definiteness") from exc
-    return [_plan_from_rates(p, cho_solve(factor, _rhs(p), check_finite=False)) for p in problems]
+    return _plan_from_rates(problem, cho_solve(factor, _rhs(problem), check_finite=False))
 
 
 def discrete_goal(problem: DiscreteProblem, rates) -> float:

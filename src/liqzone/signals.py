@@ -135,8 +135,11 @@ class _Model:
     """Per-model behaviour of the signal term and the Monte Carlo engine.
 
     The defaults fit an uncapped price started at p0 with no signal: paths
-    are p0 plus sigma times Brownian sums, and the capped price is the level
-    itself.  Subclasses override what differs.
+    are p0 plus sigma times Brownian sums, the capped price is the level
+    itself, and the signal curve _v1_curve is zero.  An uncapped model's v1
+    depends on t alone, so _v1 and the Monte Carlo table (_CurveSignalTable)
+    read that curve; capped models override both.  Subclasses override what
+    differs.
     """
 
     def _fixed_levels(self, grid: np.ndarray):
@@ -158,12 +161,16 @@ class _Model:
             raise ValueError(f"state.t must lie in [0, horizon), got {state.t!r}")
         return tau
 
+    def _v1_curve(self, kernel: GKernel, lam: float, grid: np.ndarray) -> np.ndarray:
+        """v1 at every point of a time grid, for a model whose v1 depends on t alone."""
+        return np.zeros(np.asarray(grid).size)
+
     def _v1(self, kernel: GKernel, lam: float, state: TargetZoneState, tau: float) -> float:
-        return 0.0
+        return float(self._v1_curve(kernel, lam, np.array([state.t]))[0])
 
     def _signal_table(self, kernel: GKernel, lam: float):
         """The extra rate -v1 as seen by the Monte Carlo policy, per time step."""
-        return _ZeroSignalTable()
+        return _CurveSignalTable(self, kernel, lam)
 
     def _surface_levels(self, bs_m, ks: np.ndarray) -> np.ndarray:
         """Uncapped level of each moneyness column of a rate surface."""
@@ -421,15 +428,8 @@ class DeterministicDrift(_Model):
         out[1:] += self.p0
         return out
 
-    def _v1(self, kernel, lam, state, tau):
-        grid = np.union1d(
-            np.asarray([state.t, kernel.horizon]),
-            self.times[(self.times > state.t) & (self.times < kernel.horizon)],
-        )
-        return float(v1_curve_deterministic(self, kernel, lam, grid)[0])
-
-    def _signal_table(self, kernel, lam):
-        return _DriftSignalTable(self, kernel, lam)
+    def _v1_curve(self, kernel, lam, grid):
+        return v1_curve_deterministic(self, kernel, lam, grid)
 
 
 @dataclass(frozen=True)
@@ -730,27 +730,23 @@ class _CappedSignalTable:
         return out if level is _UNIT_LEVEL else out * level
 
 
-class _DriftSignalTable:
-    """Extra rate -v1(t) of a deterministic drift curve (state independent).
+class _CurveSignalTable:
+    """Extra rate -v1(t) of a model whose v1 depends on t alone (state independent).
 
-    The whole curve is solved once on a dense grid; lookups interpolate.
+    The model's curve (_v1_curve) is evaluated once on a dense grid; lookups
+    interpolate.
     """
 
     _N_NODES = 8193
 
-    def __init__(self, model: DeterministicDrift, kernel: GKernel, lam: float):
+    def __init__(self, model: _Model, kernel: GKernel, lam: float):
         self.kernel = kernel
         self._grid = np.linspace(0.0, kernel.horizon, self._N_NODES)
-        self._curve = -v1_curve_deterministic(model, kernel, lam, self._grid)
+        self._curve = -model._v1_curve(kernel, lam, self._grid)
 
     def extra_values(self, t: float, p, m):
         v = float(np.interp(t, self._grid, self._curve))
         return np.broadcast_to(np.float64(v), np.asarray(p, dtype=float).shape)
-
-
-class _ZeroSignalTable:
-    def extra_values(self, t: float, p, m):
-        return np.zeros_like(np.asarray(p, dtype=float))
 
 
 def extra_rate(kernel: GKernel, costs: CostParams, model, state: TargetZoneState) -> float:

@@ -291,6 +291,33 @@ def test_surface_rejects_uncapped_models(tmp_path):
                  "--output", str(tmp_path / "s.csv")]) == 2
 
 
+# configs every subcommand's check admits, but whose surface grid is empty of
+# cells or runs past T; the surface names the keys that make it so
+DEGENERATE_SURFACES = {
+    "short_horizon_defaults": ("T = 1.0", "T = 0.01", ("'tau_min'", "'tau_max'", "'tau_count'")),
+    "equal_taus": ("x0 = 1.0", "x0 = 1.0\ntau_min = 0.5\ntau_max = 0.5\ntau_count = 3",
+                   ("'tau_min'", "'tau_max'", "'tau_count'")),
+    "equal_moneyness": ("x0 = 1.0", "x0 = 1.0\nmoney_min = 0.3\nmoney_max = 0.3\nmoney_count = 3",
+                        ("'money_min'", "'money_max'", "'money_count'")),
+    "tau_max_past_horizon": ("x0 = 1.0", "x0 = 1.0\ntau_max = 1.0000000000005", ("'tau_max'",)),
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE_SURFACES)
+def test_surface_names_the_keys_of_a_degenerate_grid(tmp_path, capsys, case):
+    old, new, keys = DEGENERATE_SURFACES[case]
+    path = write(tmp_path, BASE.replace(old, new))
+    assert main(["surface", "--config", path, "--output", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    for key in keys:
+        assert key in err
+    assert not (tmp_path / "s.csv").exists()
+    # the other subcommands do not read the surface keys and still accept them
+    sim = BASE.replace(old, new).replace("bachelier-capped", "martingale")
+    assert main(["simulate", "--config", write(tmp_path, sim), "--paths", "4", "--steps", "4",
+                 "--output", str(tmp_path / "sim.csv")]) == 0
+
+
 def test_invalid_overrides_exit_2(tmp_path):
     path = write(tmp_path, BASE)
     assert main(["simulate", "--config", path, "--output",

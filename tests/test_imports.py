@@ -24,7 +24,7 @@ from liqzone import (
     rate_surface,
     solve_discrete,
 )
-from liqzone.oracle import _solve_dense_many
+from liqzone.oracle import _solve_dense
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -89,7 +89,7 @@ def _values():
         "lookback": bachelier_lookback_price(0.3, 0.1, 0.5),
         "bs_cell": float(surf.rate_extra[0, 0]),
         "solve_discrete": solve_discrete(problem).rates.tolist(),
-        "solve_dense": _solve_dense_many([problem])[0].rates.tolist(),
+        "solve_dense": _solve_dense(problem).rates.tolist(),
     }
 
 

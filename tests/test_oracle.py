@@ -107,20 +107,30 @@ def test_negative_drift_front_loads_selling():
 
 
 def test_batched_solver_matches_single_solves():
+    # each problem is solved on its own, so steps, step size and costs may differ
     problems = [
         DiscreteProblem.uniform(UNIT_COSTS, 64, drift_level=level)
         for level in (0.0, -0.1, 0.3)
+    ] + [
+        DiscreteProblem.uniform(UNIT_COSTS, 128, drift_level=-0.1),
+        DiscreteProblem.uniform(UNIT, 7, drift_level=0.3),
+        DiscreteProblem(costs=CostParams(lam=2.0, gamma=0.3, big_gamma=7.0,
+                                         horizon=2.5, x0=4.0),
+                        n_steps=3, delta=2.5 / 3, drift=np.array([0.1, -0.2, 0.05])),
     ]
     batched = solve_discrete_many(problems)
+    assert len(batched) == len(problems)
     for problem, plan in zip(problems, batched):
         single = solve_discrete(problem)
-        np.testing.assert_allclose(plan.rates, single.rates, rtol=0.0, atol=0.0)
+        for name in ("grid", "positions", "rates"):
+            assert np.array_equal(getattr(plan, name), getattr(single, name))
+    assert solve_discrete_many([]) == []
 
 
 def test_banded_solver_matches_dense_reference():
     # the production solver row-reduces H u = b to a tridiagonal system plus
     # a rank-one correction; the dense Cholesky of H itself must agree
-    from liqzone.oracle import _solve_dense_many
+    from liqzone.oracle import _solve_dense
 
     rng = np.random.default_rng(3)
     for n in (2, 3, 7, 64, 1500):
@@ -135,18 +145,10 @@ def test_banded_solver_matches_dense_reference():
                 problem = DiscreteProblem(costs=costs, n_steps=n,
                                           delta=delta, drift=drift)
                 fast = solve_discrete(problem)
-                dense = _solve_dense_many([problem])[0]
+                dense = _solve_dense(problem)
                 scale = float(np.max(np.abs(dense.rates)))
                 np.testing.assert_allclose(fast.rates, dense.rates,
                                            rtol=0.0, atol=1e-9 * scale)
-
-
-def test_batched_solver_requires_shared_geometry():
-    with pytest.raises(ValueError):
-        solve_discrete_many([
-            DiscreteProblem.uniform(UNIT_COSTS, 64),
-            DiscreteProblem.uniform(UNIT_COSTS, 128),
-        ])
 
 
 def test_dimension_and_argument_validation():

@@ -30,3 +30,14 @@ def test_mc_experiments_runs():
                 "--directions", 2)
     assert done.returncode == 0, done.stderr
     assert "value identity" in done.stdout
+
+
+def test_readme_library_example_runs():
+    # the block under "## Library example", run as a user would paste it
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    done = _run("-c", code)
+    assert done.returncode == 0, done.stderr
+    ratio = float(done.stdout.strip())
+    assert 1e3 <= ratio <= 1e5  # the snippet says ~1e4 at the barrier

@@ -27,6 +27,8 @@ from liqzone import (
     extra_rate,
     extra_rate_small_beta,
     full_rate,
+    g_value,
+    optimal_policy,
     rate_surface,
     urgency,
     v1_curve_deterministic,
@@ -105,10 +107,14 @@ def test_extra_rate_small_beta_frozen():
 
 
 def test_v1_martingale_is_zero():
+    # the state query and the Monte Carlo table both read the zero curve
     k = GKernel.from_costs(UNIT_COSTS)
     model = Martingale(p0=1.0, sigma=SIGMA)
-    st = TargetZoneState(t=0.4, m=1.0, p=1.0)
-    assert v1_target_zone(k, UNIT_COSTS, model, st) == 0.0
+    table = optimal_policy(model, k, UNIT_COSTS).signal_table
+    p = np.array([1.0, 0.5, 2.0])
+    for t in (0.0, 0.25, 0.4, 0.9):
+        assert v1_target_zone(k, UNIT_COSTS, model, TargetZoneState(t=t, m=1.0, p=1.0)) == 0.0
+        assert np.all(table.extra_values(t, p, p) == 0.0)
 
 
 def test_v1_constant_drift_frozen():
@@ -118,6 +124,24 @@ def test_v1_constant_drift_frozen():
     st = TargetZoneState(t=0.0, m=1.0, p=1.0)
     assert v1_target_zone(k, UNIT_COSTS, model, st) == pytest.approx(
         -0.14822930513653838, rel=1e-6)
+
+
+@pytest.mark.parametrize("costs", [UNIT_COSTS, SMALL_COSTS])
+@pytest.mark.parametrize("a", [-0.1, 0.37])
+def test_constant_drift_signal_matches_closed_form(costs, a):
+    # for a constant drift a, int_0^tau G = (G'(tau) - beta g) / beta^2, so
+    # v1(t) = a (urgency(t) - beta g / G(T - t)) / (2 lam beta^2); the state
+    # query and the Monte Carlo table both read the model's one v1 curve
+    k = GKernel.from_costs(costs)
+    model = DeterministicDrift(times=np.array([0.0, 1.0]), values=np.array([a, a]), p0=1.0)
+    table = optimal_policy(model, k, costs).signal_table
+    p = np.array([1.0, 0.5, 2.0])
+    for t in (0.0, 0.25, 0.5, 0.9):
+        exact = a * (urgency(k, t) - k.beta * k.gamma_ratio / g_value(k, 1.0 - t)) / (
+            2.0 * costs.lam * k.beta**2)
+        st = TargetZoneState(t=t, m=1.0, p=1.0)
+        assert v1_target_zone(k, costs, model, st) == pytest.approx(exact, rel=1e-7)
+        np.testing.assert_allclose(-table.extra_values(t, p, p), exact, rtol=1e-7, atol=0.0)
 
 
 def test_v1_curve_refines_sparse_caller_grids():
