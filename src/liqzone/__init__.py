@@ -61,7 +61,6 @@ from .oracle import (
     concavity_probe,
     discrete_goal,
     solve_discrete,
-    solve_discrete_many,
 )
 
 __version__ = "0.1.0"
@@ -79,6 +78,6 @@ __all__ = [
     "run_strategy", "estimate_value", "estimate_v0", "estimate_v0_and_value",
     "paired_value_difference",
     "probe_optimality", "ac_policy", "optimal_policy",
-    "DiscreteProblem", "ConcavityReport", "solve_discrete", "solve_discrete_many",
+    "DiscreteProblem", "ConcavityReport", "solve_discrete",
     "discrete_goal", "concavity_probe",
 ]

@@ -49,9 +49,6 @@ _VERIFY_TRAJ_TOL = 1e-3
 _VERIFY_RATE_TOL = 1e-4
 _VERIFY_ORDER_MIN = 0.9
 _VERIFY_TERMINAL_TOL = 1e-6
-# finer ladders fail the order check on roundoff in the twice-differenced
-# oracle system (order 0.899 at 2**19 steps, martingale), not on the closed form
-_VERIFY_STEPS_MAX = 2**18
 
 _REQUIRED = object()  # default of a key every config must set
 
@@ -298,16 +295,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     ns = sorted({max(2, cfg.n_steps // 100), max(2, cfg.n_steps // 10), cfg.n_steps})
     if len(ns) < 2:
         raise ConfigError("key 'n_steps' must be >= 20 for verify (order needs a refinement)")
-    if cfg.n_steps > _VERIFY_STEPS_MAX:
-        raise ConfigError(f"key 'n_steps' must be <= {_VERIFY_STEPS_MAX} for verify "
-                          "(roundoff in the oracle beyond)")
     traj_errors = []
     terminal_residuals = []
     u0_disc = x_n = None
     for n in ns:
-        plan = solve_discrete(DiscreteProblem.uniform(costs, n, cfg.drift))
+        grid = np.linspace(0.0, costs.horizon, n + 1)
+        # the oracle sees the model's expected price path, as the closed form does
+        plan = solve_discrete(DiscreteProblem(n_steps=n, delta=costs.horizon / n,
+                                              drift=np.diff(model._expected_levels(grid)),
+                                              costs=costs))
         exact = trajectory_from_signal(kernel, costs.x0,
-                                       model._v1_curve(kernel, costs.lam, plan.grid), plan.grid)
+                                       model._v1_curve(kernel, costs.lam, grid), grid)
         traj_errors.append(float(np.max(np.abs(plan.positions - exact.positions))) / costs.x0)
         terminal_residuals.append(plan.rates[-1] - kernel.gamma_ratio * plan.positions[-1])
         u0_disc, x_n = plan.rates[0], plan.positions[-1]

@@ -9,24 +9,34 @@ discrete analogue: maximize over rate vectors u in R^n
 with X_0 = x0, X_{i+1} = X_i - u_i delta (left-endpoint sums and forward
 Euler, exactly the accumulation rule used by the Monte Carlo engine, so the
 two modules optimize the same discrete function).  The objective is a
-strictly concave quadratic; its unique maximizer solves the linear system
-H u = b with the dense SPD matrix
+strictly concave quadratic, so it has exactly one maximizer.
+
+solve_discrete finds it by backward dynamic programming, the discrete
+Riccati recursion of a linear-quadratic control problem.  The best goal
+from step i on is a concave quadratic in the position,
+V_i(x) = -a_i x^2 + b_i x + c_i with V_n(x) = P_n x - big_gamma x^2, and
+maximizing one step back over the rate gives
+
+    a_i = gamma delta + lam a_{i+1} / (lam + a_{i+1} delta),
+    b_i = (lam b_{i+1} + a_{i+1} delta P_i) / (lam + a_{i+1} delta);
+
+a forward pass from X_0 = x0 then reads off the rates
+
+    u_i = (2 a_{i+1} X_i + P_i - b_{i+1}) / (2 (lam + a_{i+1} delta)).
+
+This runs in O(n) on plain floats.  Nothing here reuses the kernel
+machinery, which is the point: agreement with the closed form is evidence
+for both sides.
+
+The reference the recursion is unit-tested against solves the stationarity
+system directly: the maximizer is the solution of H u = b with the dense
+SPD matrix
 
     H[k, j] = 2 lam 1{k=j} + 2 gamma delta^2 min(rev_k, rev_j)
               + 2 big_gamma delta,        rev_k = n - 1 - k,
 
-obtained by differentiating through the position recursion.  Nothing here
-reuses the kernel machinery, which is the point: agreement with the closed
-form is evidence for both sides.
-
-Two equivalent solvers are kept, each solving one problem.  The production
-path (solve_discrete) subtracts consecutive stationarity rows twice, which
-cancels the min kernel into a tridiagonal stencil (the last row keeps a
-rank-one sum term, absorbed by a Sherman-Morrison correction); this is row
-elimination on the same linear system, runs in O(n), and is unit-tested
-against the O(n^3) dense Cholesky of H itself, which remains as the
-reference (_solve_dense).  solve_discrete_many solves a list of problems one
-by one, whatever their geometries.
+obtained by differentiating through the position recursion, and
+_solve_dense solves it in O(n^3).
 
 Price levels enter the objective only through the drift increments; a
 constant price shift adds exactly level * x0 (everything sold plus the
@@ -37,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +55,6 @@ from .schedule import CostParams, TradePlan
 __all__ = [
     "DiscreteProblem",
     "solve_discrete",
-    "solve_discrete_many",
     "discrete_goal",
     "concavity_probe",
     "ConcavityReport",
@@ -135,71 +143,40 @@ def _plan_from_rates(problem: DiscreteProblem, u: np.ndarray) -> TradePlan:
     return TradePlan(grid=grid, positions=positions, rates=rates)
 
 
-def _difference_bands(costs: CostParams, n: int, delta: float) -> np.ndarray:
-    """Banded matrix of the twice-differenced stationarity system.
-
-    Subtracting row i+1 of H u = b from row i replaces the min kernel by a
-    prefix sum; differencing once more leaves -2 lam u_{i-1}
-    + (4 lam + 2 gamma delta^2) u_i - 2 lam u_{i+1}.  The first row keeps its
-    single difference (prefix sum collapses to u_0) and the last row is the
-    undifferenced terminal condition 2 lam u_{n-1} + 2 big_gamma delta sum u,
-    whose sum term is handled by a rank-one correction in the solver.
-    """
-    lam, gamma = costs.lam, costs.gamma
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -2.0 * lam
-    ab[1, :] = 4.0 * lam + 2.0 * gamma * delta * delta
-    ab[1, 0] = 2.0 * lam + 2.0 * gamma * delta * delta
-    ab[1, -1] = 2.0 * lam
-    ab[2, : n - 2] = -2.0 * lam
-    return ab
-
-
 def solve_discrete(problem: DiscreteProblem) -> TradePlan:
     """Exact maximizer of the discrete objective, in O(n).
 
-    The differenced tridiagonal system is equivalent to H u = b by invertible
-    row operations; the rank-one sum term of the terminal row is removed with
-    one extra banded solve (Sherman-Morrison).
+    The backward pass computes the coefficients a_i, b_i of the goal to go
+    V_i (module docstring); the forward pass reads off the rates from X_0.
     """
-    from scipy.linalg import solve_banded  # not at module load: only oracle solves need it
-
     costs = problem.costs
-    n, delta = problem.n_steps, problem.delta
-    ab = _difference_bands(costs, n, delta)
-    e_last = np.zeros(n)
-    e_last[-1] = 1.0
-    z = solve_banded((1, 1), ab, e_last, check_finite=False)
-    coeff = 2.0 * costs.big_gamma * delta
-    denom = 1.0 + coeff * float(np.sum(z))
-    b = _rhs(problem)
-    c = np.empty(n)
-    c[0] = b[0] - b[1]
-    c[1 : n - 1] = 2.0 * b[1 : n - 1] - b[: n - 2] - b[2:]
-    c[n - 1] = b[n - 1]
-    y = solve_banded((1, 1), ab, c, check_finite=False)
-    u = y - z * (coeff * float(np.sum(y)) / denom)
-    return _plan_from_rates(problem, u)
-
-
-def solve_discrete_many(problems: Sequence[DiscreteProblem]) -> list[TradePlan]:
-    """solve_discrete of each problem; the problems may differ in n_steps, delta and costs."""
-    return [solve_discrete(p) for p in problems]
+    n, delta, lam = problem.n_steps, problem.delta, costs.lam
+    gamma_delta = costs.gamma * delta
+    prices = problem.prices().tolist()
+    a = [0.0] * (n + 1)
+    b = [0.0] * (n + 1)
+    a[n], b[n] = costs.big_gamma, prices[n]
+    for i in range(n - 1, -1, -1):
+        a_next_delta = a[i + 1] * delta
+        denom = lam + a_next_delta
+        a[i] = gamma_delta + lam * a[i + 1] / denom
+        b[i] = (lam * b[i + 1] + a_next_delta * prices[i]) / denom
+    u = [0.0] * n
+    x = costs.x0
+    for i in range(n):
+        rate = (2.0 * a[i + 1] * x + prices[i] - b[i + 1]) / (2.0 * (lam + a[i + 1] * delta))
+        u[i] = rate
+        x -= rate * delta
+    return _plan_from_rates(problem, np.array(u))
 
 
 def _solve_dense(problem: DiscreteProblem) -> TradePlan:
-    """Reference solver: dense Cholesky of H itself.
+    """Reference solver: a dense solve of H u = b itself.
 
-    O(n^3); kept as the independent route the fast solver is tested against.
+    O(n^3); kept as the independent route the recursion is tested against.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     h = _hessian(problem.costs, problem.n_steps, problem.delta)
-    try:
-        factor = cho_factor(h, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # unreachable for positive costs
-        raise RuntimeError("discrete Hessian lost positive definiteness") from exc
-    return _plan_from_rates(problem, cho_solve(factor, _rhs(problem), check_finite=False))
+    return _plan_from_rates(problem, np.linalg.solve(h, _rhs(problem)))
 
 
 def discrete_goal(problem: DiscreteProblem, rates) -> float:

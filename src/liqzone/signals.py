@@ -136,15 +136,19 @@ class _Model:
 
     The defaults fit an uncapped price started at p0 with no signal: paths
     are p0 plus sigma times Brownian sums, the capped price is the level
-    itself, and the signal curve _v1_curve is zero.  An uncapped model's v1
-    depends on t alone, so _v1 and the Monte Carlo table (_CurveSignalTable)
-    read that curve; capped models override both.  Subclasses override what
-    differs.
+    itself, the expected level path _expected_levels is p0 throughout, and
+    the signal curve _v1_curve is zero.  An uncapped model's v1 depends on t
+    alone, so _v1 and the Monte Carlo table (_CurveSignalTable) read that
+    curve; capped models override both.  Subclasses override what differs.
     """
 
     def _fixed_levels(self, grid: np.ndarray):
         """Levels on the grid for a noiseless model; None when paths need normals."""
         return None
+
+    def _expected_levels(self, grid: np.ndarray) -> np.ndarray:
+        """Expected uncapped level at every point of a time grid, for an uncapped model."""
+        return np.full(grid.size, self.p0)
 
     def _to_levels(self, m: np.ndarray, grid: np.ndarray) -> None:
         """Turn scaled Brownian sums m (time-major, in place) into uncapped levels."""
@@ -420,13 +424,15 @@ class DeterministicDrift(_Model):
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
-    def _fixed_levels(self, grid):
+    def _expected_levels(self, grid):
         a = np.interp(grid, self.times, self.values)
         out = np.empty_like(grid)
         out[0] = self.p0
         np.cumsum(0.5 * np.diff(grid) * (a[:-1] + a[1:]), out=out[1:])
         out[1:] += self.p0
         return out
+
+    _fixed_levels = _expected_levels  # no noise: the paths are the expected path
 
     def _v1_curve(self, kernel, lam, grid):
         return v1_curve_deterministic(self, kernel, lam, grid)
@@ -445,7 +451,7 @@ class Martingale(_Model):
         _check_p0(self.p0)
 
     def _fixed_levels(self, grid):
-        return np.full(grid.size, self.p0) if self.sigma == 0.0 else None
+        return self._expected_levels(grid) if self.sigma == 0.0 else None
 
 
 MarketModel = CappedBachelier | CappedBlackScholes | DeterministicDrift | Martingale

@@ -35,7 +35,7 @@ from liqzone import (
     probe_optimality,
     rate_surface,
     simulate_path,
-    solve_discrete_many,
+    solve_discrete,
     trajectory_from_signal,
     urgency,
     v1_curve_deterministic,
@@ -126,9 +126,8 @@ def test_discrete_optimizer_matches_closed_form_trajectories():
     errors = {0.0: [], level: []}
     u0_errors = []
     for n in ns:
-        problems = [DiscreteProblem.uniform(UNIT_COSTS, n, 0.0),
-                    DiscreteProblem.uniform(UNIT_COSTS, n, level)]
-        plans = solve_discrete_many(problems)
+        plans = [solve_discrete(DiscreteProblem.uniform(UNIT_COSTS, n, lvl))
+                 for lvl in (0.0, level)]
         grid = np.linspace(0.0, UNIT_COSTS.horizon, n + 1)
         for lvl, plan in zip((0.0, level), plans):
             if lvl == 0.0:

@@ -10,6 +10,7 @@ import pytest
 from liqzone import (
     CappedBachelier,
     CostParams,
+    DeterministicDrift,
     GKernel,
     QuadratureError,
     TargetZoneState,
@@ -18,7 +19,7 @@ from liqzone import (
     estimate_value,
     urgency,
 )
-from liqzone.cli import _KEYS, ConfigError, _write_csv, load_config, main
+from liqzone.cli import _KEYS, _MODELS, ConfigError, _write_csv, load_config, main
 from liqzone.signals import _CappedSignalTable
 
 BASE = """
@@ -271,14 +272,29 @@ n_steps = 40
     assert "initial rate error" in out
 
 
-def test_verify_rejects_steps_beyond_oracle_roundoff(tmp_path, monkeypatch, capsys):
-    def solve(*args, **kwargs):
-        raise AssertionError("solved before checking n_steps")
+@pytest.mark.parametrize("costs, steps", [
+    ("lambda = 1.0\ngamma = 0.3\nbig_gamma = 7.0", 2**18),
+    ("lambda = 0.1\ngamma = 1e-5\nbig_gamma = 1e-5", 2**19),
+], ids=["lambda_1_at_2^18", "small_costs_at_2^19"])
+def test_verify_passes_on_fine_ladders(tmp_path, capsys, costs, steps):
+    # the oracle keeps first order down to the finest steps of the ladder
+    cfg = BASE.replace("model = bachelier-capped", "model = martingale").replace(
+        "lambda = 0.1\ngamma = 1.0\nbig_gamma = 1.0", costs)
+    assert main(["verify", "--config", write(tmp_path, cfg), "--steps", str(steps)]) == 0
+    assert "verify: PASS" in capsys.readouterr().out
 
-    monkeypatch.setattr("liqzone.cli.solve_discrete", solve)
-    cfg = BASE.replace("model = bachelier-capped", "model = martingale")
-    assert main(["verify", "--config", write(tmp_path, cfg), "--steps", str(2**18 + 1)]) == 2
-    assert "'n_steps'" in capsys.readouterr().err
+
+def test_verify_checks_the_models_own_drift_curve(tmp_path, monkeypatch, capsys):
+    # a drift model whose a(t) is not the constant drift key: the oracle must
+    # optimize against the model's price path, as the closed form does
+    def build(cfg):
+        return DeterministicDrift(times=[0.0, 0.5, 1.0], values=[0.5, -0.5, 0.5], p0=cfg.m0)
+
+    monkeypatch.setitem(_MODELS, "drift", _MODELS["drift"]._replace(build=build))
+    cfg = BASE.replace("model = bachelier-capped", "model = drift").replace(
+        "lambda = 0.1", "lambda = 1.0")
+    assert main(["verify", "--config", write(tmp_path, cfg)]) == 0
+    assert "verify: PASS" in capsys.readouterr().out
 
 
 def test_verify_rejects_capped_models(tmp_path):

@@ -17,14 +17,11 @@ import pytest
 from liqzone import (
     CappedBlackScholes,
     CostParams,
-    DiscreteProblem,
     GKernel,
     bachelier_lookback_price,
     bs_theta,
     rate_surface,
-    solve_discrete,
 )
-from liqzone.oracle import _solve_dense
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -78,18 +75,28 @@ def test_bachelier_commands_leave_scipy_out(command, tmp_path):
     assert (tmp_path / "out.csv").read_text().count("\n") > 1
 
 
+def test_verify_leaves_scipy_out(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = martingale\nm0 = 1.0\nlambda = 0.1\ngamma = 1.0\nbig_gamma = 1.0\n"
+                   "n_steps = 400\n")
+    out = _run(f"""
+        import sys
+        from liqzone.cli import main
+        assert main(["verify", "--config", {str(cfg)!r}]) == 0
+        print({SCIPY_LOADED})
+    """)
+    assert out.strip().endswith("verify: PASS (n = 4, 40, 400)\n[]")
+
+
 def _values():
     """Floats of every function that loads scipy at first use."""
     costs = CostParams(lam=0.1, gamma=1.0, big_gamma=1.0, horizon=1.0, x0=1.0)
     model = CappedBlackScholes(m0=1.0, sigma=0.5, p_bar=1.05)
     surf = rate_surface(GKernel.from_costs(costs), costs, model, [0.5], [0.05], x=1.0, bs_m=1.0)
-    problem = DiscreteProblem.uniform(costs, 16, -0.1)
     return {
         "bs_theta": bs_theta(0.3, 1.2, 0.9, 0.5, 1.05),
         "lookback": bachelier_lookback_price(0.3, 0.1, 0.5),
         "bs_cell": float(surf.rate_extra[0, 0]),
-        "solve_discrete": solve_discrete(problem).rates.tolist(),
-        "solve_dense": _solve_dense(problem).rates.tolist(),
     }
 
 

@@ -13,7 +13,6 @@ from liqzone import (
     concavity_probe,
     discrete_goal,
     solve_discrete,
-    solve_discrete_many,
     urgency,
 )
 
@@ -106,30 +105,9 @@ def test_negative_drift_front_loads_selling():
     assert falling.positions[64] < flat.positions[64]
 
 
-def test_batched_solver_matches_single_solves():
-    # each problem is solved on its own, so steps, step size and costs may differ
-    problems = [
-        DiscreteProblem.uniform(UNIT_COSTS, 64, drift_level=level)
-        for level in (0.0, -0.1, 0.3)
-    ] + [
-        DiscreteProblem.uniform(UNIT_COSTS, 128, drift_level=-0.1),
-        DiscreteProblem.uniform(UNIT, 7, drift_level=0.3),
-        DiscreteProblem(costs=CostParams(lam=2.0, gamma=0.3, big_gamma=7.0,
-                                         horizon=2.5, x0=4.0),
-                        n_steps=3, delta=2.5 / 3, drift=np.array([0.1, -0.2, 0.05])),
-    ]
-    batched = solve_discrete_many(problems)
-    assert len(batched) == len(problems)
-    for problem, plan in zip(problems, batched):
-        single = solve_discrete(problem)
-        for name in ("grid", "positions", "rates"):
-            assert np.array_equal(getattr(plan, name), getattr(single, name))
-    assert solve_discrete_many([]) == []
-
-
-def test_banded_solver_matches_dense_reference():
-    # the production solver row-reduces H u = b to a tridiagonal system plus
-    # a rank-one correction; the dense Cholesky of H itself must agree
+def test_solver_matches_dense_reference():
+    # the production solver runs the dynamic-programming recursion on the
+    # goal to go; a dense solve of the stationarity system H u = b must agree
     from liqzone.oracle import _solve_dense
 
     rng = np.random.default_rng(3)
@@ -138,7 +116,10 @@ def test_banded_solver_matches_dense_reference():
                       CostParams(lam=0.1, gamma=1e-5, big_gamma=1e-5,
                                  horizon=1.0, x0=1.0),
                       CostParams(lam=2.0, gamma=0.3, big_gamma=7.0,
-                                 horizon=2.5, x0=4.0)):
+                                 horizon=2.5, x0=4.0),
+                      # beta T = sqrt(gamma / lam) T = 31.6
+                      CostParams(lam=0.01, gamma=0.01 * 31.6**2, big_gamma=1.0,
+                                 horizon=1.0, x0=1.0)):
             delta = costs.horizon / n
             for drift in (np.zeros(n), np.full(n, -0.1 * delta),
                           rng.normal(0.0, 0.02, n)):
@@ -148,7 +129,7 @@ def test_banded_solver_matches_dense_reference():
                 dense = _solve_dense(problem)
                 scale = float(np.max(np.abs(dense.rates)))
                 np.testing.assert_allclose(fast.rates, dense.rates,
-                                           rtol=0.0, atol=1e-9 * scale)
+                                           rtol=0.0, atol=1e-12 * scale)
 
 
 def test_dimension_and_argument_validation():
