@@ -315,9 +315,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     u0_err = abs(u0_disc - u0_exact) / abs(u0_exact)
     order = math.log(traj_errors[0] / traj_errors[-1]) / math.log(ns[-1] / ns[0])
-    # Richardson-extrapolate the O(delta) terminal residual to delta -> 0
-    r_mid, r_fine = terminal_residuals[-2], terminal_residuals[-1]
-    extrapolated = r_fine - (r_mid - r_fine) / (ns[-1] / ns[-2] - 1.0)
+    # the terminal residual's delta -> 0 value: the polynomial in delta through
+    # every rung (with two rungs, one Richardson step on the O(delta) term)
+    deltas = costs.horizon / np.array(ns, dtype=float)
+    extrapolated = np.polynomial.polynomial.polyfit(deltas, terminal_residuals, len(ns) - 1)[0]
     terminal_scale = max(1.0, kernel.gamma_ratio * abs(x_n))
 
     checks = [

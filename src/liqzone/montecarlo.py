@@ -16,19 +16,21 @@ Riemann sums and a forward-Euler inventory update,
 which is exactly the discrete objective the verification oracle maximizes.
 Reductions over paths always run in path-index order.
 
-Policies are callables (t, x, state) -> selling rate; the engine passes x
-and the state components as aligned arrays (one entry per path).  The
-optimal policy takes its signal term from the model's signal table
-(liqzone.signals).  For the capped models that is one table per policy,
-built on its first query: rows over a uniform grid in a scaled moneyness z,
-on Chebyshev nodes in root = sigma sqrt(T - t).  A query interpolates the
-rows in root, then linearly in z.  The linear z step sets the rate error:
-below 1e-4 relative up to beta T ~ 3 (1.3e-5 at small costs, 8.1e-5 at
-beta T = 3.2), growing about in proportion to beta T beyond (7.9e-4 at
-beta T = 32), worst just off the barrier.
+Policies are callables (t, x, state) -> selling rate.  ac_policy and
+optimal_policy are one feedback class, u = urgency(t) * x + extra, whose
+extra is the engine's lookup of the model's signal table (liqzone.signals);
+the signal-free policy has no table.  Any other callable is called at every
+step with x and a MarketState as arrays with one entry per path.  For the
+capped models the table is one per policy, built on its first query: rows
+over a uniform grid in a scaled moneyness z, on Chebyshev nodes in root =
+sigma sqrt(T - t).  A query interpolates the rows in root, then linearly in
+z.  The linear z step sets the rate error: below 1e-4 relative up to beta T
+~ 3 (1.3e-5 at small costs, 8.1e-5 at beta T = 3.2), growing about in
+proportion to beta T beyond (7.9e-4 at beta T = 32), worst just off the
+barrier.
 
 One engine serves every entry point: _simulate turns per-path normals into
-levels and capped prices, _batches walks the paths batch_size at a time,
+levels and capped prices, _batches walks the paths _BATCH_DEFAULT at a time,
 _run_batch runs every policy of a call down a batch in one step loop, and
 _one_pass folds each batch into per-path rows with a list of reductions
 (policy totals, the v1^2 sum, the probe's linear functionals).  Each
@@ -173,13 +175,12 @@ def _simulate(model, horizon, n_steps, count, draw):
     """(grid, m, p): levels and capped prices, time-major (n_steps + 1, count).
 
     draw(block, offset) fills each row k of a (rows, n_steps) block with the
-    standard normals of path offset + k; it is not called for a noiseless
-    model.
+    standard normals of path offset + k; it is not called when sigma is 0,
+    where every path is the model's expected level path.
     """
     grid = np.linspace(0.0, horizon, n_steps + 1)
-    fixed = model._fixed_levels(grid)
-    if fixed is not None:
-        m = np.broadcast_to(fixed[:, None], (n_steps + 1, count)).copy()
+    if model.sigma == 0.0:
+        m = np.broadcast_to(model._expected_levels(grid)[:, None], (n_steps + 1, count)).copy()
         return grid, m, m
     m = np.empty((n_steps + 1, count))
     m[0] = 0.0
@@ -246,11 +247,11 @@ def _simulate_batch(model, horizon, n_steps, master_seed, first_index, count):
     return _simulate(model, horizon, n_steps, count, draw)
 
 
-def _batches(model, horizon, n_steps, master_seed, n_paths, batch_size):
-    """Yield (slice of path indices, grid, m, p) over consecutive batches."""
+def _batches(model, horizon, n_steps, master_seed, n_paths):
+    """Yield (slice of path indices, grid, m, p) over consecutive batches of _BATCH_DEFAULT."""
     done = 0
     while done < n_paths:
-        count = min(batch_size, n_paths - done)
+        count = min(_BATCH_DEFAULT, n_paths - done)
         grid, m, p = _simulate_batch(model, horizon, n_steps, master_seed, done, count)
         yield slice(done, done + count), grid, m, p
         done += count
@@ -260,20 +261,12 @@ def _batches(model, horizon, n_steps, master_seed, n_paths, batch_size):
 # policies
 
 
-def ac_policy(kernel: GKernel) -> Callable:
-    """Signal-free policy u = urgency(t) * x."""
-
-    def policy(t, x, state):
-        return urgency(kernel, t) * np.asarray(x, dtype=float)
-
-    return policy
-
-
 class _FeedbackPolicy:
     """u = urgency(t) * x + extra, with extra the signal table's value at (t, state).
 
-    The engine looks the table up itself, once per step for all that read
-    it, and hands the value to rate().
+    With no table it is the signal-free policy.  The engine looks each table
+    up itself, once per step for all that read it, and hands the value to
+    rate().
     """
 
     def __init__(self, kernel: GKernel, signal_table):
@@ -281,10 +274,18 @@ class _FeedbackPolicy:
         self.signal_table = signal_table
 
     def rate(self, t, x, extra):
-        return urgency(self.kernel, t) * np.asarray(x, dtype=float) + extra
+        u = urgency(self.kernel, t) * x
+        return u if self.signal_table is None else u + extra
 
     def __call__(self, t, x, state):
-        return self.rate(t, x, self.signal_table.extra_values(t, state.p, state.m))
+        table = self.signal_table
+        extra = None if table is None else table.extra_values(t, state.p, state.m)
+        return self.rate(t, np.asarray(x, dtype=float), extra)
+
+
+def ac_policy(kernel: GKernel) -> Callable:
+    """Signal-free policy u = urgency(t) * x."""
+    return _FeedbackPolicy(kernel, None)
 
 
 def optimal_policy(model, kernel: GKernel, costs: CostParams) -> Callable:
@@ -331,32 +332,36 @@ def _run_batch(grid, p, m, policies, costs, square=None, collect=False) -> _Batc
 
     Each signal table in play, square's and each feedback policy's, is looked
     up once per step.  The value feeds the policy's rate and, for square,
-    the left Riemann sum of v1^2 with step costs.horizon / n_steps.  With
-    collect, the positions X and rates U of every policy are kept.
+    the left Riemann sum of v1^2 with step costs.horizon / n_steps.  Any
+    other callable is called with a MarketState.  Inventory, cash and running
+    penalty start as scalars, so the signal-free inventory stays one number
+    per step.  With collect, the positions X and rates U of every policy are
+    kept.
     """
     n_grid, count = p.shape
     n_steps = n_grid - 1
     dt = float(grid[1] - grid[0])
-    signals = [getattr(policy, "signal_table", None) for policy in policies]
+    signals = [policy.signal_table for policy in policies if isinstance(policy, _FeedbackPolicy)]
     tables = {id(table): table for table in (square, *signals) if table is not None}
-    x = [np.full(count, float(costs.x0)) for _ in policies]
-    cash = [np.zeros(count) for _ in policies]
-    run_pen = [np.zeros(count) for _ in policies]
+    x = [float(costs.x0)] * len(policies)
+    cash = [0.0] * len(policies)
+    run_pen = [0.0] * len(policies)
     xs = [np.empty((n_grid, count)) for _ in policies] if collect else []
     us = [np.empty((n_steps, count)) for _ in policies] if collect else []
     v1_squared = None if square is None else np.zeros(count)
     v0_dt = costs.horizon / n_steps
     for i in range(n_steps):
         t, p_i, m_i = float(grid[i]), p[i], m[i]
-        extra = {key: np.asarray(table.extra_values(t, p_i, m_i), dtype=float)
-                 for key, table in tables.items()}
+        extra = {key: table.extra_values(t, p_i, m_i) for key, table in tables.items()}
         if v1_squared is not None:
             v1_squared += np.square(extra[id(square)]) * v0_dt
-        for k, (policy, signal) in enumerate(zip(policies, signals)):
-            u = np.asarray(policy(t, x[k], MarketState(p=p_i, m=m_i)) if signal is None
-                           else policy.rate(t, x[k], extra[id(signal)]), dtype=float)
-            if u.shape != x[k].shape:
-                u = np.broadcast_to(u, x[k].shape)
+        for k, policy in enumerate(policies):
+            if isinstance(policy, _FeedbackPolicy):
+                # a policy with no table finds no extra and ignores it
+                u = policy.rate(t, x[k], extra.get(id(policy.signal_table)))
+            else:
+                u = policy(t, np.broadcast_to(x[k], (count,)), MarketState(p=p_i, m=m_i))
+                u = np.broadcast_to(np.asarray(u, dtype=float), (count,))
             if collect:
                 xs[k][i] = x[k]
                 us[k][i] = u
@@ -365,7 +370,8 @@ def _run_batch(grid, p, m, policies, costs, square=None, collect=False) -> _Batc
             x[k] = x[k] - u * dt
     for k in range(len(xs)):
         xs[k][n_steps] = x[k]
-    goals = [GoalBreakdown.build(c, p[-1] * x_end, r, costs.big_gamma * np.square(x_end))
+    goals = [GoalBreakdown.build(*(np.broadcast_to(part, (count,)) for part in
+                                   (c, p[-1] * x_end, r, costs.big_gamma * np.square(x_end))))
              for c, x_end, r in zip(cash, x, run_pen)]
     return _BatchRun(p, goals, list(zip(xs, us)), v1_squared)
 
@@ -377,7 +383,7 @@ def _check_mc_args(n_paths, n_steps):
         raise ValueError("n_steps must be >= 1")
 
 
-def _one_pass(model, costs, n_paths, n_steps, master_seed, batch_size, reductions,
+def _one_pass(model, costs, n_paths, n_steps, master_seed, reductions,
               policies=(), square=None, collect=False) -> list[np.ndarray]:
     """Simulate each batch once, run it once and fold it with every reduction.
 
@@ -386,7 +392,7 @@ def _one_pass(model, costs, n_paths, n_steps, master_seed, batch_size, reduction
     """
     _check_mc_args(n_paths, n_steps)
     out = [None] * len(reductions)
-    for sl, grid, m, p in _batches(model, costs.horizon, n_steps, master_seed, n_paths, batch_size):
+    for sl, grid, m, p in _batches(model, costs.horizon, n_steps, master_seed, n_paths):
         run = _run_batch(grid, p, m, policies, costs, square, collect)
         for k, reduce in enumerate(reductions):
             rows = reduce(run)
@@ -416,18 +422,17 @@ def _estimate(totals: np.ndarray, seed: int) -> MCEstimate:
     )
 
 
-def estimate_value(model, policy, costs, n_paths, n_steps, master_seed,
-                   batch_size=_BATCH_DEFAULT) -> MCEstimate:
+def estimate_value(model, policy, costs, n_paths, n_steps, master_seed) -> MCEstimate:
     """Mean realized goal of a policy over n_paths streams of master_seed."""
-    totals, = _one_pass(model, costs, n_paths, n_steps, master_seed, batch_size,
+    totals, = _one_pass(model, costs, n_paths, n_steps, master_seed,
                         [_total(0)], policies=[policy])
     return _estimate(totals, master_seed)
 
 
 def paired_value_difference(model, policy_a, policy_b, costs, n_paths, n_steps,
-                            master_seed, batch_size=_BATCH_DEFAULT) -> PairedComparison:
+                            master_seed) -> PairedComparison:
     """Both policies on the same paths; difference = per-path (a - b)."""
-    tot_a, tot_b = _one_pass(model, costs, n_paths, n_steps, master_seed, batch_size,
+    tot_a, tot_b = _one_pass(model, costs, n_paths, n_steps, master_seed,
                              [_total(0), _total(1)], policies=[policy_a, policy_b])
     return PairedComparison(
         value_a=_estimate(tot_a, master_seed),
@@ -436,27 +441,26 @@ def paired_value_difference(model, policy_a, policy_b, costs, n_paths, n_steps,
     )
 
 
-def estimate_v0(model, kernel, costs, n_paths, n_steps, master_seed,
-                batch_size=_BATCH_DEFAULT) -> MCEstimate:
+def estimate_v0(model, kernel, costs, n_paths, n_steps, master_seed) -> MCEstimate:
     """Estimate v0(0) = E int_0^T v1(t)^2 dt along simulated paths.
 
     v1 at each left grid point is the state's signal term (zero for a
     martingale, deterministic for a drift curve); left-endpoint Riemann sum.
     """
-    totals, = _one_pass(model, costs, n_paths, n_steps, master_seed, batch_size,
+    totals, = _one_pass(model, costs, n_paths, n_steps, master_seed,
                         [_v1_squared], square=model._signal_table(kernel, costs.lam))
     return _estimate(totals, master_seed)
 
 
-def estimate_v0_and_value(model, kernel, costs, n_paths, n_steps, master_seed,
-                          batch_size=_BATCH_DEFAULT) -> tuple[MCEstimate, MCEstimate]:
+def estimate_v0_and_value(model, kernel, costs, n_paths, n_steps,
+                          master_seed) -> tuple[MCEstimate, MCEstimate]:
     """(estimate_v0, estimate_value of optimal_policy) from one pass over the paths.
 
     Both read the one signal lookup per step, and each equals its separate
     call bit for bit.
     """
     policy = optimal_policy(model, kernel, costs)
-    v1_squared, totals = _one_pass(model, costs, n_paths, n_steps, master_seed, batch_size,
+    v1_squared, totals = _one_pass(model, costs, n_paths, n_steps, master_seed,
                                    [_v1_squared, _total(0)], policies=[policy],
                                    square=policy.signal_table)
     return _estimate(v1_squared, master_seed), _estimate(totals, master_seed)
@@ -499,7 +503,7 @@ def _probe_alphas(probe_seed: int, n_directions: int, n_knots: int) -> np.ndarra
 
 def probe_optimality(model, kernel, costs, n_paths, n_steps, master_seed,
                      n_directions=20, n_knots=8, epsilons=(-0.2, -0.05, 0.05, 0.2),
-                     probe_seed=7, batch_size=_BATCH_DEFAULT) -> OptimalityProbe:
+                     probe_seed=7) -> OptimalityProbe:
     """Test first-order optimality of the model's policy by perturbation.
 
     For each random direction alpha (piecewise constant on n_knots equal time
@@ -547,7 +551,7 @@ def probe_optimality(model, kernel, costs, n_paths, n_steps, master_seed,
                 + us.T @ w_rate
                 + xs[:-1].T @ w_pos + np.outer(xs[-1], c_pos))
 
-    totals, lin = _one_pass(model, costs, n_paths, n_steps, master_seed, batch_size,
+    totals, lin = _one_pass(model, costs, n_paths, n_steps, master_seed,
                             [_total(0), functionals], policies=[policy], collect=True)
 
     eps = np.asarray(epsilons, dtype=float)

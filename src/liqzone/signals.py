@@ -142,10 +142,6 @@ class _Model:
     curve; capped models override both.  Subclasses override what differs.
     """
 
-    def _fixed_levels(self, grid: np.ndarray):
-        """Levels on the grid for a noiseless model; None when paths need normals."""
-        return None
-
     def _expected_levels(self, grid: np.ndarray) -> np.ndarray:
         """Expected uncapped level at every point of a time grid, for an uncapped model."""
         return np.full(grid.size, self.p0)
@@ -412,6 +408,7 @@ class DeterministicDrift(_Model):
     times: np.ndarray
     values: np.ndarray
     p0: float
+    sigma = 0.0  # not a field: no noise, every path is the expected path
 
     def __post_init__(self):
         times = _check_grid("drift curve times", self.times)
@@ -432,8 +429,6 @@ class DeterministicDrift(_Model):
         out[1:] += self.p0
         return out
 
-    _fixed_levels = _expected_levels  # no noise: the paths are the expected path
-
     def _v1_curve(self, kernel, lam, grid):
         return v1_curve_deterministic(self, kernel, lam, grid)
 
@@ -449,9 +444,6 @@ class Martingale(_Model):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
         _check_p0(self.p0)
-
-    def _fixed_levels(self, grid):
-        return self._expected_levels(grid) if self.sigma == 0.0 else None
 
 
 MarketModel = CappedBachelier | CappedBlackScholes | DeterministicDrift | Martingale

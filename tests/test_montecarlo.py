@@ -37,9 +37,11 @@ from liqzone import (
     probe_optimality,
     run_strategy,
     simulate_path,
+    urgency,
     value_formula,
     TargetZoneState,
 )
+from liqzone import montecarlo
 from liqzone.montecarlo import _PATH_BLOCK, _probe_alphas, _simulate_batch
 from liqzone.signals import _Z_SLACK, _barycentric
 
@@ -230,25 +232,32 @@ def test_estimate_value_sigma_zero_has_zero_error():
     assert est.mean == pytest.approx(bk.total, rel=1e-14)
 
 
-def test_estimate_value_batch_size_independent():
-    est_a = estimate_value(BACH, ac_policy(GKernel.from_costs(UNIT_COSTS)), UNIT_COSTS,
-                           n_paths=300, n_steps=64, master_seed=17, batch_size=64)
-    est_b = estimate_value(BACH, ac_policy(GKernel.from_costs(UNIT_COSTS)), UNIT_COSTS,
-                           n_paths=300, n_steps=64, master_seed=17, batch_size=256)
+def _at_batch_size(monkeypatch, size, estimator, *args, **kwargs):
+    monkeypatch.setattr(montecarlo, "_BATCH_DEFAULT", size)
+    return estimator(*args, **kwargs)
+
+
+def test_estimate_value_batch_size_independent(monkeypatch):
+    est_a, est_b = (_at_batch_size(monkeypatch, size, estimate_value, BACH,
+                                   ac_policy(GKernel.from_costs(UNIT_COSTS)), UNIT_COSTS,
+                                   n_paths=300, n_steps=64, master_seed=17)
+                    for size in (64, 256))
     assert est_a.mean == est_b.mean
     assert est_a.std_error == est_b.std_error
 
 
-def test_paired_and_probe_batch_size_independent():
+def test_paired_and_probe_batch_size_independent(monkeypatch):
     kernel = GKernel.from_costs(SMALL_COSTS)
     policies = (optimal_policy(BACH, kernel, SMALL_COSTS), ac_policy(kernel))
     n_paths = 300
     args = dict(n_paths=n_paths, n_steps=64, master_seed=17)
     sizes = (64, 256, n_paths)
-    paired = [paired_value_difference(BACH, *policies, SMALL_COSTS, batch_size=size, **args)
+    paired = [_at_batch_size(monkeypatch, size, paired_value_difference, BACH, *policies,
+                             SMALL_COSTS, **args)
               for size in sizes]
     assert paired[0] == paired[1] == paired[2]
-    probes = [probe_optimality(BACH, kernel, SMALL_COSTS, batch_size=size, **args)
+    probes = [_at_batch_size(monkeypatch, size, probe_optimality, BACH, kernel, SMALL_COSTS,
+                             **args)
               for size in sizes]
     for probe in probes[1:]:
         assert probe.value == probes[0].value
@@ -266,6 +275,36 @@ def test_paired_difference_uses_common_paths():
         cmp.value_a.mean - cmp.value_b.mean, abs=1e-12)
     independent_se = math.hypot(cmp.value_a.std_error, cmp.value_b.std_error)
     assert cmp.difference.std_error < independent_se
+
+
+@pytest.mark.parametrize("model", [BACH, Martingale(p0=1.0, sigma=0.5)],
+                         ids=["bachelier", "martingale"])
+def test_library_policies_take_the_rate_path(model, monkeypatch):
+    # the optimal and the signal-free policy are both feedback policies: the
+    # engine hands them the table value and never builds a MarketState
+    def refuse(*args, **kwargs):
+        raise AssertionError("a library policy was called with a MarketState")
+
+    monkeypatch.setattr(montecarlo, "MarketState", refuse)
+    kernel = GKernel.from_costs(SMALL_COSTS)
+    args = dict(n_paths=100, n_steps=32, master_seed=3)
+    paired_value_difference(model, optimal_policy(model, kernel, SMALL_COSTS),
+                            ac_policy(kernel), SMALL_COSTS, **args)
+    probe_optimality(model, kernel, SMALL_COSTS, n_directions=2, **args)
+
+
+def test_callable_and_rate_path_agree_bit_for_bit():
+    kernel = GKernel.from_costs(UNIT_COSTS)
+    args = dict(n_paths=300, n_steps=64, master_seed=17)
+    shapes = set()
+
+    def signal_free(t, x, state):
+        shapes.add(np.shape(x))
+        return urgency(kernel, t) * x
+
+    est = estimate_value(BACH, signal_free, UNIT_COSTS, **args)
+    assert shapes == {(args["n_paths"],)}
+    assert est == estimate_value(BACH, ac_policy(kernel), UNIT_COSTS, **args)
 
 
 def test_martingale_value_matches_formula():
@@ -324,11 +363,11 @@ def test_v0_and_value_equal_the_separate_estimates(model):
                                    SMALL_COSTS, **args)
 
 
-def test_v0_and_value_batch_size_independent():
+def test_v0_and_value_batch_size_independent(monkeypatch):
     kernel = GKernel.from_costs(SMALL_COSTS)
     n_paths = 2500
-    runs = [estimate_v0_and_value(BACH, kernel, SMALL_COSTS, n_paths=n_paths, n_steps=32,
-                                  master_seed=5, batch_size=size)
+    runs = [_at_batch_size(monkeypatch, size, estimate_v0_and_value, BACH, kernel, SMALL_COSTS,
+                           n_paths=n_paths, n_steps=32, master_seed=5)
             for size in (1000, 2048, n_paths)]
     assert runs[0] == runs[1] == runs[2]
 
