@@ -14,7 +14,8 @@ Riemann sums and a forward-Euler inventory update,
             - gamma sum_i X_i^2 dt - big_gamma X_N^2,
 
 which is exactly the discrete objective the verification oracle maximizes.
-Reductions over paths always run in path-index order.
+GoalBreakdown sums its total from its parts and PathSample takes m_star
+from m.  Reductions over paths always run in path-index order.
 
 Policies are callables (t, x, state) -> selling rate.  ac_policy and
 optimal_policy are one feedback class, u = urgency(t) * x + extra, whose
@@ -55,12 +56,12 @@ at a time that is summed along each path and copied into the batch
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .schedule import CostParams, GKernel, TradePlan, _check_grid, urgency
+from .schedule import CostParams, GKernel, TradePlan, _check_grid, _check_kernel, urgency
 
 __all__ = [
     "MarketState",
@@ -95,22 +96,23 @@ class MarketState(NamedTuple):
 
 @dataclass(frozen=True)
 class PathSample:
-    """One simulated path: uncapped level m, its running max, and capped price p."""
+    """One simulated path: uncapped level m, capped price p, and m's running max m_star."""
 
     grid: np.ndarray
     m: np.ndarray
-    m_star: np.ndarray
     p: np.ndarray
+    m_star: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "grid", _check_grid("grid", self.grid))
-        for name in ("m", "m_star", "p"):
+        for name in ("m", "p"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != self.grid.shape:
                 raise ValueError(f"{name} must match the grid shape")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
-        if not np.array_equal(np.maximum.accumulate(self.m), self.m_star):
-            raise ValueError("m_star must be the running maximum of m")
+        object.__setattr__(self, "m_star", np.maximum.accumulate(self.m))
         if np.any(self.p > self.m):
             raise ValueError("capped price cannot exceed the uncapped level")
 
@@ -127,12 +129,11 @@ class GoalBreakdown:
     terminal_asset: float
     running_penalty: float
     terminal_penalty: float
-    total: float
+    total: float = field(init=False)
 
-    @classmethod
-    def build(cls, cash, terminal_asset, running_penalty, terminal_penalty):
-        total = cash + terminal_asset - running_penalty - terminal_penalty
-        return cls(cash, terminal_asset, running_penalty, terminal_penalty, total)
+    def __post_init__(self):
+        object.__setattr__(self, "total", self.cash + self.terminal_asset
+                           - self.running_penalty - self.terminal_penalty)
 
 
 @dataclass(frozen=True)
@@ -221,8 +222,7 @@ def simulate_path(model, horizon: float, n_steps: int, rng: np.random.Generator)
         raise ValueError("horizon must be strictly positive")
     grid, m, p = _simulate(model, horizon, n_steps, 1,
                            lambda block, offset: rng.standard_normal(out=block[0]))
-    m = m.ravel()
-    return PathSample(grid=grid, m=m, m_star=np.maximum.accumulate(m), p=p.ravel())
+    return PathSample(grid=grid, m=m.ravel(), p=p.ravel())
 
 
 def _simulate_batch(model, horizon, n_steps, master_seed, first_index, count):
@@ -289,7 +289,11 @@ def ac_policy(kernel: GKernel) -> Callable:
 
 
 def optimal_policy(model, kernel: GKernel, costs: CostParams) -> Callable:
-    """Feedback policy u = urgency(t) * x + extra(t, state) for the given model."""
+    """Feedback policy u = urgency(t) * x + extra(t, state) for the given model.
+
+    The kernel must be GKernel.from_costs(costs), else ValueError.
+    """
+    _check_kernel(kernel, costs)
     return _FeedbackPolicy(kernel, model._signal_table(kernel, costs.lam))
 
 
@@ -315,7 +319,7 @@ def run_strategy(path: PathSample, policy: Callable, costs: CostParams):
     rates = np.append(us[:, 0], np.asarray(u_end, dtype=float))
     parts = (bk.cash, bk.terminal_asset, bk.running_penalty, bk.terminal_penalty)
     return (TradePlan(grid=grid, positions=xs[:, 0], rates=rates),
-            GoalBreakdown.build(*(float(part[0]) for part in parts)))
+            GoalBreakdown(*(float(part[0]) for part in parts)))
 
 
 class _BatchRun(NamedTuple):
@@ -332,7 +336,7 @@ def _run_batch(grid, p, m, policies, costs, square=None, collect=False) -> _Batc
 
     Each signal table in play, square's and each feedback policy's, is looked
     up once per step.  The value feeds the policy's rate and, for square,
-    the left Riemann sum of v1^2 with step costs.horizon / n_steps.  Any
+    the left Riemann sum of v1^2 with the step dt, T / n_steps bit for bit.  Any
     other callable is called with a MarketState.  Inventory, cash and running
     penalty start as scalars, so the signal-free inventory stays one number
     per step.  With collect, the positions X and rates U of every policy are
@@ -349,12 +353,11 @@ def _run_batch(grid, p, m, policies, costs, square=None, collect=False) -> _Batc
     xs = [np.empty((n_grid, count)) for _ in policies] if collect else []
     us = [np.empty((n_steps, count)) for _ in policies] if collect else []
     v1_squared = None if square is None else np.zeros(count)
-    v0_dt = costs.horizon / n_steps
     for i in range(n_steps):
         t, p_i, m_i = float(grid[i]), p[i], m[i]
         extra = {key: table.extra_values(t, p_i, m_i) for key, table in tables.items()}
         if v1_squared is not None:
-            v1_squared += np.square(extra[id(square)]) * v0_dt
+            v1_squared += np.square(extra[id(square)]) * dt
         for k, policy in enumerate(policies):
             if isinstance(policy, _FeedbackPolicy):
                 # a policy with no table finds no extra and ignores it
@@ -370,8 +373,8 @@ def _run_batch(grid, p, m, policies, costs, square=None, collect=False) -> _Batc
             x[k] = x[k] - u * dt
     for k in range(len(xs)):
         xs[k][n_steps] = x[k]
-    goals = [GoalBreakdown.build(*(np.broadcast_to(part, (count,)) for part in
-                                   (c, p[-1] * x_end, r, costs.big_gamma * np.square(x_end))))
+    goals = [GoalBreakdown(*(np.broadcast_to(part, (count,)) for part in
+                             (c, p[-1] * x_end, r, costs.big_gamma * np.square(x_end))))
              for c, x_end, r in zip(cash, x, run_pen)]
     return _BatchRun(p, goals, list(zip(xs, us)), v1_squared)
 
@@ -446,7 +449,9 @@ def estimate_v0(model, kernel, costs, n_paths, n_steps, master_seed) -> MCEstima
 
     v1 at each left grid point is the state's signal term (zero for a
     martingale, deterministic for a drift curve); left-endpoint Riemann sum.
+    The kernel must be GKernel.from_costs(costs), else ValueError.
     """
+    _check_kernel(kernel, costs)
     totals, = _one_pass(model, costs, n_paths, n_steps, master_seed,
                         [_v1_squared], square=model._signal_table(kernel, costs.lam))
     return _estimate(totals, master_seed)
@@ -495,20 +500,25 @@ class OptimalityProbe:
         return bool(np.all(self.margins <= 0.0))
 
 
-def _probe_alphas(probe_seed: int, n_directions: int, n_knots: int) -> np.ndarray:
-    """Bounded piecewise-constant directions: n_knots values in [-1, 1] each."""
-    rng = np.random.Generator(np.random.Philox(key=int(probe_seed)))
-    return rng.uniform(-1.0, 1.0, size=(n_directions, n_knots))
+_PROBE_KNOTS = 8
+_PROBE_SEED = 7
+_PROBE_EPSILONS = (-0.2, -0.05, 0.05, 0.2)
+
+
+def _probe_alphas(n_directions: int) -> np.ndarray:
+    """Bounded piecewise-constant directions: _PROBE_KNOTS values in [-1, 1] each."""
+    rng = np.random.Generator(np.random.Philox(key=_PROBE_SEED))
+    return rng.uniform(-1.0, 1.0, size=(n_directions, _PROBE_KNOTS))
 
 
 def probe_optimality(model, kernel, costs, n_paths, n_steps, master_seed,
-                     n_directions=20, n_knots=8, epsilons=(-0.2, -0.05, 0.05, 0.2),
-                     probe_seed=7) -> OptimalityProbe:
+                     n_directions=20) -> OptimalityProbe:
     """Test first-order optimality of the model's policy by perturbation.
 
-    For each random direction alpha (piecewise constant on n_knots equal time
-    intervals) and each eps, the realized goal of the open-loop control
-    u + eps * alpha is compared with u on common paths.  The goal is exactly
+    For each random direction alpha (piecewise constant on _PROBE_KNOTS equal
+    time intervals, drawn from the stream keyed by _PROBE_SEED) and each eps
+    in _PROBE_EPSILONS, the realized goal of the open-loop control u + eps *
+    alpha is compared with u on common paths.  The goal is exactly
     quadratic in the control, so the per-path difference
 
         D = eps * L + eps^2 * Q
@@ -528,9 +538,9 @@ def probe_optimality(model, kernel, costs, n_paths, n_steps, master_seed,
     _check_mc_args(n_paths, n_steps)
     policy = optimal_policy(model, kernel, costs)
     dt = costs.horizon / n_steps
-    alphas = _probe_alphas(probe_seed, n_directions, n_knots)
+    alphas = _probe_alphas(n_directions)
     # sample each direction on the step grid (left endpoints)
-    knot_of_step = np.minimum((np.arange(n_steps) * n_knots) // n_steps, n_knots - 1)
+    knot_of_step = np.minimum((np.arange(n_steps) * _PROBE_KNOTS) // n_steps, _PROBE_KNOTS - 1)
     alpha_steps = alphas[:, knot_of_step]                        # (D, n_steps)
     da = -dt * np.concatenate((np.zeros((n_directions, 1)), np.cumsum(alpha_steps, axis=1)), axis=1)
 
@@ -554,7 +564,7 @@ def probe_optimality(model, kernel, costs, n_paths, n_steps, master_seed,
     totals, lin = _one_pass(model, costs, n_paths, n_steps, master_seed,
                             [_total(0), functionals], policies=[policy], collect=True)
 
-    eps = np.asarray(epsilons, dtype=float)
+    eps = np.array(_PROBE_EPSILONS)
     lin_mean = lin.mean(axis=0)
     lin_se = lin.std(axis=0, ddof=1) / math.sqrt(n_paths)
     mean_gain = eps[None, :] * lin_mean[:, None] + eps[None, :]**2 * curvature[:, None]

@@ -1,7 +1,8 @@
 """Independent discrete-time verifier for the closed-form schedules.
 
 The continuous problem with a deterministic price path has an exact
-discrete analogue: maximize over rate vectors u in R^n
+discrete analogue on n steps of length delta = T / n: maximize over rate
+vectors u in R^n
 
     sum_i (P_i - lam u_i) u_i delta + P_n X_n
     - gamma sum_i X_i^2 delta - big_gamma X_n^2,
@@ -63,22 +64,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscreteProblem:
-    """Discrete deterministic schedule problem: n uniform steps of length delta.
+    """Discrete deterministic schedule problem: n uniform steps over the cost horizon.
 
     drift holds the per-step price increments dA_i, so the level-0 price at
     grid point i is the partial sum of drift[:i].
     """
 
     n_steps: int
-    delta: float
     drift: np.ndarray
     costs: CostParams
 
     def __post_init__(self):
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps!r}")
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError(f"delta must be strictly positive, got {self.delta!r}")
         drift = np.asarray(self.drift, dtype=float)
         if drift.shape != (self.n_steps,):
             raise ValueError(
@@ -86,20 +84,18 @@ class DiscreteProblem:
             )
         if not np.all(np.isfinite(drift)):
             raise ValueError("drift increments must be finite")
-        if abs(self.n_steps * self.delta - self.costs.horizon) > 1e-9 * self.costs.horizon:
-            raise ValueError("n_steps * delta must equal the cost horizon")
         object.__setattr__(self, "drift", drift)
+
+    @property
+    def delta(self) -> float:
+        """The step length T / n_steps."""
+        return self.costs.horizon / self.n_steps
 
     @classmethod
     def uniform(cls, costs: CostParams, n_steps: int, drift_level: float = 0.0):
         """Problem on n uniform steps with a constant drift a(t) = drift_level."""
         delta = costs.horizon / n_steps
-        return cls(
-            n_steps=n_steps,
-            delta=delta,
-            drift=np.full(n_steps, drift_level * delta),
-            costs=costs,
-        )
+        return cls(n_steps=n_steps, drift=np.full(n_steps, drift_level * delta), costs=costs)
 
     def prices(self) -> np.ndarray:
         """Level-0 prices at all n_steps + 1 grid points."""

@@ -109,6 +109,13 @@ class GKernel:
         )
 
 
+def _check_kernel(kernel: GKernel, costs: CostParams) -> None:
+    """ValueError naming kernel unless it is GKernel.from_costs(costs)."""
+    expected = GKernel.from_costs(costs)
+    if kernel != expected:
+        raise ValueError(f"kernel must be GKernel.from_costs(costs) = {expected!r}, got {kernel!r}")
+
+
 @dataclass(frozen=True)
 class TradePlan:
     """A schedule sampled on a time grid: positions and selling rates.
@@ -280,8 +287,10 @@ def value_formula(kernel: GKernel, costs: CostParams, p0: float, v0_0: float, v1
 
     p0 * x0 + lam * (v0_0 + 2 * v1_0 * x0 + v2_0 * x0^2) with
     v2_0 = -urgency(0).  v1_0 is the signal term at time 0 and v0_0 the
-    expected integral of the squared signal along the optimal path.
+    expected integral of the squared signal along the optimal path.  The
+    kernel must be GKernel.from_costs(costs), else ValueError.
     """
+    _check_kernel(kernel, costs)
     x = costs.x0
     v2_0 = -urgency(kernel, 0.0)
     return p0 * x + costs.lam * (v0_0 + 2.0 * v1_0 * x + v2_0 * x * x)

@@ -36,14 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import CostParams, GKernel, _check_grid, _log_g, _log_g_array, urgency
+from .schedule import CostParams, GKernel, _check_grid, _check_kernel, _log_g, _log_g_array, urgency
 
 __all__ = [
     "CappedBachelier",
     "CappedBlackScholes",
     "DeterministicDrift",
     "Martingale",
-    "MarketModel",
     "TargetZoneState",
     "QuadratureError",
     "bachelier_theta",
@@ -446,9 +445,6 @@ class Martingale(_Model):
         _check_p0(self.p0)
 
 
-MarketModel = CappedBachelier | CappedBlackScholes | DeterministicDrift | Martingale
-
-
 @dataclass(frozen=True)
 class TargetZoneState:
     """Market state at time t: uncapped level m and capped price p (p <= m)."""
@@ -558,12 +554,13 @@ def _discount_ratio(kernel: GKernel, tau: float, y: np.ndarray) -> np.ndarray:
 def v1_target_zone(kernel: GKernel, costs: CostParams, model, state: TargetZoneState) -> float:
     """Signal term v1 at a state: minus the G-discounted integral of the drift.
 
-    The kernel is expected to be GKernel.from_costs(costs).  Capped models
+    The kernel must be GKernel.from_costs(costs), else ValueError.  Capped models
     integrate the lookback theta after the s = t + tau y^2 substitution on
     adaptive Gauss-Kronrod panels until the error estimate is within
     relative 1e-8, else QuadratureError.  DeterministicDrift integrates its
     curve by trapezoid; Martingale returns exactly 0.  The result is <= 0 for capped models.
     """
+    _check_kernel(kernel, costs)
     tau = model._check_state(state, kernel.horizon)
     return model._v1(kernel, costs.lam, state, tau)
 
@@ -785,8 +782,9 @@ def rate_surface(kernel: GKernel, costs: CostParams, model, grid_tau, grid_money
     grid_money holds moneyness k = p_bar - p >= 0 (strictly increasing).  For
     CappedBlackScholes an uncapped level is required: bs_m is a scalar or one
     value per moneyness column.  The model's m0 is not used; cells are
-    hypothetical states.
+    hypothetical states.  The kernel must be GKernel.from_costs(costs).
     """
+    _check_kernel(kernel, costs)
     taus = _check_grid("taus", grid_tau, min_size=1)
     ks = _check_grid("moneyness", grid_money, min_size=1)
     if np.any(taus <= 0.0) or np.any(taus > kernel.horizon):

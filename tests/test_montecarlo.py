@@ -11,8 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from liqzone import (
     CappedBachelier,
@@ -31,19 +29,23 @@ from liqzone import (
     estimate_v0_and_value,
     estimate_value,
     extra_rate,
+    full_rate,
     optimal_policy,
     paired_value_difference,
     path_stream,
     probe_optimality,
+    rate_surface,
     run_strategy,
     simulate_path,
     urgency,
+    v1_target_zone,
     value_formula,
     TargetZoneState,
 )
 from liqzone import montecarlo
 from liqzone.montecarlo import _PATH_BLOCK, _probe_alphas, _simulate_batch
 from liqzone.signals import _Z_SLACK, _barycentric
+from quad_reference import quad_extra
 
 # a quad reference that did not converge fails the test instead of warning
 pytestmark = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
@@ -165,7 +167,7 @@ def test_goal_breakdown_constant_rate_hand_case():
     costs = CostParams(lam=1.0, gamma=1.0, big_gamma=1.0, horizon=1.0, x0=1.0)
     grid = np.array([0.0, 0.5, 1.0])
     ones = np.ones(3)
-    path = PathSample(grid=grid, m=ones, m_star=ones, p=ones)
+    path = PathSample(grid=grid, m=ones, p=ones)
     plan, bk = run_strategy(path, lambda t, x, state: 0.5, costs)
     np.testing.assert_allclose(plan.positions, [1.0, 0.75, 0.5], atol=1e-15)
     assert bk.cash == pytest.approx(0.25, abs=1e-15)
@@ -179,7 +181,7 @@ def test_run_strategy_rejects_non_uniform_grid():
     # forward Euler steps by grid[1] - grid[0]; on [0, 0.1, 1.0] that would
     # break the plan's exact Euler identity, so the runner refuses the grid
     ones = np.ones(3)
-    path = PathSample(grid=np.array([0.0, 0.1, 1.0]), m=ones, m_star=ones, p=ones)
+    path = PathSample(grid=np.array([0.0, 0.1, 1.0]), m=ones, p=ones)
     with pytest.raises(ValueError, match="grid"):
         run_strategy(path, lambda t, x, state: 0.5, UNIT_COSTS)
 
@@ -204,8 +206,7 @@ def test_realized_total_equals_discrete_goal_plus_level_shift():
     for j in range(4):
         path = simulate_path(model, 1.0, n, path_stream(11, j))
         plan, bk = run_strategy(path, policy, UNIT_COSTS)
-        problem = DiscreteProblem(n_steps=n, delta=1.0 / n,
-                                  drift=np.diff(path.p), costs=UNIT_COSTS)
+        problem = DiscreteProblem(n_steps=n, drift=np.diff(path.p), costs=UNIT_COSTS)
         goal = discrete_goal(problem, plan.rates[:-1])
         assert bk.total - float(path.p[0]) * UNIT_COSTS.x0 == pytest.approx(goal, abs=1e-12)
 
@@ -387,45 +388,6 @@ def test_policy_signal_matches_scalar_extra_rate():
             assert got == pytest.approx(want, rel=1e-4, abs=1e-8)
 
 
-def _quad_extra_rate(model, costs, t, p, m):
-    """Extra rate -v1 by adaptive quadrature, independent of liqzone.signals.
-
-    (1 / 2 lam) int_0^tau G(tau - u) / G(tau) theta(u) du with u = w^2,
-    G(s) = beta cosh(beta s) + g sinh(beta s), and the lookback thetas
-    written out here.
-
-    Raises ValueError for a scaled moneyness 0 < z < 1e-3: there the
-    theta's boundary layer at w ~ z sqrt(tau) is too thin for the
-    breakpoints below, and quad missed by up to 1e-7 relative near
-    z ~ 1e-7 without an IntegrationWarning.  _quad_extra_at_layer in
-    tests/test_signals.py is the piecewise reference that holds there.
-    At z = 0 the layer is gone and the integrand is smooth.
-    """
-    tau = costs.horizon - t
-    beta, g = math.sqrt(costs.gamma / costs.lam), costs.big_gamma / costs.lam
-    g_tau = beta * math.cosh(beta * tau) + g * math.sinh(beta * tau)
-    sig, k = model.sigma, model.p_bar - p
-    bs = isinstance(model, CappedBlackScholes)
-    # the theta's boundary layer sits at w ~ z sqrt(tau), the discount's at 1/sqrt(beta)
-    edge = (math.log1p(k / m) if bs else k) / sig
-    top = math.sqrt(tau)
-    if 0.0 < edge < 1e-3 * top:
-        raise ValueError(f"scaled moneyness {edge / top:.3g} < 1e-3: use _quad_extra_at_layer")
-
-    def integrand(w):
-        s = tau - w * w
-        ratio = (beta * math.cosh(beta * s) + g * math.sinh(beta * s)) / g_tau
-        if not bs:
-            return ratio * 2.0 * sig * norm.pdf(k / (sig * w))
-        f = 0.5 * sig * w - math.log1p(k / m) / (sig * w)
-        return ratio * 2.0 * m * (sig * norm.pdf(f) + 0.5 * sig * sig * w * norm.cdf(f))
-
-    points = sorted({c * edge for c in (0.25, 0.5, 1.0, 2.0, 4.0)} | {1.0 / math.sqrt(beta)})
-    points = [x for x in points if 0.0 < x < top] or None
-    val, _ = quad(integrand, 0.0, top, points=points, epsabs=0.0, epsrel=1e-11, limit=1000)
-    return val / (2.0 * costs.lam)
-
-
 def _table_and_reference(table, costs, t, zs, m=1.2):
     """Table values and quadrature references at scaled moneyness zs, time t."""
     model = table.model
@@ -437,16 +399,8 @@ def _table_and_reference(table, costs, t, zs, m=1.2):
         else:
             p = model.p_bar - z * root
         got.append(float(table.extra_values(t, np.array([p]), np.array([m]))[0]))
-        want.append(_quad_extra_rate(model, costs, t, p, m))
+        want.append(quad_extra(model, costs, costs.horizon - t, model.p_bar - p, m))
     return np.array(got), np.array(want)
-
-
-@pytest.mark.parametrize("cls", [CappedBachelier, CappedBlackScholes])
-def test_quad_reference_refuses_a_thin_boundary_layer(cls):
-    model = cls(m0=1.0, sigma=0.5, p_bar=1.05)
-    table = optimal_policy(model, GKernel.from_costs(UNIT_COSTS), UNIT_COSTS).signal_table
-    with pytest.raises(ValueError, match="scaled moneyness"):
-        _table_and_reference(table, UNIT_COSTS, 0.0, (1e-7,))
 
 
 TABLE_Z = (0.0, 0.005, 0.05, 1.0, 4.0, 7.5)
@@ -615,23 +569,19 @@ def test_probe_expansion_matches_direct_replay():
     costs = SMALL_COSTS
     kernel = GKernel.from_costs(costs)
     n_paths, n_steps, seed = 64, 128, 2024
-    n_dirs, n_knots = 3, 4
-    epsilons = (-0.05, 0.05)
+    n_dirs, n_knots, epsilons = 3, montecarlo._PROBE_KNOTS, montecarlo._PROBE_EPSILONS
     probe = probe_optimality(model, kernel, costs, n_paths=n_paths, n_steps=n_steps,
-                             master_seed=seed, n_directions=n_dirs, n_knots=n_knots,
-                             epsilons=epsilons, probe_seed=7)
+                             master_seed=seed, n_directions=n_dirs)
 
     policy = optimal_policy(model, kernel, costs)
-    alphas = _probe_alphas(7, n_dirs, n_knots)
+    alphas = _probe_alphas(n_dirs)
     knot = np.minimum(np.arange(n_steps) * n_knots // n_steps, n_knots - 1)
     grid, mb, pb = _simulate_batch(model, costs.horizon, n_steps, seed, 0, n_paths)
     gains = np.zeros((n_dirs, len(epsilons), n_paths))
     for j in range(n_paths):
-        path = PathSample(grid=grid, m=mb[:, j],
-                          m_star=np.maximum.accumulate(mb[:, j]), p=pb[:, j])
+        path = PathSample(grid=grid, m=mb[:, j], p=pb[:, j])
         plan, _ = run_strategy(path, policy, costs)
-        problem = DiscreteProblem(n_steps=n_steps, delta=float(grid[1]),
-                                  drift=np.diff(path.p), costs=costs)
+        problem = DiscreteProblem(n_steps=n_steps, drift=np.diff(path.p), costs=costs)
         base = discrete_goal(problem, plan.rates[:-1])
         for d in range(n_dirs):
             steps = alphas[d][knot]
@@ -643,8 +593,7 @@ def test_probe_expansion_matches_direct_replay():
 
 def test_probe_shapes_and_negative_curvature():
     probe = probe_optimality(BACH, GKernel.from_costs(SMALL_COSTS), SMALL_COSTS,
-                             n_paths=128, n_steps=64, master_seed=3,
-                             n_directions=5, n_knots=4)
+                             n_paths=128, n_steps=64, master_seed=3, n_directions=5)
     assert probe.mean_gain.shape == (5, 4)
     assert probe.margins.shape == (5, 4)
     assert np.all(probe.curvature < 0.0)
@@ -652,16 +601,54 @@ def test_probe_shapes_and_negative_curvature():
 
 
 def test_goal_breakdown_total_identity():
-    bk = GoalBreakdown.build(cash=1.5, terminal_asset=0.25,
-                             running_penalty=0.4, terminal_penalty=0.1)
+    bk = GoalBreakdown(cash=1.5, terminal_asset=0.25, running_penalty=0.4, terminal_penalty=0.1)
     assert bk.total == 1.5 + 0.25 - 0.4 - 0.1
+    # the parts fix the total, so a caller cannot state a different one
+    with pytest.raises(TypeError):
+        GoalBreakdown(cash=1.0, terminal_asset=0.0, running_penalty=0.0, terminal_penalty=0.0,
+                      total=99.0)
 
 
-def test_path_sample_rejects_inconsistent_running_max():
-    grid = np.array([0.0, 0.5, 1.0])
-    m = np.array([1.0, 1.2, 1.1])
-    with pytest.raises(ValueError):
+def test_path_sample_derives_its_running_max():
+    grid = np.array([0.0, 0.5, 1.0, 1.5])
+    m = np.array([1.0, 1.2, 1.1, 1.3])
+    path = PathSample(grid=grid, m=m, p=m - 0.5)
+    np.testing.assert_array_equal(path.m_star, np.maximum.accumulate(m))
+    np.testing.assert_array_equal(path.m_star, [1.0, 1.2, 1.2, 1.3])
+    with pytest.raises(TypeError):
         PathSample(grid=grid, m=m, m_star=m, p=m)
+    # a NaN level would give a NaN running max; the path is refused instead
+    for name in ("m", "p"):
+        bad = dict(m=m, p=m - 0.5)
+        bad[name] = np.where(grid == 1.0, math.nan, bad[name])
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            PathSample(grid=grid, **bad)
+
+
+@pytest.mark.parametrize("other", [
+    CostParams(lam=0.1, gamma=1.0, big_gamma=1.0, horizon=2.0, x0=1.0),
+    CostParams(lam=0.5, gamma=1.0, big_gamma=1.0, horizon=1.0, x0=1.0),
+], ids=["horizon", "lam"])
+def test_entry_points_reject_a_kernel_of_other_costs(other):
+    # a kernel of other costs gave numbers silently: v1 -0.9935 (T = 2) and
+    # -1.3266 (lam = 0.5) for -0.9745 at the barrier
+    kernel, costs = GKernel.from_costs(other), UNIT_COSTS
+    state = TargetZoneState(t=0.0, m=1.0, p=1.0)
+    mc = dict(n_paths=4, n_steps=8, master_seed=1)
+    calls = [
+        lambda: v1_target_zone(kernel, costs, BACH, state),
+        lambda: extra_rate(kernel, costs, BACH, state),
+        lambda: full_rate(kernel, costs, BACH, state, 1.0),
+        lambda: rate_surface(kernel, costs, BACH, [0.5, 1.0], [0.0, 0.1], x=1.0),
+        lambda: value_formula(kernel, costs, 1.0, 0.0, 0.0),
+        lambda: optimal_policy(BACH, kernel, costs),
+        lambda: estimate_v0(BACH, kernel, costs, **mc),
+        lambda: estimate_v0_and_value(BACH, kernel, costs, **mc),
+        lambda: probe_optimality(BACH, kernel, costs, **mc),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="kernel"):
+            call()
 
 
 def test_argument_validation():

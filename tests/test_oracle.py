@@ -123,8 +123,7 @@ def test_solver_matches_dense_reference():
             delta = costs.horizon / n
             for drift in (np.zeros(n), np.full(n, -0.1 * delta),
                           rng.normal(0.0, 0.02, n)):
-                problem = DiscreteProblem(costs=costs, n_steps=n,
-                                          delta=delta, drift=drift)
+                problem = DiscreteProblem(costs=costs, n_steps=n, drift=drift)
                 fast = solve_discrete(problem)
                 dense = _solve_dense(problem)
                 scale = float(np.max(np.abs(dense.rates)))
@@ -138,8 +137,18 @@ def test_dimension_and_argument_validation():
         discrete_goal(problem, np.ones(15))
     with pytest.raises(ValueError):
         DiscreteProblem.uniform(UNIT_COSTS, 1)
-    with pytest.raises(ValueError):
-        DiscreteProblem(n_steps=16, delta=0.1, drift=np.zeros(16), costs=UNIT_COSTS)
+
+
+def test_step_is_the_horizon_over_the_step_count():
+    # delta is T / n itself, so the plan keeps its own Euler identity to rounding
+    rng = np.random.default_rng(5)
+    for costs in (UNIT_COSTS, CostParams(lam=2.0, gamma=0.3, big_gamma=7.0, horizon=2.5, x0=4.0)):
+        for n in (2, 7, 1500):
+            problem = DiscreteProblem(n, rng.normal(0.0, 0.02, n), costs)
+            assert problem.delta == costs.horizon / n
+            assert solve_discrete(problem).max_euler_residual() <= 1e-15
+    with pytest.raises(TypeError):
+        DiscreteProblem(n_steps=16, delta=1.0 / 16, drift=np.zeros(16), costs=UNIT_COSTS)
 
 
 def test_uniform_constructor_prices():

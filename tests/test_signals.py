@@ -35,6 +35,7 @@ from liqzone import (
     v1_target_zone,
 )
 from liqzone import signals
+from quad_reference import quad_extra
 
 # a quad reference that did not converge fails the test instead of warning
 pytestmark = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
@@ -169,7 +170,7 @@ def test_panel_refinement_converged():
     model = CappedBachelier(m0=1.0, sigma=SIGMA, p_bar=1.0)
     for tau, money in ((1.0, 0.0), (0.5, 0.2), (0.05, 0.05)):
         got = model._extra(k, UNIT_COSTS.lam, tau, np.array([1.0 - money]), np.array([1.0]))[0][0]
-        want = _quad_extra(model, UNIT_COSTS, tau, money, 1.0)
+        want = quad_extra(model, UNIT_COSTS, tau, money, 1.0)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-18)
 
 
@@ -248,60 +249,6 @@ def test_rate_surface_structure():
             extra_rate(k, UNIT_COSTS, model, st), rel=1e-12)
 
 
-def _extra_integrand(model, costs, tau, k, m):
-    """2 w theta(w^2) G(tau - w^2) / G(tau), the integrand in u = w^2.
-
-    Written from the closed forms with math only, independently of the
-    library's panels; G(s) = beta cosh(beta s) + (big_gamma / lam) sinh(beta s).
-    """
-    sig, lam = model.sigma, costs.lam
-    beta, g_ratio = math.sqrt(costs.gamma / lam), costs.big_gamma / lam
-
-    def g(s):
-        return beta * math.cosh(beta * s) + g_ratio * math.sinh(beta * s)
-
-    def pdf(x):
-        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-    def integrand(w):
-        if w == 0.0:
-            return 0.0
-        if isinstance(model, CappedBlackScholes):
-            f = 0.5 * sig * w - math.log1p(k / m) / (sig * w)
-            theta_2w = m * (2.0 * sig * pdf(f) + sig * sig * w * 0.5 * math.erfc(-f / math.sqrt(2.0)))
-        else:
-            theta_2w = 2.0 * sig * pdf(k / (sig * w))
-        return theta_2w * g(tau - w * w) / g(tau)
-
-    return integrand
-
-
-def _quad_extra(model, costs, tau, k, m):
-    """(1 / 2 lam) int_0^tau G(tau - u) / G(tau) theta(u) du by adaptive quad, u = w^2."""
-    val, _ = quad(_extra_integrand(model, costs, tau, k, m), 0.0, math.sqrt(tau),
-                  epsabs=0.0, epsrel=1e-12, limit=500)
-    return val / (2.0 * costs.lam)
-
-
-def _quad_extra_at_layer(model, costs, tau, k, m):
-    """_quad_extra summed over pieces that double in width away from the layer.
-
-    phi(z / y) switches on at w ~ e = log1p(k / m) / sigma (k / sigma for
-    Bachelier).  The pieces are [0, e / 64], [e / 64, e / 32], ... up to
-    sqrt(tau), split at the discount's scale 1 / sqrt(beta).  One quad with
-    a few breakpoints at the layer missed it by up to 1e-7 for z ~ 1e-7 at
-    beta T = 31.6, and said nothing.
-    """
-    top = math.sqrt(tau)
-    edge = (math.log1p(k / m) if isinstance(model, CappedBlackScholes) else k) / model.sigma
-    cuts = [0.0] + [edge * 2.0 ** j for j in range(-6, 60) if edge * 2.0 ** j < top]
-    cuts += sorted(c for c in (math.sqrt(costs.lam / costs.gamma), top) if cuts[-1] < c <= top)
-    f = _extra_integrand(model, costs, tau, k, m)
-    val = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-              for a, b in zip(cuts, cuts[1:]))
-    return val / (2.0 * costs.lam)
-
-
 @pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
 @pytest.mark.parametrize("cls", [CappedBachelier, CappedBlackScholes])
 def test_rate_surface_within_1e8_of_quad_in_every_cell(cls, costs):
@@ -310,7 +257,7 @@ def test_rate_surface_within_1e8_of_quad_in_every_cell(cls, costs):
     taus, moneys = np.linspace(0.02, 1.0, 6), np.linspace(0.0, 1.0, 6)
     surf = rate_surface(GKernel.from_costs(costs), costs, model, taus, moneys, x=1.0,
                         bs_m=model.p_bar)
-    want = np.array([[_quad_extra(model, costs, tau, k, model.p_bar) for k in moneys]
+    want = np.array([[quad_extra(model, costs, tau, k, model.p_bar) for k in moneys]
                      for tau in taus])
     assert np.all(want > 0.0)
     np.testing.assert_allclose(surf.rate_extra, want, rtol=1e-8, atol=0.0)
@@ -323,7 +270,7 @@ def test_rate_surface_error_estimate_bounds_the_error(cls, costs):
     taus, moneys = np.linspace(0.02, 1.0, 6), np.linspace(0.0, 1.0, 6)
     surf = rate_surface(GKernel.from_costs(costs), costs, model, taus, moneys, x=1.0,
                         bs_m=model.p_bar)
-    want = np.array([[_quad_extra(model, costs, tau, k, model.p_bar) for k in moneys]
+    want = np.array([[quad_extra(model, costs, tau, k, model.p_bar) for k in moneys]
                      for tau in taus])
     assert surf.quad_error.shape == surf.rate_extra.shape
     assert np.all(surf.quad_error <= 1e-8 * surf.rate_extra)
@@ -343,7 +290,7 @@ def test_extra_rate_within_1e8_of_quad_just_below_the_cap(cls, costs, tau):
     for z in np.geomspace(1e-8, 0.02, 13):
         k = math.expm1(z * root) if cls is CappedBlackScholes else z * root
         got = extra_rate(kernel, costs, model, TargetZoneState(t=1.0 - tau, m=1.0, p=1.0 - k))
-        want = _quad_extra_at_layer(model, costs, costs.horizon - (1.0 - tau), k, 1.0)
+        want = quad_extra(model, costs, costs.horizon - (1.0 - tau), k, 1.0)
         assert got == pytest.approx(want, rel=1e-8), z
 
 
@@ -356,7 +303,7 @@ def test_extra_rate_resolves_a_layer_inside_the_first_panel():
     tau, k = 0.2555097090352507, 0.0010676904730688404
     got = extra_rate(GKernel.from_costs(costs), costs, model,
                      TargetZoneState(t=1.0 - tau, m=1.0, p=1.0 - k))
-    want = _quad_extra_at_layer(model, costs, costs.horizon - (1.0 - tau), k, 1.0)
+    want = quad_extra(model, costs, costs.horizon - (1.0 - tau), k, 1.0)
     assert got == pytest.approx(want, rel=1e-8)
 
 
