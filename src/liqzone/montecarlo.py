@@ -305,13 +305,18 @@ def run_strategy(path: PathSample, policy: Callable, costs: CostParams):
     """Run a policy down one path; returns (TradePlan, GoalBreakdown).
 
     This is the batch runner on a single path.  Inventory follows forward
-    Euler with step grid[1] - grid[0], so the grid must be uniform; all goal
-    integrals use left-endpoint Riemann sums on the path grid.
+    Euler with step grid[1] - grid[0], so the grid must be uniform, and it
+    must span [0, costs.horizon] (both up to relative 1e-9), where the
+    terminal penalty is charged; all goal integrals use left-endpoint Riemann
+    sums on the path grid.
     """
     grid = path.grid
     steps = np.diff(grid)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("grid must be uniformly spaced")
+    if not np.allclose(grid[[0, -1]], (0.0, costs.horizon), rtol=0.0, atol=1e-9 * costs.horizon):
+        raise ValueError(f"grid must span [0, horizon = {costs.horizon!r}], "
+                         f"got [{grid[0]!r}, {grid[-1]!r}]")
     p, m = path.p[:, None], path.m[:, None]
     run = _run_batch(grid, p, m, [policy], costs, collect=True)
     bk, (xs, us) = run.goals[0], run.paths[0]

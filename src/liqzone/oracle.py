@@ -46,8 +46,7 @@ remainder is marked at the shifted price), so prices are carried at level 0.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,8 +56,6 @@ __all__ = [
     "DiscreteProblem",
     "solve_discrete",
     "discrete_goal",
-    "concavity_probe",
-    "ConcavityReport",
 ]
 
 
@@ -94,8 +91,8 @@ class DiscreteProblem:
     @classmethod
     def uniform(cls, costs: CostParams, n_steps: int, drift_level: float = 0.0):
         """Problem on n uniform steps with a constant drift a(t) = drift_level."""
-        delta = costs.horizon / n_steps
-        return cls(n_steps=n_steps, drift=np.full(n_steps, drift_level * delta), costs=costs)
+        problem = cls(n_steps=n_steps, drift=np.zeros(n_steps), costs=costs)
+        return replace(problem, drift=np.full(n_steps, drift_level * problem.delta))
 
     def prices(self) -> np.ndarray:
         """Level-0 prices at all n_steps + 1 grid points."""
@@ -124,19 +121,22 @@ def _rhs(problem: DiscreteProblem) -> np.ndarray:
             + 2.0 * costs.big_gamma * costs.x0)
 
 
+def _positions(problem: DiscreteProblem, u: np.ndarray) -> np.ndarray:
+    """Positions X_0 .. X_n of the rates u: X_0 = x0, X_{i+1} = X_i - u_i delta."""
+    x = np.empty(problem.n_steps + 1)
+    x[0] = problem.costs.x0
+    np.cumsum(u, out=x[1:])
+    x[1:] *= -problem.delta
+    x[1:] += problem.costs.x0
+    return x
+
+
 def _plan_from_rates(problem: DiscreteProblem, u: np.ndarray) -> TradePlan:
-    costs = problem.costs
-    n, delta = problem.n_steps, problem.delta
-    grid = np.linspace(0.0, costs.horizon, n + 1)
-    positions = np.empty(n + 1)
-    positions[0] = costs.x0
-    np.cumsum(u, out=positions[1:])
-    positions[1:] *= -delta
-    positions[1:] += costs.x0
+    grid = np.linspace(0.0, problem.costs.horizon, problem.n_steps + 1)
     # the plan stores one rate per grid point; the final slot repeats the
     # last traded rate (no trade happens at t = T itself)
     rates = np.append(u, u[-1])
-    return TradePlan(grid=grid, positions=positions, rates=rates)
+    return TradePlan(grid=grid, positions=_positions(problem, u), rates=rates)
 
 
 def solve_discrete(problem: DiscreteProblem) -> TradePlan:
@@ -185,68 +185,7 @@ def discrete_goal(problem: DiscreteProblem, rates) -> float:
     costs = problem.costs
     delta = problem.delta
     prices = problem.prices()
-    x = np.empty(problem.n_steps + 1)
-    x[0] = costs.x0
-    np.cumsum(u, out=x[1:])
-    x[1:] *= -delta
-    x[1:] += costs.x0
+    x = _positions(problem, u)
     cash = float(np.dot(prices[:-1] - costs.lam * u, u)) * delta
     running = costs.gamma * float(np.dot(x[:-1], x[:-1])) * delta
     return cash + prices[-1] * x[-1] - running - costs.big_gamma * x[-1] ** 2
-
-
-@dataclass(frozen=True)
-class ConcavityReport:
-    """Line-probe summary: quadratic fit residual and any ascent directions found."""
-
-    n_directions: int
-    max_quadratic_residual: float
-    max_gain: float
-    ascent_directions: int
-
-    @property
-    def is_maximum(self) -> bool:
-        return self.ascent_directions == 0
-
-
-def concavity_probe(problem: DiscreteProblem, plan, n_directions: int = 16,
-                    seed: int = 0, eps: float = 1e-3) -> ConcavityReport:
-    """Probe a plan along random lines in rate space.
-
-    Along each unit direction d the objective is a quadratic in the step
-    size; three evaluations (0, +eps, -eps) determine it and the value at
-    +2 eps must match the extrapolation (relative residual reported).  A
-    direction counts as ascent when either single-step move beats the
-    plan's value by more than an absolute tolerance tied to the value scale.
-    """
-    if n_directions < 1:
-        raise ValueError("n_directions must be >= 1")
-    u0 = np.asarray(plan.rates if isinstance(plan, TradePlan) else plan, dtype=float)
-    if u0.size == problem.n_steps + 1:
-        u0 = u0[:-1]
-    base = discrete_goal(problem, u0)
-    rng = np.random.default_rng(seed)
-    gain_tol = 1e-10 * max(1.0, abs(base))
-    max_resid = 0.0
-    max_gain = -math.inf
-    ascents = 0
-    for _ in range(n_directions):
-        d = rng.standard_normal(problem.n_steps)
-        d /= np.linalg.norm(d)
-        f_plus = discrete_goal(problem, u0 + eps * d)
-        f_minus = discrete_goal(problem, u0 - eps * d)
-        f_two = discrete_goal(problem, u0 + 2.0 * eps * d)
-        # quadratic through (-eps, 0, +eps) extrapolated to +2 eps
-        predicted = 3.0 * f_plus - 3.0 * base + f_minus
-        scale = max(abs(base), abs(f_plus), abs(f_minus), abs(f_two), 1.0)
-        max_resid = max(max_resid, abs(f_two - predicted) / scale)
-        gain = max(f_plus, f_minus) - base
-        max_gain = max(max_gain, gain)
-        if gain > gain_tol:
-            ascents += 1
-    return ConcavityReport(
-        n_directions=n_directions,
-        max_quadratic_residual=max_resid,
-        max_gain=max_gain,
-        ascent_directions=ascents,
-    )

@@ -188,7 +188,7 @@ def g_value(kernel: GKernel, t: float) -> float:
     is representable.
     """
     t = float(t)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
     beta, g = kernel.beta, kernel.gamma_ratio
     x = beta * t
@@ -207,9 +207,9 @@ def urgency(kernel: GKernel, t: float) -> float:
     The value always lies between min(beta, gamma_ratio) and max(beta, gamma_ratio).
     """
     t = float(t)
-    tau = kernel.horizon - t
-    if t < 0.0 or tau < 0.0:
+    if not 0.0 <= t <= kernel.horizon:
         raise ValueError(f"t must lie in [0, horizon], got {t!r}")
+    tau = kernel.horizon - t
     beta, g = kernel.beta, kernel.gamma_ratio
     if tau == 0.0:
         return g
@@ -220,9 +220,9 @@ def urgency(kernel: GKernel, t: float) -> float:
 def ac_position(kernel: GKernel, t: float, x0: float) -> float:
     """Signal-free optimal inventory at time t: x0 * G(T - t) / G(T)."""
     t = float(t)
-    tau = kernel.horizon - t
-    if t < 0.0 or tau < 0.0:
+    if not 0.0 <= t <= kernel.horizon:
         raise ValueError(f"t must lie in [0, horizon], got {t!r}")
+    tau = kernel.horizon - t
     beta, g = kernel.beta, kernel.gamma_ratio
     if beta * kernel.horizon <= _EXP_SWITCH:
         return x0 * _g_raw(beta, g, beta * tau) / _g_raw(beta, g, beta * kernel.horizon)

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import CostParams, GKernel, _check_grid, _check_kernel, _log_g, _log_g_array, urgency
+from .schedule import (CostParams, GKernel, _check_grid, _check_kernel, _log_g, _log_g_array,
+                       optimal_rate, urgency)
 
 __all__ = [
     "CappedBachelier",
@@ -155,10 +156,9 @@ class _Model:
 
     def _check_state(self, state: TargetZoneState, horizon: float) -> float:
         """Validate a state against the model; returns the time to go."""
-        tau = horizon - state.t
-        if state.t < 0.0 or tau <= 0.0:
+        if not 0.0 <= state.t < horizon:
             raise ValueError(f"state.t must lie in [0, horizon), got {state.t!r}")
-        return tau
+        return horizon - state.t
 
     def _v1_curve(self, kernel: GKernel, lam: float, grid: np.ndarray) -> np.ndarray:
         """v1 at every point of a time grid, for a model whose v1 depends on t alone."""
@@ -708,9 +708,11 @@ class _CappedSignalTable:
         return out
 
     def extra_values(self, t: float, p, m):
-        """Extra rate -v1 at time t for price/level arrays p, m."""
+        """Extra rate -v1 at time t in [0, horizon] for price/level arrays p, m."""
+        if not 0.0 <= t <= self.kernel.horizon:
+            raise ValueError(f"t must lie in [0, horizon], got {t!r}")
         tau = self.kernel.horizon - t
-        if tau <= 0.0:
+        if tau == 0.0:
             return np.zeros_like(np.asarray(p, dtype=float))
         root = self.model.sigma * math.sqrt(tau)
         z, level = self.model._moneyness(p, m, root)
@@ -740,6 +742,8 @@ class _CurveSignalTable:
         self._curve = -model._v1_curve(kernel, lam, self._grid)
 
     def extra_values(self, t: float, p, m):
+        if not 0.0 <= t <= self.kernel.horizon:
+            raise ValueError(f"t must lie in [0, horizon], got {t!r}")
         v = float(np.interp(t, self._grid, self._curve))
         return np.broadcast_to(np.float64(v), np.asarray(p, dtype=float).shape)
 
@@ -752,7 +756,7 @@ def extra_rate(kernel: GKernel, costs: CostParams, model, state: TargetZoneState
 def full_rate(kernel: GKernel, costs: CostParams, model, state: TargetZoneState,
               x: float) -> float:
     """Total optimal selling rate urgency * x + extra_rate at a state."""
-    return urgency(kernel, state.t) * x + extra_rate(kernel, costs, model, state)
+    return optimal_rate(kernel, state.t, x, v1_target_zone(kernel, costs, model, state))
 
 
 @dataclass(frozen=True)

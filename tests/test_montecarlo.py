@@ -186,6 +186,24 @@ def test_run_strategy_rejects_non_uniform_grid():
         run_strategy(path, lambda t, x, state: 0.5, UNIT_COSTS)
 
 
+def test_run_strategy_rejects_a_path_not_spanning_the_horizon():
+    # the terminal penalty is charged at the path's last point and the goal
+    # integrals start at its first, so a path on [0, 0.5] or [0.25, 0.75]
+    # under T = 1 costs would be scored as another problem
+    policy = optimal_policy(BACH, GKernel.from_costs(UNIT_COSTS), UNIT_COSTS)
+    ones = np.ones(65)
+    for path in (simulate_path(BACH, 0.5, 64, path_stream(1, 0)),
+                 PathSample(grid=np.linspace(0.25, 0.75, 65), m=ones, p=ones)):
+        with pytest.raises(ValueError, match=r"grid must span \[0, horizon = 1\.0\]"):
+            run_strategy(path, policy, UNIT_COSTS)
+    # the span is checked to relative 1e-9, as the uniformity is
+    near = PathSample(grid=np.linspace(0.0, 1.0 - 5e-10, 65), m=ones, p=ones)
+    assert math.isfinite(run_strategy(near, policy, UNIT_COSTS)[1].total)
+    far = PathSample(grid=np.linspace(0.0, 1.0 - 2e-9, 65), m=ones, p=ones)
+    with pytest.raises(ValueError, match="grid must span"):
+        run_strategy(far, policy, UNIT_COSTS)
+
+
 def test_no_trading_keeps_inventory_and_pays_penalties():
     costs = UNIT_COSTS
     path = simulate_path(BACH, 1.0, 32, path_stream(3, 0))
@@ -589,6 +607,20 @@ def test_probe_expansion_matches_direct_replay():
                 gains[d, e, j] = discrete_goal(problem, plan.rates[:-1] + eps * steps) - base
     np.testing.assert_allclose(probe.mean_gain, gains.mean(axis=2),
                                rtol=1e-9, atol=1e-13)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_probe_detects_the_step_count_bias_of_coarse_grids(seed):
+    # the continuous-time policy is only near-optimal for the discrete goal;
+    # at 16 and 32 steps its discretisation bias is a first-order gain the
+    # probe resolves at 2100 paths (worst margins 2.0e-4 to 6.0e-4), while
+    # at 1024 steps it is below 3 standard errors (-2.4e-5, -5.4e-5)
+    kernel = GKernel.from_costs(SMALL_COSTS)
+    for n_steps in (16, 32):
+        probe = probe_optimality(BACH, kernel, SMALL_COSTS, 2100, n_steps, seed)
+        assert not probe.all_pass
+        assert probe.margins.max() > 1e-4
+    assert probe_optimality(BACH, kernel, SMALL_COSTS, 2100, 1024, seed).all_pass
 
 
 def test_probe_shapes_and_negative_curvature():

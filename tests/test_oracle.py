@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from liqzone import (
-    ConcavityReport,
     CostParams,
     DiscreteProblem,
     GKernel,
     ac_position,
-    concavity_probe,
     discrete_goal,
     solve_discrete,
     urgency,
@@ -37,26 +35,6 @@ def test_rates_hold_last_value():
     assert plan.grid.size == 17
 
 
-def test_solution_is_stationary_and_concave():
-    problem = DiscreteProblem.uniform(UNIT_COSTS, 64)
-    plan = solve_discrete(problem)
-    report = concavity_probe(problem, plan)
-    assert isinstance(report, ConcavityReport)
-    assert report.is_maximum
-    assert report.ascent_directions == 0
-    # the goal is exactly quadratic, so cubic-extrapolation residuals are noise
-    assert report.max_quadratic_residual < 1e-12
-
-
-def test_concavity_probe_flags_suboptimal_plan():
-    # the signal-free schedule is not optimal once prices drift
-    problem = DiscreteProblem.uniform(UNIT_COSTS, 64, drift_level=-0.5)
-    ac_plan = solve_discrete(DiscreteProblem.uniform(UNIT_COSTS, 64))
-    report = concavity_probe(problem, ac_plan, n_directions=32)
-    assert report.ascent_directions > 0
-    assert not report.is_maximum
-
-
 def test_terminal_first_order_condition():
     for level in (0.0, -0.1):
         problem = DiscreteProblem.uniform(UNIT_COSTS, 256, drift_level=level)
@@ -81,12 +59,17 @@ def test_matches_closed_form_at_coarse_resolution():
 
 def test_goal_decreases_away_from_optimum():
     problem = DiscreteProblem.uniform(UNIT_COSTS, 32)
-    plan = solve_discrete(problem)
-    base = discrete_goal(problem, plan.rates[:-1])
+    u = solve_discrete(problem).rates[:-1]
+    base = discrete_goal(problem, u)
     rng = np.random.default_rng(5)
     for _ in range(8):
-        d = rng.standard_normal(32)
-        assert discrete_goal(problem, plan.rates[:-1] + 1e-3 * d) < base
+        e = 1e-3 * rng.standard_normal(32)
+        plus, minus = discrete_goal(problem, u + e), discrete_goal(problem, u - e)
+        assert plus < base and minus < base
+        # the goal is exactly quadratic along the line, so the quadratic
+        # through -e, 0, +e extrapolates to +2e up to rounding
+        assert discrete_goal(problem, u + 2.0 * e) == pytest.approx(
+            3.0 * plus - 3.0 * base + minus, rel=1e-12)
 
 
 def test_scaling_invariance_zero_drift():
@@ -155,11 +138,3 @@ def test_uniform_constructor_prices():
     problem = DiscreteProblem.uniform(UNIT_COSTS, 4, drift_level=-0.2)
     np.testing.assert_allclose(problem.prices(),
                                [0.0, -0.05, -0.1, -0.15, -0.2], atol=1e-15)
-
-
-def test_concavity_probe_accepts_trade_plan_or_rates():
-    problem = DiscreteProblem.uniform(UNIT_COSTS, 32)
-    plan = solve_discrete(problem)
-    r1 = concavity_probe(problem, plan)
-    r2 = concavity_probe(problem, plan.rates[:-1])
-    assert r1.max_gain == r2.max_gain

@@ -20,6 +20,7 @@ from liqzone import (
     Martingale,
     QuadratureError,
     TargetZoneState,
+    ac_position,
     bachelier_lookback_price,
     bachelier_theta,
     bs_f,
@@ -227,7 +228,7 @@ def test_full_rate_is_ac_plus_extra():
     st = TargetZoneState(t=0.3, m=0.95, p=0.95)
     x = 0.4
     expected = urgency(k, st.t) * x + extra_rate(k, UNIT_COSTS, model, st)
-    assert full_rate(k, UNIT_COSTS, model, st, x) == pytest.approx(expected, rel=1e-14)
+    assert full_rate(k, UNIT_COSTS, model, st, x) == expected
 
 
 def test_rate_surface_structure():
@@ -392,6 +393,44 @@ def test_state_validation():
         v1_target_zone(k, UNIT_COSTS, model, TargetZoneState(t=0.0, m=math.nan, p=0.9))
     with pytest.raises(ValueError):
         bs_f(0.5, 1.0, 1.5, SIGMA, 1.2)
+
+
+_TIME_CHECKED = {
+    "CappedBachelier": CappedBachelier(m0=1.0, sigma=SIGMA, p_bar=1.0),
+    "CappedBlackScholes": CappedBlackScholes(m0=1.0, sigma=SIGMA, p_bar=1.0),
+    "Martingale": Martingale(p0=1.0, sigma=SIGMA),
+    "DeterministicDrift": DeterministicDrift(times=np.array([0.0, 1.0]),
+                                             values=np.array([-0.1, -0.1]), p0=1.0),
+    "urgency": urgency,
+    "ac_position": lambda kernel, t: ac_position(kernel, t, 1.0),
+    "g_value": g_value,
+}
+
+
+@pytest.mark.parametrize("name, t", [
+    (name, t) for name in _TIME_CHECKED for t in (math.nan, -2.0, 1.5)
+    # G is defined at every argument t >= 0, past the horizon too
+    if not (name == "g_value" and t == 1.5)
+])
+def test_time_outside_the_horizon_is_rejected_naming_it(name, t):
+    # NaN fails every ordered comparison, so a range check that only looks for
+    # t < 0 or t > T lets it through to an answer or an error about another
+    # field; T = 1 here, so -2 and 1.5 lie outside it
+    kernel = GKernel.from_costs(UNIT_COSTS)
+    target = _TIME_CHECKED[name]
+    if callable(target):
+        with pytest.raises(ValueError, match=r"^t must"):
+            target(kernel, t)
+        return
+    state = TargetZoneState(t=t, m=1.0, p=0.9)
+    for entry in (v1_target_zone, extra_rate):
+        with pytest.raises(ValueError, match=r"^state\.t must"):
+            entry(kernel, UNIT_COSTS, target, state)
+    with pytest.raises(ValueError, match=r"^state\.t must"):
+        full_rate(kernel, UNIT_COSTS, target, state, 1.0)
+    table = optimal_policy(target, kernel, UNIT_COSTS).signal_table
+    with pytest.raises(ValueError, match=r"^t must"):
+        table.extra_values(t, np.array([0.9]), np.array([1.0]))
 
 
 def test_quadrature_error_is_exported():
