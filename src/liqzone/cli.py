@@ -301,8 +301,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     for n in ns:
         grid = np.linspace(0.0, costs.horizon, n + 1)
         # the oracle sees the model's expected price path, as the closed form does
-        drift = np.diff(model._expected_levels(grid))
-        plan = solve_discrete(DiscreteProblem(n_steps=n, drift=drift, costs=costs))
+        plan = solve_discrete(DiscreteProblem(model._expected_levels(grid), costs))
         exact = trajectory_from_signal(kernel, costs.x0,
                                        model._v1_curve(kernel, costs.lam, grid), grid)
         traj_errors.append(float(np.max(np.abs(plan.positions - exact.positions))) / costs.x0)

@@ -13,7 +13,8 @@ Riemann sums and a forward-Euler inventory update,
     total = sum_i (P_i - lam u_i) u_i dt + P_N X_N
             - gamma sum_i X_i^2 dt - big_gamma X_N^2,
 
-which is exactly the discrete objective the verification oracle maximizes.
+which is exactly the discrete objective the verification oracle maximizes:
+oracle.discrete_goal at the path's prices gives a run's total from its rates.
 GoalBreakdown sums its total from its parts and PathSample takes m_star
 from m.  Reductions over paths always run in path-index order.
 
@@ -22,13 +23,8 @@ optimal_policy are one feedback class, u = urgency(t) * x + extra, whose
 extra is the engine's lookup of the model's signal table (liqzone.signals);
 the signal-free policy has no table.  Any other callable is called at every
 step with x and a MarketState as arrays with one entry per path.  For the
-capped models the table is one per policy, built on its first query: rows
-over a uniform grid in a scaled moneyness z, on Chebyshev nodes in root =
-sigma sqrt(T - t).  A query interpolates the rows in root, then linearly in
-z.  The linear z step sets the rate error: below 1e-4 relative up to beta T
-~ 3 (1.3e-5 at small costs, 8.1e-5 at beta T = 3.2), growing about in
-proportion to beta T beyond (7.9e-4 at beta T = 32), worst just off the
-barrier.
+capped models the table is one per policy, built on its first query
+(_CappedSignalTable in liqzone.signals states its error).
 
 One engine serves every entry point: _simulate turns per-path normals into
 levels and capped prices, _batches walks the paths _BATCH_DEFAULT at a time,
@@ -41,9 +37,9 @@ rate and the v1^2 sum.  So estimate_v0_and_value costs one simulation and
 one lookup per step, and equals estimate_v0 plus estimate_value of the
 optimal policy bit for bit.  simulate_path(model, T, n, path_stream(seed,
 j)) is bit for bit column j of every batch, and run_strategy is the batch
-runner on one path (it needs a uniform grid).  What differs between market
-models (start level, increment map, cap map, signal table) lives on the
-model classes in liqzone.signals.
+runner on one path (it needs a uniform grid, and calls no policy at its
+last point).  What differs between market models (start level, increment
+map, cap map, signal table) lives on the model classes in liqzone.signals.
 
 Batch arrays are laid out time-major, shape (n_steps + 1, n_paths): the
 per-step loop then touches contiguous rows, which is what makes 10^5 paths
@@ -61,7 +57,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .schedule import CostParams, GKernel, TradePlan, _check_grid, _check_kernel, urgency
+from .schedule import (
+    CostParams,
+    GKernel,
+    TradePlan,
+    _check_count,
+    _check_grid,
+    _check_kernel,
+    urgency,
+)
 
 __all__ = [
     "MarketState",
@@ -154,8 +158,8 @@ class PairedComparison:
 
 
 def _check_seed(master_seed: int) -> int:
-    master_seed = int(master_seed)
-    if not 0 <= master_seed < 2**64:
+    master_seed = _check_count("master_seed", master_seed, 0)
+    if master_seed >= 2**64:
         raise ValueError("master_seed must fit in 64 bits")
     return master_seed
 
@@ -163,8 +167,8 @@ def _check_seed(master_seed: int) -> int:
 def path_stream(master_seed: int, path_index: int) -> np.random.Generator:
     """The Philox stream of one path: 128-bit key (master_seed << 64) | path_index."""
     master_seed = _check_seed(master_seed)
-    path_index = int(path_index)
-    if not 0 <= path_index < 2**64:
+    path_index = _check_count("path_index", path_index, 0)
+    if path_index >= 2**64:
         raise ValueError("path_index must fit in 64 bits")
     # the key is passed as its little-endian 64-bit words, identical to the
     # int form but cheaper to build (unit-tested equivalence)
@@ -216,8 +220,7 @@ def simulate_path(model, horizon: float, n_steps: int, rng: np.random.Generator)
     points only (no continuous-time correction).  With rng =
     path_stream(seed, j) the path is bit for bit column j of every batch.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    n_steps = _check_count("n_steps", n_steps, 1)
     if horizon <= 0.0:
         raise ValueError("horizon must be strictly positive")
     grid, m, p = _simulate(model, horizon, n_steps, 1,
@@ -320,10 +323,8 @@ def run_strategy(path: PathSample, policy: Callable, costs: CostParams):
     p, m = path.p[:, None], path.m[:, None]
     run = _run_batch(grid, p, m, [policy], costs, collect=True)
     bk, (xs, us) = run.goals[0], run.paths[0]
-    u_end = policy(float(grid[-1]), xs[-1], MarketState(p=p[-1], m=m[-1]))
-    rates = np.append(us[:, 0], np.asarray(u_end, dtype=float))
     parts = (bk.cash, bk.terminal_asset, bk.running_penalty, bk.terminal_penalty)
-    return (TradePlan(grid=grid, positions=xs[:, 0], rates=rates),
+    return (TradePlan(grid=grid, positions=xs[:, 0], rates=us[:, 0]),
             GoalBreakdown(*(float(part[0]) for part in parts)))
 
 
@@ -384,11 +385,8 @@ def _run_batch(grid, p, m, policies, costs, square=None, collect=False) -> _Batc
     return _BatchRun(p, goals, list(zip(xs, us)), v1_squared)
 
 
-def _check_mc_args(n_paths, n_steps):
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+def _check_mc_args(n_paths, n_steps) -> tuple[int, int]:
+    return _check_count("n_paths", n_paths, 2), _check_count("n_steps", n_steps, 1)
 
 
 def _one_pass(model, costs, n_paths, n_steps, master_seed, reductions,
@@ -398,7 +396,7 @@ def _one_pass(model, costs, n_paths, n_steps, master_seed, reductions,
     A reduction maps a _BatchRun to one row per path (shape (count,) or
     (count, k)); the result stacks each reduction's rows in path-index order.
     """
-    _check_mc_args(n_paths, n_steps)
+    n_paths, n_steps = _check_mc_args(n_paths, n_steps)
     out = [None] * len(reductions)
     for sl, grid, m, p in _batches(model, costs.horizon, n_steps, master_seed, n_paths):
         run = _run_batch(grid, p, m, policies, costs, square, collect)
@@ -540,7 +538,8 @@ def probe_optimality(model, kernel, costs, n_paths, n_steps, master_seed,
     at 16 and 32 steps and on 6 of 8 at 64; it passed on all 16 seeds tried
     at 1024.  Use 1024 steps or more; the 3-standard-error rule is the test.
     """
-    _check_mc_args(n_paths, n_steps)
+    n_paths, n_steps = _check_mc_args(n_paths, n_steps)
+    n_directions = _check_count("n_directions", n_directions, 1)
     policy = optimal_policy(model, kernel, costs)
     dt = costs.horizon / n_steps
     alphas = _probe_alphas(n_directions)

@@ -1,8 +1,8 @@
 """Independent discrete-time verifier for the closed-form schedules.
 
 The continuous problem with a deterministic price path has an exact
-discrete analogue on n steps of length delta = T / n: maximize over rate
-vectors u in R^n
+discrete analogue on n steps of length delta = T / n: given the prices
+P_0 .. P_n at the n + 1 grid points, maximize over rate vectors u in R^n
 
     sum_i (P_i - lam u_i) u_i delta + P_n X_n
     - gamma sum_i X_i^2 delta - big_gamma X_n^2,
@@ -39,18 +39,20 @@ SPD matrix
 obtained by differentiating through the position recursion, and
 _solve_dense solves it in O(n^3).
 
-Price levels enter the objective only through the drift increments; a
-constant price shift adds exactly level * x0 (everything sold plus the
-remainder is marked at the shifted price), so prices are carried at level 0.
+A constant price shift adds exactly level * x0 to the goal (everything
+sold plus the remainder is marked at the shifted price) and leaves the
+maximizer unchanged, so solve_discrete runs the recursion at level 0, on
+P_i - P_0.  discrete_goal scores rates at the problem's own prices, which is
+what the Monte Carlo engine realizes on a path with those prices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import CostParams, TradePlan
+from .schedule import CostParams, TradePlan, _check_count
 
 __all__ = [
     "DiscreteProblem",
@@ -63,25 +65,25 @@ __all__ = [
 class DiscreteProblem:
     """Discrete deterministic schedule problem: n uniform steps over the cost horizon.
 
-    drift holds the per-step price increments dA_i, so the level-0 price at
-    grid point i is the partial sum of drift[:i].
+    prices holds the price at each of the n + 1 grid points i * T / n.
     """
 
-    n_steps: int
-    drift: np.ndarray
+    prices: np.ndarray
     costs: CostParams
 
     def __post_init__(self):
-        if self.n_steps < 2:
-            raise ValueError(f"n_steps must be >= 2, got {self.n_steps!r}")
-        drift = np.asarray(self.drift, dtype=float)
-        if drift.shape != (self.n_steps,):
-            raise ValueError(
-                f"drift must have exactly n_steps={self.n_steps} entries, got shape {drift.shape}"
-            )
-        if not np.all(np.isfinite(drift)):
-            raise ValueError("drift increments must be finite")
-        object.__setattr__(self, "drift", drift)
+        prices = np.asarray(self.prices, dtype=float)
+        if prices.ndim != 1 or prices.size < 3:
+            raise ValueError(f"prices must be a 1-d array of n_steps + 1 >= 3 grid-point prices, "
+                             f"got shape {prices.shape}")
+        if not np.all(np.isfinite(prices)):
+            raise ValueError("prices must be finite")
+        object.__setattr__(self, "prices", prices)
+
+    @property
+    def n_steps(self) -> int:
+        """The number of steps, one fewer than the grid points."""
+        return self.prices.size - 1
 
     @property
     def delta(self) -> float:
@@ -90,16 +92,11 @@ class DiscreteProblem:
 
     @classmethod
     def uniform(cls, costs: CostParams, n_steps: int, drift_level: float = 0.0):
-        """Problem on n uniform steps with a constant drift a(t) = drift_level."""
-        problem = cls(n_steps=n_steps, drift=np.zeros(n_steps), costs=costs)
-        return replace(problem, drift=np.full(n_steps, drift_level * problem.delta))
-
-    def prices(self) -> np.ndarray:
-        """Level-0 prices at all n_steps + 1 grid points."""
-        out = np.empty(self.n_steps + 1)
-        out[0] = 0.0
-        np.cumsum(self.drift, out=out[1:])
-        return out
+        """Problem on n uniform steps with a constant drift a(t) = drift_level, from price 0."""
+        n_steps = _check_count("n_steps", n_steps, 2)
+        prices = np.zeros(n_steps + 1)
+        np.cumsum(np.full(n_steps, drift_level * (costs.horizon / n_steps)), out=prices[1:])
+        return cls(prices, costs)
 
 
 def _hessian(costs: CostParams, n: int, delta: float) -> np.ndarray:
@@ -114,7 +111,7 @@ def _hessian(costs: CostParams, n: int, delta: float) -> np.ndarray:
 def _rhs(problem: DiscreteProblem) -> np.ndarray:
     costs = problem.costs
     n, delta = problem.n_steps, problem.delta
-    prices = problem.prices()
+    prices = problem.prices
     rev = np.arange(n - 1, -1, -1, dtype=float)
     return (prices[:n] - prices[n]
             + 2.0 * costs.gamma * delta * rev * costs.x0
@@ -133,10 +130,7 @@ def _positions(problem: DiscreteProblem, u: np.ndarray) -> np.ndarray:
 
 def _plan_from_rates(problem: DiscreteProblem, u: np.ndarray) -> TradePlan:
     grid = np.linspace(0.0, problem.costs.horizon, problem.n_steps + 1)
-    # the plan stores one rate per grid point; the final slot repeats the
-    # last traded rate (no trade happens at t = T itself)
-    rates = np.append(u, u[-1])
-    return TradePlan(grid=grid, positions=_positions(problem, u), rates=rates)
+    return TradePlan(grid=grid, positions=_positions(problem, u), rates=u)
 
 
 def solve_discrete(problem: DiscreteProblem) -> TradePlan:
@@ -148,7 +142,7 @@ def solve_discrete(problem: DiscreteProblem) -> TradePlan:
     costs = problem.costs
     n, delta, lam = problem.n_steps, problem.delta, costs.lam
     gamma_delta = costs.gamma * delta
-    prices = problem.prices().tolist()
+    prices = (problem.prices - problem.prices[0]).tolist()
     a = [0.0] * (n + 1)
     b = [0.0] * (n + 1)
     a[n], b[n] = costs.big_gamma, prices[n]
@@ -176,7 +170,7 @@ def _solve_dense(problem: DiscreteProblem) -> TradePlan:
 
 
 def discrete_goal(problem: DiscreteProblem, rates) -> float:
-    """Discrete objective of a rate vector (length n_steps) at price level 0."""
+    """Discrete objective of a rate vector (length n_steps) at the problem's prices."""
     u = np.asarray(rates, dtype=float)
     if u.shape != (problem.n_steps,):
         raise ValueError(
@@ -184,7 +178,7 @@ def discrete_goal(problem: DiscreteProblem, rates) -> float:
         )
     costs = problem.costs
     delta = problem.delta
-    prices = problem.prices()
+    prices = problem.prices
     x = _positions(problem, u)
     cash = float(np.dot(prices[:-1] - costs.lam * u, u)) * delta
     running = costs.gamma * float(np.dot(x[:-1], x[:-1])) * delta

@@ -29,6 +29,7 @@ overflows a double.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,17 @@ def _positive(name: str, value: float) -> float:
     if not math.isfinite(v) or v <= 0.0:
         raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
     return v
+
+
+def _check_count(name: str, value, minimum: int) -> int:
+    """value as an int; ValueError naming it unless an integer >= minimum (numpy ints pass)."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return count
 
 
 def _check_grid(name: str, grid, min_size: int = 2) -> np.ndarray:
@@ -120,11 +132,11 @@ def _check_kernel(kernel: GKernel, costs: CostParams) -> None:
 class TradePlan:
     """A schedule sampled on a time grid: positions and selling rates.
 
-    Positions and rates have the same length as grid.  rates[i] is the selling
-    rate applied on [grid[i], grid[i+1]); rates[-1] is the terminal rate.  For
-    plans built by forward Euler the identity
-    positions[i+1] = positions[i] - rates[i] * dt holds exactly; closed-form
-    plans satisfy it to O(dt^2) per step (see max_euler_residual).
+    positions holds one entry per grid point and rates one per step:
+    rates[i] is the selling rate on [grid[i], grid[i+1]).  For plans built
+    by forward Euler the identity positions[i+1] = positions[i] - rates[i] *
+    dt holds exactly; closed-form plans satisfy it to O(dt^2) per step (see
+    max_euler_residual).
     """
 
     grid: np.ndarray
@@ -135,8 +147,10 @@ class TradePlan:
         grid = _check_grid("grid", self.grid)
         pos = np.asarray(self.positions, dtype=float)
         rates = np.asarray(self.rates, dtype=float)
-        if pos.shape != grid.shape or rates.shape != grid.shape:
-            raise ValueError("positions and rates must match the grid shape")
+        if pos.shape != grid.shape:
+            raise ValueError("positions must match the grid shape")
+        if rates.shape != (grid.size - 1,):
+            raise ValueError(f"rates must hold one rate per step, got shape {rates.shape}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "rates", rates)
@@ -144,7 +158,7 @@ class TradePlan:
     def max_euler_residual(self) -> float:
         """Largest |positions[i+1] - (positions[i] - rates[i] * dt)| over the grid."""
         dt = np.diff(self.grid)
-        pred = self.positions[:-1] - self.rates[:-1] * dt
+        pred = self.positions[:-1] - self.rates * dt
         return float(np.max(np.abs(self.positions[1:] - pred)))
 
 
@@ -278,7 +292,7 @@ def trajectory_from_signal(kernel, x0, v1_curve, grid) -> TradePlan:
         positions[j + 1] = (rho[j] * positions[j]
                             + 0.5 * h[j] * (rho[j] * values[j] + values[j + 1]))
 
-    rates = np.array([urgency(kernel, t) for t in grid]) * positions - values
+    rates = np.array([urgency(kernel, t) for t in grid[:-1]]) * positions[:-1] - values[:-1]
     return TradePlan(grid=grid, positions=positions, rates=rates)
 
 

@@ -1,9 +1,8 @@
 """Simulation, strategy-evaluation and perturbation-probe tests.
 
 The discrete goal evaluator from the oracle module doubles as an
-independent referee here: a strategy replayed through discrete_goal must
-reproduce the engine's realized totals exactly (up to the documented
-price-level shift p0 * x0).
+independent referee here: a strategy replayed through discrete_goal at the
+path's prices must reproduce the engine's realized totals exactly.
 """
 
 import math
@@ -196,9 +195,12 @@ def test_run_strategy_rejects_a_path_not_spanning_the_horizon():
                  PathSample(grid=np.linspace(0.25, 0.75, 65), m=ones, p=ones)):
         with pytest.raises(ValueError, match=r"grid must span \[0, horizon = 1\.0\]"):
             run_strategy(path, policy, UNIT_COSTS)
-    # the span is checked to relative 1e-9, as the uniformity is
-    near = PathSample(grid=np.linspace(0.0, 1.0 - 5e-10, 65), m=ones, p=ones)
-    assert math.isfinite(run_strategy(near, policy, UNIT_COSTS)[1].total)
+    # the span is checked to relative 1e-9, as the uniformity is; a grid just
+    # past T is scored too, since no policy is called at its last point
+    for end in (1.0 - 5e-10, 1.0 + 5e-10):
+        near = PathSample(grid=np.linspace(0.0, end, 65), m=ones, p=ones)
+        plan, bk = run_strategy(near, policy, UNIT_COSTS)
+        assert plan.rates.shape == (64,) and math.isfinite(bk.total)
     far = PathSample(grid=np.linspace(0.0, 1.0 - 2e-9, 65), m=ones, p=ones)
     with pytest.raises(ValueError, match="grid must span"):
         run_strategy(far, policy, UNIT_COSTS)
@@ -214,9 +216,9 @@ def test_no_trading_keeps_inventory_and_pays_penalties():
     assert bk.running_penalty == pytest.approx(costs.gamma * 1.0, rel=1e-12)
 
 
-def test_realized_total_equals_discrete_goal_plus_level_shift():
+def test_realized_total_equals_discrete_goal():
     # independent referee: replaying the engine's own rates through the
-    # oracle's goal evaluator must give total - p0 * x0 exactly
+    # oracle's goal evaluator at the path's prices must give the total
     model = BACH
     kernel = GKernel.from_costs(UNIT_COSTS)
     policy = optimal_policy(model, kernel, UNIT_COSTS)
@@ -224,9 +226,8 @@ def test_realized_total_equals_discrete_goal_plus_level_shift():
     for j in range(4):
         path = simulate_path(model, 1.0, n, path_stream(11, j))
         plan, bk = run_strategy(path, policy, UNIT_COSTS)
-        problem = DiscreteProblem(n_steps=n, drift=np.diff(path.p), costs=UNIT_COSTS)
-        goal = discrete_goal(problem, plan.rates[:-1])
-        assert bk.total - float(path.p[0]) * UNIT_COSTS.x0 == pytest.approx(goal, abs=1e-12)
+        goal = discrete_goal(DiscreteProblem(path.p, UNIT_COSTS), plan.rates)
+        assert bk.total == pytest.approx(goal, abs=1e-12)
 
 
 def test_ac_policy_sigma_zero_tracks_closed_form():
@@ -599,12 +600,12 @@ def test_probe_expansion_matches_direct_replay():
     for j in range(n_paths):
         path = PathSample(grid=grid, m=mb[:, j], p=pb[:, j])
         plan, _ = run_strategy(path, policy, costs)
-        problem = DiscreteProblem(n_steps=n_steps, drift=np.diff(path.p), costs=costs)
-        base = discrete_goal(problem, plan.rates[:-1])
+        problem = DiscreteProblem(path.p, costs)
+        base = discrete_goal(problem, plan.rates)
         for d in range(n_dirs):
             steps = alphas[d][knot]
             for e, eps in enumerate(epsilons):
-                gains[d, e, j] = discrete_goal(problem, plan.rates[:-1] + eps * steps) - base
+                gains[d, e, j] = discrete_goal(problem, plan.rates + eps * steps) - base
     np.testing.assert_allclose(probe.mean_gain, gains.mean(axis=2),
                                rtol=1e-9, atol=1e-13)
 
@@ -693,3 +694,33 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         estimate_value(BACH, ac_policy(GKernel.from_costs(UNIT_COSTS)), UNIT_COSTS,
                        n_paths=1, n_steps=16, master_seed=0)
+    # numpy integers are integers
+    assert DiscreteProblem.uniform(UNIT_COSTS, np.int64(4)).n_steps == 4
+    np.testing.assert_array_equal(
+        simulate_path(BACH, 1.0, np.int32(8), path_stream(np.uint64(3), np.int64(1))).p,
+        simulate_path(BACH, 1.0, 8, path_stream(3, 1)).p)
+
+
+_K = GKernel.from_costs(UNIT_COSTS)
+_MC = dict(n_paths=4, n_steps=8, master_seed=1)
+
+
+@pytest.mark.parametrize("field, call", [
+    ("n_steps", lambda: DiscreteProblem.uniform(UNIT_COSTS, -1)),
+    ("n_steps", lambda: DiscreteProblem.uniform(UNIT_COSTS, 2.5)),
+    ("n_paths", lambda: estimate_value(BACH, ac_policy(_K), UNIT_COSTS,
+                                       **{**_MC, "n_paths": math.nan})),
+    ("n_paths", lambda: estimate_value(BACH, ac_policy(_K), UNIT_COSTS,
+                                       **{**_MC, "n_paths": 3.0})),
+    ("n_steps", lambda: simulate_path(BACH, 1.0, 2.5, path_stream(0, 0))),
+    ("n_steps", lambda: estimate_v0(BACH, _K, UNIT_COSTS, **{**_MC, "n_steps": 2.5})),
+    ("n_directions", lambda: probe_optimality(BACH, _K, UNIT_COSTS, **_MC, n_directions=0)),
+    ("master_seed", lambda: estimate_value(BACH, ac_policy(_K), UNIT_COSTS,
+                                           **{**_MC, "master_seed": 1.5})),
+], ids=["uniform-negative", "uniform-fraction", "paths-nan", "paths-float", "path-steps",
+        "mc-steps", "no-directions", "seed-fraction"])
+def test_counts_must_be_integers_naming_the_field(field, call):
+    # int() would run seed 1.5 as seed 1, a NaN count compares false with
+    # every bound, and a probe of no direction passes by having no margin
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= "):
+        call()

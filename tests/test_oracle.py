@@ -23,24 +23,18 @@ def test_two_step_hand_case():
     # X_1 = 1 - u_0/2, X_2 = X_1 - u_1/2 from the KKT system by hand gives
     # u = (14/19, 8/19) exactly.
     plan = solve_discrete(DiscreteProblem.uniform(UNIT, 2))
-    np.testing.assert_allclose(plan.rates[:2], [14.0 / 19.0, 8.0 / 19.0],
+    np.testing.assert_allclose(plan.rates, [14.0 / 19.0, 8.0 / 19.0],
                                rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(plan.positions, [1.0, 12.0 / 19.0, 8.0 / 19.0],
                                rtol=0.0, atol=1e-15)
-
-
-def test_rates_hold_last_value():
-    plan = solve_discrete(DiscreteProblem.uniform(UNIT_COSTS, 16))
-    assert plan.rates[-1] == plan.rates[-2]
-    assert plan.grid.size == 17
 
 
 def test_terminal_first_order_condition():
     for level in (0.0, -0.1):
         problem = DiscreteProblem.uniform(UNIT_COSTS, 256, drift_level=level)
         plan = solve_discrete(problem)
-        prices = problem.prices()
-        lhs = plan.rates[-2] - (UNIT_COSTS.big_gamma / UNIT_COSTS.lam) * plan.positions[-1]
+        prices = problem.prices
+        lhs = plan.rates[-1] - (UNIT_COSTS.big_gamma / UNIT_COSTS.lam) * plan.positions[-1]
         rhs = (prices[-2] - prices[-1]) / (2.0 * UNIT_COSTS.lam)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -59,7 +53,7 @@ def test_matches_closed_form_at_coarse_resolution():
 
 def test_goal_decreases_away_from_optimum():
     problem = DiscreteProblem.uniform(UNIT_COSTS, 32)
-    u = solve_discrete(problem).rates[:-1]
+    u = solve_discrete(problem).rates
     base = discrete_goal(problem, u)
     rng = np.random.default_rng(5)
     for _ in range(8):
@@ -103,10 +97,10 @@ def test_solver_matches_dense_reference():
                       # beta T = sqrt(gamma / lam) T = 31.6
                       CostParams(lam=0.01, gamma=0.01 * 31.6**2, big_gamma=1.0,
                                  horizon=1.0, x0=1.0)):
-            delta = costs.horizon / n
-            for drift in (np.zeros(n), np.full(n, -0.1 * delta),
-                          rng.normal(0.0, 0.02, n)):
-                problem = DiscreteProblem(costs=costs, n_steps=n, drift=drift)
+            walk = 1.0 + np.concatenate(([0.0], np.cumsum(rng.normal(0.0, 0.02, n))))
+            for problem in (DiscreteProblem.uniform(costs, n),
+                            DiscreteProblem.uniform(costs, n, drift_level=-0.1),
+                            DiscreteProblem(walk, costs)):
                 fast = solve_discrete(problem)
                 dense = _solve_dense(problem)
                 scale = float(np.max(np.abs(dense.rates)))
@@ -120,21 +114,29 @@ def test_dimension_and_argument_validation():
         discrete_goal(problem, np.ones(15))
     with pytest.raises(ValueError):
         DiscreteProblem.uniform(UNIT_COSTS, 1)
+    for prices in (np.zeros(2), np.zeros((3, 3)), [0.0, np.nan, 0.0]):
+        with pytest.raises(ValueError, match="prices"):
+            DiscreteProblem(prices, UNIT_COSTS)
 
 
 def test_step_is_the_horizon_over_the_step_count():
-    # delta is T / n itself, so the plan keeps its own Euler identity to rounding
+    # n is one fewer than the prices and delta is T / n itself, so the plan
+    # keeps its own Euler identity to rounding
     rng = np.random.default_rng(5)
     for costs in (UNIT_COSTS, CostParams(lam=2.0, gamma=0.3, big_gamma=7.0, horizon=2.5, x0=4.0)):
         for n in (2, 7, 1500):
-            problem = DiscreteProblem(n, rng.normal(0.0, 0.02, n), costs)
+            problem = DiscreteProblem(rng.normal(0.0, 0.02, n + 1), costs)
+            assert problem.n_steps == n
             assert problem.delta == costs.horizon / n
-            assert solve_discrete(problem).max_euler_residual() <= 1e-15
-    with pytest.raises(TypeError):
-        DiscreteProblem(n_steps=16, delta=1.0 / 16, drift=np.zeros(16), costs=UNIT_COSTS)
+            plan = solve_discrete(problem)
+            assert plan.rates.shape == (n,)
+            assert plan.max_euler_residual() <= 1e-15
+    for derived in ("n_steps", "delta"):
+        with pytest.raises(TypeError):
+            DiscreteProblem(np.zeros(17), UNIT_COSTS, **{derived: 16})
 
 
 def test_uniform_constructor_prices():
     problem = DiscreteProblem.uniform(UNIT_COSTS, 4, drift_level=-0.2)
-    np.testing.assert_allclose(problem.prices(),
+    np.testing.assert_allclose(problem.prices,
                                [0.0, -0.05, -0.1, -0.15, -0.2], atol=1e-15)

@@ -146,7 +146,7 @@ def test_trajectory_zero_signal_is_ac_position():
     plan = trajectory_from_signal(k, 1.0, np.zeros(grid.size), grid)
     ref = np.array([ac_position(k, t, 1.0) for t in grid])
     np.testing.assert_allclose(plan.positions, ref, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(plan.rates[:-1],
+    np.testing.assert_allclose(plan.rates,
                                [urgency(k, t) for t in grid[:-1]] * ref[:-1],
                                rtol=1e-12)
 
@@ -230,11 +230,15 @@ def test_trade_plan_euler_residual_small_on_exact_plan():
 
 
 def test_trade_plan_shape_validation():
+    # a position at each grid point, a rate on each step
     grid = np.linspace(0.0, 1.0, 5)
+    assert TradePlan(grid=grid, positions=np.ones(5), rates=np.ones(4)).rates.shape == (4,)
+    with pytest.raises(ValueError, match="positions"):
+        TradePlan(grid=grid, positions=np.ones(4), rates=np.ones(4))
+    with pytest.raises(ValueError, match="rates"):
+        TradePlan(grid=grid, positions=np.ones(5), rates=np.ones(5))
     with pytest.raises(ValueError):
-        TradePlan(grid=grid, positions=np.ones(4), rates=np.ones(5))
-    with pytest.raises(ValueError):
-        TradePlan(grid=grid[::-1], positions=np.ones(5), rates=np.ones(5))
+        TradePlan(grid=grid[::-1], positions=np.ones(5), rates=np.ones(4))
 
 
 def test_value_formula_is_affine_quadratic_identity():
