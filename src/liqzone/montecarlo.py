@@ -64,6 +64,8 @@ from .schedule import (
     _check_count,
     _check_grid,
     _check_kernel,
+    _finite_array,
+    _positive,
     urgency,
 )
 
@@ -110,15 +112,13 @@ class PathSample:
     def __post_init__(self):
         object.__setattr__(self, "grid", _check_grid("grid", self.grid))
         for name in ("m", "p"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = _finite_array(name, getattr(self, name))
             if arr.shape != self.grid.shape:
                 raise ValueError(f"{name} must match the grid shape")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "m_star", np.maximum.accumulate(self.m))
         if np.any(self.p > self.m):
-            raise ValueError("capped price cannot exceed the uncapped level")
+            raise ValueError("p must not exceed m")
 
 
 @dataclass(frozen=True)
@@ -157,19 +157,10 @@ class PairedComparison:
     difference: MCEstimate
 
 
-def _check_seed(master_seed: int) -> int:
-    master_seed = _check_count("master_seed", master_seed, 0)
-    if master_seed >= 2**64:
-        raise ValueError("master_seed must fit in 64 bits")
-    return master_seed
-
-
 def path_stream(master_seed: int, path_index: int) -> np.random.Generator:
     """The Philox stream of one path: 128-bit key (master_seed << 64) | path_index."""
-    master_seed = _check_seed(master_seed)
-    path_index = _check_count("path_index", path_index, 0)
-    if path_index >= 2**64:
-        raise ValueError("path_index must fit in 64 bits")
+    master_seed = _check_count("master_seed", master_seed, 0, bits=64)
+    path_index = _check_count("path_index", path_index, 0, bits=64)
     # the key is passed as its little-endian 64-bit words, identical to the
     # int form but cheaper to build (unit-tested equivalence)
     key = np.array([path_index, master_seed], dtype=np.uint64)
@@ -221,8 +212,7 @@ def simulate_path(model, horizon: float, n_steps: int, rng: np.random.Generator)
     path_stream(seed, j) the path is bit for bit column j of every batch.
     """
     n_steps = _check_count("n_steps", n_steps, 1)
-    if horizon <= 0.0:
-        raise ValueError("horizon must be strictly positive")
+    horizon = _positive("horizon", horizon)
     grid, m, p = _simulate(model, horizon, n_steps, 1,
                            lambda block, offset: rng.standard_normal(out=block[0]))
     return PathSample(grid=grid, m=m.ravel(), p=p.ravel())
@@ -281,9 +271,10 @@ class _FeedbackPolicy:
         return u if self.signal_table is None else u + extra
 
     def __call__(self, t, x, state):
+        x = _finite_array("x", x)
         table = self.signal_table
         extra = None if table is None else table.extra_values(t, state.p, state.m)
-        return self.rate(t, np.asarray(x, dtype=float), extra)
+        return self.rate(t, x, extra)
 
 
 def ac_policy(kernel: GKernel) -> Callable:

@@ -29,16 +29,6 @@ This runs in O(n) on plain floats.  Nothing here reuses the kernel
 machinery, which is the point: agreement with the closed form is evidence
 for both sides.
 
-The reference the recursion is unit-tested against solves the stationarity
-system directly: the maximizer is the solution of H u = b with the dense
-SPD matrix
-
-    H[k, j] = 2 lam 1{k=j} + 2 gamma delta^2 min(rev_k, rev_j)
-              + 2 big_gamma delta,        rev_k = n - 1 - k,
-
-obtained by differentiating through the position recursion, and
-_solve_dense solves it in O(n^3).
-
 A constant price shift adds exactly level * x0 to the goal (everything
 sold plus the remainder is marked at the shifted price) and leaves the
 maximizer unchanged, so solve_discrete runs the recursion at level 0, on
@@ -52,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import CostParams, TradePlan, _check_count
+from .schedule import CostParams, TradePlan, _check_count, _finite, _finite_array
 
 __all__ = [
     "DiscreteProblem",
@@ -72,12 +62,10 @@ class DiscreteProblem:
     costs: CostParams
 
     def __post_init__(self):
-        prices = np.asarray(self.prices, dtype=float)
+        prices = _finite_array("prices", self.prices)
         if prices.ndim != 1 or prices.size < 3:
             raise ValueError(f"prices must be a 1-d array of n_steps + 1 >= 3 grid-point prices, "
                              f"got shape {prices.shape}")
-        if not np.all(np.isfinite(prices)):
-            raise ValueError("prices must be finite")
         object.__setattr__(self, "prices", prices)
 
     @property
@@ -94,28 +82,10 @@ class DiscreteProblem:
     def uniform(cls, costs: CostParams, n_steps: int, drift_level: float = 0.0):
         """Problem on n uniform steps with a constant drift a(t) = drift_level, from price 0."""
         n_steps = _check_count("n_steps", n_steps, 2)
+        drift_level = _finite("drift_level", drift_level)
         prices = np.zeros(n_steps + 1)
         np.cumsum(np.full(n_steps, drift_level * (costs.horizon / n_steps)), out=prices[1:])
         return cls(prices, costs)
-
-
-def _hessian(costs: CostParams, n: int, delta: float) -> np.ndarray:
-    rev = np.arange(n - 1, -1, -1, dtype=float)
-    h = np.minimum.outer(rev, rev)
-    h *= 2.0 * costs.gamma * delta * delta
-    h += 2.0 * costs.big_gamma * delta
-    h[np.diag_indices(n)] += 2.0 * costs.lam
-    return h
-
-
-def _rhs(problem: DiscreteProblem) -> np.ndarray:
-    costs = problem.costs
-    n, delta = problem.n_steps, problem.delta
-    prices = problem.prices
-    rev = np.arange(n - 1, -1, -1, dtype=float)
-    return (prices[:n] - prices[n]
-            + 2.0 * costs.gamma * delta * rev * costs.x0
-            + 2.0 * costs.big_gamma * costs.x0)
 
 
 def _positions(problem: DiscreteProblem, u: np.ndarray) -> np.ndarray:
@@ -126,11 +96,6 @@ def _positions(problem: DiscreteProblem, u: np.ndarray) -> np.ndarray:
     x[1:] *= -problem.delta
     x[1:] += problem.costs.x0
     return x
-
-
-def _plan_from_rates(problem: DiscreteProblem, u: np.ndarray) -> TradePlan:
-    grid = np.linspace(0.0, problem.costs.horizon, problem.n_steps + 1)
-    return TradePlan(grid=grid, positions=_positions(problem, u), rates=u)
 
 
 def solve_discrete(problem: DiscreteProblem) -> TradePlan:
@@ -157,21 +122,14 @@ def solve_discrete(problem: DiscreteProblem) -> TradePlan:
         rate = (2.0 * a[i + 1] * x + prices[i] - b[i + 1]) / (2.0 * (lam + a[i + 1] * delta))
         u[i] = rate
         x -= rate * delta
-    return _plan_from_rates(problem, np.array(u))
-
-
-def _solve_dense(problem: DiscreteProblem) -> TradePlan:
-    """Reference solver: a dense solve of H u = b itself.
-
-    O(n^3); kept as the independent route the recursion is tested against.
-    """
-    h = _hessian(problem.costs, problem.n_steps, problem.delta)
-    return _plan_from_rates(problem, np.linalg.solve(h, _rhs(problem)))
+    u = np.array(u)
+    grid = np.linspace(0.0, costs.horizon, n + 1)
+    return TradePlan(grid=grid, positions=_positions(problem, u), rates=u)
 
 
 def discrete_goal(problem: DiscreteProblem, rates) -> float:
     """Discrete objective of a rate vector (length n_steps) at the problem's prices."""
-    u = np.asarray(rates, dtype=float)
+    u = _finite_array("rates", rates)
     if u.shape != (problem.n_steps,):
         raise ValueError(
             f"rates must have exactly n_steps={problem.n_steps} entries, got shape {u.shape}"

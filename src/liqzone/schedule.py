@@ -52,29 +52,66 @@ _EXP_SWITCH = 30.0
 _SERIES_SWITCH = 1e-4
 
 
-def _positive(name: str, value: float) -> float:
+def _finite(name: str, value) -> float:
+    """value as a float; ValueError naming it unless finite."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {v!r}")
+    return v
+
+
+def _positive(name: str, value) -> float:
+    """value as a float; ValueError naming it unless finite and > 0."""
     v = float(value)
     if not math.isfinite(v) or v <= 0.0:
         raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
     return v
 
 
-def _check_count(name: str, value, minimum: int) -> int:
-    """value as an int; ValueError naming it unless an integer >= minimum (numpy ints pass)."""
+def _finite_array(name: str, values, lower: float = -math.inf, strict: bool = False) -> np.ndarray:
+    """values as a float array; ValueError naming it unless every entry is finite
+    and >= lower (> lower if strict)."""
+    arr = np.asarray(values, dtype=float)
+    ok = np.isfinite(arr) & ((arr > lower) if strict else (arr >= lower))
+    if not ok.all():
+        bound = "" if lower == -math.inf else f" and {'>' if strict else '>='} {lower!r}"
+        raise ValueError(f"{name} must be finite{bound}, got {float(arr[~ok].flat[0])!r}")
+    return arr
+
+
+def _check_time(name: str, t, horizon: float, closed: bool = True) -> float:
+    """t as a float; ValueError naming it unless 0 <= t <= horizon (t < horizon unless closed).
+
+    Plain comparisons, which NaN fails: the step loop calls this once per step.
+    """
+    t = float(t)
+    if not (0.0 <= t <= horizon if closed else 0.0 <= t < horizon):
+        raise ValueError(f"{name} must lie in [0, horizon = {float(horizon)!r}"
+                         f"{']' if closed else ')'}, got {t!r}")
+    return t
+
+
+def _check_count(name: str, value, minimum: int, bits: int | None = None) -> int:
+    """value as an int; ValueError naming it unless an integer >= minimum, and
+    below 2**bits when bits is given (numpy ints pass)."""
     try:
         count = operator.index(value)
     except TypeError:
         count = None
-    if count is None or count < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if count is None or count < minimum or (bits is not None and count >= 2**bits):
+        below = "" if bits is None else f" and below 2**{bits}"
+        raise ValueError(f"{name} must be an integer >= {minimum}{below}, got {value!r}")
     return count
 
 
 def _check_grid(name: str, grid, min_size: int = 2) -> np.ndarray:
-    """grid as a float array; ValueError naming it unless 1-d and strictly increasing."""
+    """grid as a float array; ValueError naming it unless 1-d, finite and strictly increasing."""
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < min_size or not np.all(np.diff(grid) > 0.0):
-        raise ValueError(f"{name} must be a strictly increasing 1-d array of >= {min_size} points")
+    # an increasing grid can hold an infinity only at its ends
+    if (grid.ndim != 1 or grid.size < min_size or not np.all(np.diff(grid) > 0.0)
+            or not (math.isfinite(grid[0]) and math.isfinite(grid[-1]))):
+        raise ValueError(f"{name} must be a finite, strictly increasing 1-d array of "
+                         f">= {min_size} points")
     return grid
 
 
@@ -145,8 +182,8 @@ class TradePlan:
 
     def __post_init__(self):
         grid = _check_grid("grid", self.grid)
-        pos = np.asarray(self.positions, dtype=float)
-        rates = np.asarray(self.rates, dtype=float)
+        pos = _finite_array("positions", self.positions)
+        rates = _finite_array("rates", self.rates)
         if pos.shape != grid.shape:
             raise ValueError("positions must match the grid shape")
         if rates.shape != (grid.size - 1,):
@@ -201,9 +238,7 @@ def g_value(kernel: GKernel, t: float) -> float:
     overflow of the intermediate cosh/sinh for as long as the value itself
     is representable.
     """
-    t = float(t)
-    if not t >= 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
+    t = float(_finite_array("t", t, 0.0))
     beta, g = kernel.beta, kernel.gamma_ratio
     x = beta * t
     if x <= _EXP_SWITCH:
@@ -220,10 +255,7 @@ def urgency(kernel: GKernel, t: float) -> float:
     At t = T this is exactly gamma_ratio; as tau grows it saturates at beta.
     The value always lies between min(beta, gamma_ratio) and max(beta, gamma_ratio).
     """
-    t = float(t)
-    if not 0.0 <= t <= kernel.horizon:
-        raise ValueError(f"t must lie in [0, horizon], got {t!r}")
-    tau = kernel.horizon - t
+    tau = kernel.horizon - _check_time("t", t, kernel.horizon)
     beta, g = kernel.beta, kernel.gamma_ratio
     if tau == 0.0:
         return g
@@ -233,9 +265,8 @@ def urgency(kernel: GKernel, t: float) -> float:
 
 def ac_position(kernel: GKernel, t: float, x0: float) -> float:
     """Signal-free optimal inventory at time t: x0 * G(T - t) / G(T)."""
-    t = float(t)
-    if not 0.0 <= t <= kernel.horizon:
-        raise ValueError(f"t must lie in [0, horizon], got {t!r}")
+    t = _check_time("t", t, kernel.horizon)
+    x0 = _finite("x0", x0)
     tau = kernel.horizon - t
     beta, g = kernel.beta, kernel.gamma_ratio
     if beta * kernel.horizon <= _EXP_SWITCH:
@@ -257,7 +288,7 @@ def optimal_rate(kernel: GKernel, t: float, x: float, v1_signal: float = 0.0) ->
     rate exceeds the signal-free one; positive v1 (an upward drift) slows
     selling and may flip the rate negative (buying).
     """
-    return urgency(kernel, t) * x - v1_signal
+    return urgency(kernel, t) * _finite("x", x) - _finite("v1_signal", v1_signal)
 
 
 def trajectory_from_signal(kernel, x0, v1_curve, grid) -> TradePlan:
@@ -267,18 +298,16 @@ def trajectory_from_signal(kernel, x0, v1_curve, grid) -> TradePlan:
     curve, propagated stepwise through ratios of G so that no intermediate
     overflows; rates are urgency * X - v1 at the grid points.
 
-    Raises ValueError for grids that are not strictly increasing, do not
-    start at 0, or run past the horizon.
+    The grid must start at 0 and end by the horizon (to relative 1e-12).
     """
+    x0 = _finite("x0", x0)
     grid = _check_grid("grid", grid)
-    if grid[0] != 0.0:
-        raise ValueError("grid must start at t = 0")
-    if grid[-1] > kernel.horizon * (1.0 + 1e-12):
-        raise ValueError("grid runs past the horizon")
-
-    values = np.asarray(v1_curve, dtype=float)
+    if grid[0] != 0.0 or grid[-1] > kernel.horizon * (1.0 + 1e-12):
+        raise ValueError(f"grid must span at most [0, horizon = {kernel.horizon!r}], "
+                         f"got [{float(grid[0])!r}, {float(grid[-1])!r}]")
+    values = _finite_array("v1_curve", v1_curve)
     if values.shape != grid.shape:
-        raise ValueError("v1 curve must align with the grid")
+        raise ValueError("v1_curve must align with the grid")
 
     beta, g, horizon = kernel.beta, kernel.gamma_ratio, kernel.horizon
     lg = _log_g_array(beta, g, beta * (horizon - grid))
@@ -305,6 +334,8 @@ def value_formula(kernel: GKernel, costs: CostParams, p0: float, v0_0: float, v1
     kernel must be GKernel.from_costs(costs), else ValueError.
     """
     _check_kernel(kernel, costs)
+    p0, v1_0 = _finite("p0", p0), _finite("v1_0", v1_0)
+    v0_0 = float(_finite_array("v0_0", v0_0, 0.0))
     x = costs.x0
     v2_0 = -urgency(kernel, 0.0)
     return p0 * x + costs.lam * (v0_0 + 2.0 * v1_0 * x + v2_0 * x * x)

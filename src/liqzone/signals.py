@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import (CostParams, GKernel, _check_grid, _check_kernel, _log_g, _log_g_array,
-                       optimal_rate, urgency)
+from .schedule import (CostParams, GKernel, _check_grid, _check_kernel, _check_time, _finite,
+                       _finite_array, _log_g, _log_g_array, _positive, optimal_rate, urgency)
 
 __all__ = [
     "CappedBachelier",
@@ -156,9 +156,10 @@ class _Model:
 
     def _check_state(self, state: TargetZoneState, horizon: float) -> float:
         """Validate a state against the model; returns the time to go."""
-        if not 0.0 <= state.t < horizon:
-            raise ValueError(f"state.t must lie in [0, horizon), got {state.t!r}")
-        return horizon - state.t
+        t = _check_time("state.t", state.t, horizon, closed=False)
+        _finite("state.m", state.m)
+        _finite("state.p", state.p)
+        return horizon - t
 
     def _v1_curve(self, kernel: GKernel, lam: float, grid: np.ndarray) -> np.ndarray:
         """v1 at every point of a time grid, for a model whose v1 depends on t alone."""
@@ -186,8 +187,7 @@ class _CappedModel(_Model):
     (_table_rows: from nodes y of shape (panels, 15) and weights of shape
     (panels, roots, 2, 15), the Kronrod and Gauss sums of each panel, root
     and z, shape (2, panels, roots, z)), the table's z grid (_TABLE_Z) and
-    the surface's uncapped levels (_surface_levels), and may narrow the
-    uncapped levels they accept (_check_levels, which rejects only NaN here).
+    the surface's uncapped levels (_surface_levels).
     """
 
     m0: float
@@ -195,10 +195,9 @@ class _CappedModel(_Model):
     p_bar: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be strictly positive, got {self.sigma!r}")
-        if not (math.isfinite(self.m0) and math.isfinite(self.p_bar)):
-            raise ValueError("m0 and p_bar must be finite")
+        _finite("m0", self.m0)
+        _positive("sigma", self.sigma)
+        _finite("p_bar", self.p_bar)
         if self.p_bar < self.m0:
             raise ValueError(f"p_bar must be >= m0, got p_bar={self.p_bar!r} < m0={self.m0!r}")
 
@@ -219,18 +218,10 @@ class _CappedModel(_Model):
 
     def _check_state(self, state, horizon):
         tau = super()._check_state(state, horizon)
-        if state.p > self.p_bar:
-            raise ValueError(f"state.p must not exceed p_bar, got {state.p!r} > {self.p_bar!r}")
-        if state.p > state.m:
-            raise ValueError(f"capped price cannot exceed the uncapped level, got p={state.p!r} > m={state.m!r}")
-        self._check_levels(np.array([state.m], dtype=float))
+        if not state.p <= min(self.p_bar, state.m):
+            raise ValueError(f"state.p must not exceed p_bar = {self.p_bar!r} or state.m = "
+                             f"{state.m!r}, got {state.p!r}")
         return tau
-
-    def _check_levels(self, m: np.ndarray) -> np.ndarray:
-        """m, once no uncapped level is NaN (p <= m cannot catch one)."""
-        if m.size and np.isnan(np.minimum.reduce(m, axis=None)):
-            raise ValueError(f"m must be a number, got {float(m[np.isnan(m)][0])!r}")
-        return m
 
     def _v1(self, kernel, lam, state, tau):
         return -float(self._extra(kernel, lam, tau, np.array([state.p]), np.array([state.m]))[0][0])
@@ -352,8 +343,7 @@ class CappedBlackScholes(_CappedModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.m0 <= 0.0:
-            raise ValueError(f"m0 must be strictly positive, got {self.m0!r}")
+        _positive("m0", self.m0)
 
     def _to_levels(self, m, grid):
         # exact in log space
@@ -361,13 +351,10 @@ class CappedBlackScholes(_CappedModel):
         np.exp(m, out=m)
         m *= self.m0
 
-    def _check_levels(self, m):
+    def _moneyness(self, p, m, root):
+        m = np.asarray(m, dtype=float)
         if m.size and not np.minimum.reduce(m, axis=None) > 0.0:
             raise ValueError(f"m must be strictly positive, got {float(m[~(m > 0.0)][0])!r}")
-        return m
-
-    def _moneyness(self, p, m, root):
-        m = self._check_levels(np.asarray(m, dtype=float))
         p = np.asarray(p, dtype=float)
         return self._in_zone(np.log1p((self.p_bar - p) / m) / root, p), m
 
@@ -385,15 +372,10 @@ class CappedBlackScholes(_CappedModel):
     def _surface_levels(self, bs_m, ks):
         if bs_m is None:
             raise ValueError("bs_m is required for a Black-Scholes surface")
-        m_cols = np.broadcast_to(np.asarray(bs_m, dtype=float), ks.shape).astype(float)
+        m_cols = np.broadcast_to(_finite_array("bs_m", bs_m), ks.shape).astype(float)
         if np.any(m_cols < self.p_bar - ks):
             raise ValueError("bs_m must be >= the capped price p_bar - moneyness in every column")
         return m_cols
-
-
-def _check_p0(p0) -> None:
-    if not math.isfinite(p0):
-        raise ValueError(f"p0 must be finite, got {p0!r}")
 
 
 @dataclass(frozen=True)
@@ -410,13 +392,11 @@ class DeterministicDrift(_Model):
     sigma = 0.0  # not a field: no noise, every path is the expected path
 
     def __post_init__(self):
-        times = _check_grid("drift curve times", self.times)
-        values = np.asarray(self.values, dtype=float)
+        times = _check_grid("times", self.times)
+        values = _finite_array("values", self.values)
         if times.shape != values.shape:
-            raise ValueError("drift curve needs matching times and values")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValueError("drift curve must be finite")
-        _check_p0(self.p0)
+            raise ValueError("values must match the shape of times")
+        _finite("p0", self.p0)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -440,14 +420,17 @@ class Martingale(_Model):
     sigma: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
-        _check_p0(self.p0)
+        _finite("p0", self.p0)
+        _finite_array("sigma", self.sigma, 0.0)
 
 
 @dataclass(frozen=True)
 class TargetZoneState:
-    """Market state at time t: uncapped level m and capped price p (p <= m)."""
+    """Market state at time t: uncapped level m and capped price p (p <= m).
+
+    A plain record: the functions that read it check its fields against the
+    horizon and the model (_check_state).
+    """
 
     t: float
     m: float
@@ -461,15 +444,11 @@ def bachelier_theta(u, moneyness, sigma):
     u > 0 and strike-minus-spot distance moneyness >= 0.  Vectorized in u and
     moneyness.
     """
-    u = np.asarray(u, dtype=float)
-    if not np.all(u > 0.0):
-        raise ValueError("maturity u must be strictly positive")
-    if not np.all(np.asarray(moneyness) >= 0.0):
-        raise ValueError("moneyness must be >= 0")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be strictly positive")
+    u = _finite_array("u", u, 0.0, strict=True)
+    k = _finite_array("moneyness", moneyness, 0.0)
+    _positive("sigma", sigma)
     root = sigma * np.sqrt(u)
-    out = sigma / np.sqrt(u) * _norm_pdf(np.asarray(moneyness) / root)
+    out = sigma / np.sqrt(u) * _norm_pdf(k / root)
     return out if out.ndim else float(out)
 
 
@@ -483,14 +462,9 @@ def bachelier_lookback_price(u, moneyness, sigma):
 
     Differentiating in u recovers bachelier_theta.  u = 0 returns 0.
     """
-    u = np.asarray(u, dtype=float)
-    k = np.asarray(moneyness, dtype=float)
-    if not np.all(u >= 0.0):
-        raise ValueError("maturity u must be >= 0")
-    if not np.all(k >= 0.0):
-        raise ValueError("moneyness must be >= 0")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be strictly positive")
+    u = _finite_array("u", u, 0.0)
+    k = _finite_array("moneyness", moneyness, 0.0)
+    _positive("sigma", sigma)
     s = sigma * np.sqrt(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(s > 0.0, k / np.where(s > 0.0, s, 1.0), np.inf)
@@ -505,8 +479,8 @@ def extra_rate_small_beta(tau, moneyness, sigma, lam):
     becomes half the remaining lookback value per unit impact cost:
     bachelier_lookback_price(tau, moneyness, sigma) / (2 lam).
     """
-    if not lam > 0.0:
-        raise ValueError("lam must be strictly positive")
+    _finite_array("tau", tau, 0.0)
+    _positive("lam", lam)
     return bachelier_lookback_price(tau, moneyness, sigma) / (2.0 * lam)
 
 
@@ -516,17 +490,13 @@ def bs_f(u, m, p, sigma, p_bar):
     f(u, m, p) = sigma sqrt(u) / 2 - log1p((p_bar - p) / m) / (sigma sqrt(u)).
     Always <= sigma sqrt(u) / 2; equality at the barrier p = p_bar.
     """
-    u = np.asarray(u, dtype=float)
-    if not np.all(u > 0.0):
-        raise ValueError("maturity u must be strictly positive")
-    m = np.asarray(m, dtype=float)
-    if not np.all(m > 0.0):
-        raise ValueError("m must be strictly positive")
-    money = p_bar - np.asarray(p, dtype=float)
+    u = _finite_array("u", u, 0.0, strict=True)
+    m = _finite_array("m", m, 0.0, strict=True)
+    p_bar = _finite("p_bar", p_bar)
+    money = p_bar - _finite_array("p", p)
     if not np.all(money >= 0.0):
-        raise ValueError("p must not exceed p_bar")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be strictly positive")
+        raise ValueError(f"p must not exceed p_bar = {p_bar!r}")
+    _positive("sigma", sigma)
     root = sigma * np.sqrt(u)
     out = 0.5 * root - np.log1p(money / m) / root
     return out if out.ndim else float(out)
@@ -575,11 +545,12 @@ def v1_curve_deterministic(model: DeterministicDrift, kernel: GKernel, lam: floa
     on the union of the grid and the curve's samples, via a backward recursion
     in discount ratios so that huge G values never appear.
     """
+    _positive("lam", lam)
     grid = _check_grid("grid", grid, min_size=1)
     if grid[0] < 0.0 or grid[-1] > kernel.horizon * (1.0 + 1e-12):
         raise ValueError("grid must lie within [0, horizon]")
     if model.times[0] > grid[0] + 1e-12 or model.times[-1] < kernel.horizon * (1.0 - 1e-12):
-        raise ValueError("drift curve does not cover [grid[0], horizon]")
+        raise ValueError("model.times must cover [grid[0], horizon]")
 
     # never integrate on the caller's mesh alone: a sparse grid (or a curve
     # sampled at two points) would turn the trapezoid sum into nonsense
@@ -714,9 +685,7 @@ class _CappedSignalTable:
 
     def extra_values(self, t: float, p, m):
         """Extra rate -v1 at time t in [0, horizon] for price/level arrays p, m."""
-        if not 0.0 <= t <= self.kernel.horizon:
-            raise ValueError(f"t must lie in [0, horizon], got {t!r}")
-        tau = self.kernel.horizon - t
+        tau = self.kernel.horizon - _check_time("t", t, self.kernel.horizon)
         if tau == 0.0:
             return np.zeros_like(np.asarray(p, dtype=float))
         root = self.model.sigma * math.sqrt(tau)
@@ -747,9 +716,7 @@ class _CurveSignalTable:
         self._curve = -model._v1_curve(kernel, lam, self._grid)
 
     def extra_values(self, t: float, p, m):
-        if not 0.0 <= t <= self.kernel.horizon:
-            raise ValueError(f"t must lie in [0, horizon], got {t!r}")
-        v = float(np.interp(t, self._grid, self._curve))
+        v = float(np.interp(_check_time("t", t, self.kernel.horizon), self._grid, self._curve))
         return np.broadcast_to(np.float64(v), np.asarray(p, dtype=float).shape)
 
 
@@ -794,14 +761,11 @@ def rate_surface(kernel: GKernel, costs: CostParams, model, grid_tau, grid_money
     hypothetical states.  The kernel must be GKernel.from_costs(costs).
     """
     _check_kernel(kernel, costs)
-    taus = _check_grid("taus", grid_tau, min_size=1)
-    ks = _check_grid("moneyness", grid_money, min_size=1)
-    if np.any(taus <= 0.0) or np.any(taus > kernel.horizon):
-        raise ValueError("taus must lie in (0, horizon]")
-    if np.any(ks < 0.0):
-        raise ValueError("moneyness must be >= 0")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+    taus = _check_grid("grid_tau", grid_tau, min_size=1)
+    if not (taus[0] > 0.0 and taus[-1] <= kernel.horizon):
+        raise ValueError(f"grid_tau must lie in (0, horizon = {kernel.horizon!r}]")
+    ks = _finite_array("grid_money", _check_grid("grid_money", grid_money, min_size=1), 0.0)
+    _finite("x", x)
     m_cols = model._surface_levels(bs_m, ks)
     rate_ex, quad_err = np.array([model._extra(kernel, costs.lam, tau, model.p_bar - ks, m_cols)
                                   for tau in taus]).transpose(1, 0, 2)

@@ -684,23 +684,6 @@ def test_entry_points_reject_a_kernel_of_other_costs(other):
             call()
 
 
-def test_argument_validation():
-    with pytest.raises(ValueError):
-        path_stream(-1, 0)
-    with pytest.raises(ValueError):
-        path_stream(0, -1)
-    with pytest.raises(ValueError):
-        simulate_path(BACH, 0.0, 16, path_stream(0, 0))
-    with pytest.raises(ValueError):
-        estimate_value(BACH, ac_policy(GKernel.from_costs(UNIT_COSTS)), UNIT_COSTS,
-                       n_paths=1, n_steps=16, master_seed=0)
-    # numpy integers are integers
-    assert DiscreteProblem.uniform(UNIT_COSTS, np.int64(4)).n_steps == 4
-    np.testing.assert_array_equal(
-        simulate_path(BACH, 1.0, np.int32(8), path_stream(np.uint64(3), np.int64(1))).p,
-        simulate_path(BACH, 1.0, 8, path_stream(3, 1)).p)
-
-
 _K = GKernel.from_costs(UNIT_COSTS)
 _MC = dict(n_paths=4, n_steps=8, master_seed=1)
 

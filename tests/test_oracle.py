@@ -13,6 +13,7 @@ from liqzone import (
     solve_discrete,
     urgency,
 )
+from oracle_reference import dense_rates
 
 UNIT_COSTS = CostParams(lam=0.1, gamma=1.0, big_gamma=1.0, horizon=1.0, x0=1.0)
 UNIT = CostParams(lam=1.0, gamma=1.0, big_gamma=1.0, horizon=1.0, x0=1.0)
@@ -85,8 +86,6 @@ def test_negative_drift_front_loads_selling():
 def test_solver_matches_dense_reference():
     # the production solver runs the dynamic-programming recursion on the
     # goal to go; a dense solve of the stationarity system H u = b must agree
-    from liqzone.oracle import _solve_dense
-
     rng = np.random.default_rng(3)
     for n in (2, 3, 7, 64, 1500):
         for costs in (UNIT_COSTS,
@@ -102,9 +101,9 @@ def test_solver_matches_dense_reference():
                             DiscreteProblem.uniform(costs, n, drift_level=-0.1),
                             DiscreteProblem(walk, costs)):
                 fast = solve_discrete(problem)
-                dense = _solve_dense(problem)
-                scale = float(np.max(np.abs(dense.rates)))
-                np.testing.assert_allclose(fast.rates, dense.rates,
+                dense = dense_rates(problem)
+                scale = float(np.max(np.abs(dense)))
+                np.testing.assert_allclose(fast.rates, dense,
                                            rtol=0.0, atol=1e-12 * scale)
 
 

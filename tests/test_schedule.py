@@ -249,20 +249,3 @@ def test_value_formula_is_affine_quadratic_identity():
     expected = p0 * costs.x0 + costs.lam * (
         v0 + 2.0 * v1 * costs.x0 + v2 * costs.x0 ** 2)
     assert value_formula(k, costs, p0, v0, v1) == pytest.approx(expected, rel=1e-15)
-
-
-def test_cost_params_validation():
-    with pytest.raises(ValueError):
-        CostParams(lam=0.0, gamma=1.0, big_gamma=1.0, horizon=1.0, x0=1.0)
-    with pytest.raises(ValueError):
-        CostParams(lam=0.1, gamma=-1.0, big_gamma=1.0, horizon=1.0, x0=1.0)
-    with pytest.raises(ValueError):
-        CostParams(lam=0.1, gamma=1.0, big_gamma=1.0, horizon=0.0, x0=1.0)
-
-
-def test_urgency_rejects_time_outside_horizon():
-    k = GKernel.from_costs(UNIT_COSTS)
-    with pytest.raises(ValueError):
-        urgency(k, -0.1)
-    with pytest.raises(ValueError):
-        urgency(k, 1.1)
