@@ -27,31 +27,39 @@ capped models the table is one per policy, built on its first query
 (_CappedSignalTable in liqzone.signals states its error).
 
 One engine serves every entry point: _simulate turns per-path normals into
-levels and capped prices, _batches walks the paths _BATCH_DEFAULT at a time,
-_run_batch runs every policy of a call down a batch in one step loop, and
-_one_pass folds each batch into per-path rows with a list of reductions
-(policy totals, the v1^2 sum, the probe's linear functionals).  Each
-estimator is one pass: each batch is simulated once, and each signal table
-is looked up once per step, its value feeding both the optimal policy's
-rate and the v1^2 sum.  So estimate_v0_and_value costs one simulation and
-one lookup per step, and equals estimate_v0 plus estimate_value of the
-optimal policy bit for bit.  simulate_path(model, T, n, path_stream(seed,
-j)) is bit for bit column j of every batch, and run_strategy is the batch
-runner on one path (it needs a uniform grid, and calls no policy at its
-last point).  What differs between market models (start level, increment
-map, cap map, signal table) lives on the model classes in liqzone.signals.
+levels and capped prices, _plan fixes what a call shares across its
+batches (each signal table's rows at the step times, each feedback
+policy's urgencies), _run_batch runs every policy of a call down a batch,
+_STEP_BLOCK steps at a time, and _one_pass walks the paths _BATCH_DEFAULT
+at a time, folding each batch into per-path rows with a list of reductions
+(policy totals, the v1^2 sum, the probe's linear functionals) and freeing
+it before the next is simulated.  Each estimator is one pass: each batch is
+simulated once, and each signal table is looked up once per block of
+steps, its values feeding both the optimal policy's rate and the v1^2 sum.
+So estimate_v0_and_value costs one simulation and one lookup per block,
+and equals estimate_v0 plus estimate_value of the optimal policy bit for
+bit.  The blocked loop adds every sum in step order, so each output is bit
+for bit the step-by-step loop's.  simulate_path(model, T, n,
+path_stream(seed, j)) is bit for bit column j of every batch, and
+run_strategy is the batch runner on one path (it needs a uniform grid, and
+calls no policy at its last point).  What differs between market models
+(start level, increment map, cap map, signal table) lives on the model
+classes in liqzone.signals.
 
-Batch arrays are laid out time-major, shape (n_steps + 1, n_paths): the
-per-step loop then touches contiguous rows, which is what makes 10^5 paths
-at 4096 steps affordable on one core.  A batch is drawn from one Philox
-generator re-keyed per path (_simulate_batch), a cache-sized block of paths
-at a time that is summed along each path and copied into the batch
-(_fill_sums), so no full-size array of normals is held.
+Batch arrays are laid out time-major, shape (n_steps + 1, n_paths): a
+block of steps is then a contiguous slab of rows, which is what makes 10^5
+paths at 4096 steps affordable.  A batch is drawn a cache-sized block of
+paths at a time, summed along each path and copied into the batch
+(_fill_sums), so no full-size array of normals is held.  Two threads share
+the blocks, the calling one and a helper started for the batch, each with
+one Philox generator re-keyed per path (_simulate_batch).  Every path has
+its own stream, so no output depends on the helper thread.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -91,6 +99,12 @@ __all__ = [
 _BATCH_DEFAULT = 2048
 # paths drawn and summed at a time: 64 x 1024 steps is 0.5 MB, cache resident
 _PATH_BLOCK = 64
+# steps run at a time: each table is looked up once per block
+_STEP_BLOCK = 8
+# paths shorter than this are filled by the calling thread alone: each path's
+# re-key holds the GIL, and below about 600 normals per path (2 vCPUs, 2048
+# paths) two threads spend more handing the GIL over than they save
+_HELPER_MIN_STEPS = 768
 
 
 class MarketState(NamedTuple):
@@ -167,12 +181,13 @@ def path_stream(master_seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _simulate(model, horizon, n_steps, count, draw):
+def _simulate(model, horizon, n_steps, count, new_draw):
     """(grid, m, p): levels and capped prices, time-major (n_steps + 1, count).
 
-    draw(block, offset) fills each row k of a (rows, n_steps) block with the
-    standard normals of path offset + k; it is not called when sigma is 0,
-    where every path is the model's expected level path.
+    new_draw() returns a function draw(block, offset) that fills each row k
+    of a (rows, n_steps) block with the standard normals of path offset + k;
+    _fill_sums calls it once per filling thread.  It is not called when
+    sigma is 0, where every path is the model's expected level path.
     """
     grid = np.linspace(0.0, horizon, n_steps + 1)
     if model.sigma == 0.0:
@@ -180,27 +195,57 @@ def _simulate(model, horizon, n_steps, count, draw):
         return grid, m, m
     m = np.empty((n_steps + 1, count))
     m[0] = 0.0
-    _fill_sums(m, draw)
+    _fill_sums(m, new_draw)
     m *= model.sigma * math.sqrt(horizon / n_steps)
     model._to_levels(m, grid)
     return grid, m, model._cap(m)
 
 
-def _fill_sums(m, draw):
+def _fill_sums(m, new_draw):
     """Fill m[1:] with each path's running sums of its normals, a block of paths at a time.
 
-    Each block of _PATH_BLOCK paths is drawn into one cache-sized scratch
+    Each block of _PATH_BLOCK paths is drawn into a cache-sized scratch
     array, summed along each path (a sequential accumulate, so bit for bit
-    the step-by-step running sum) and copied transposed into m.  The scratch
-    array is freed on return, before the capped prices are allocated.
+    the step-by-step running sum) and copied transposed into m.  With more
+    than one block of paths of at least _HELPER_MIN_STEPS steps, the later
+    half of the blocks is filled by a helper thread started for this call,
+    with its own draw and scratch array: numpy releases the GIL while it
+    draws, sums and copies.  Each path's normals come from its own stream,
+    so m does not depend on which thread filled it.  The scratch arrays are
+    freed on return, before the capped prices are allocated.
     """
     n_steps, count = m.shape[0] - 1, m.shape[1]
-    block = np.empty((min(_PATH_BLOCK, count), n_steps))
-    for start in range(0, count, _PATH_BLOCK):
-        rows = block[:min(_PATH_BLOCK, count - start)]
-        draw(rows, start)
-        np.cumsum(rows, axis=1, out=rows)
-        m[1:, start:start + rows.shape[0]] = rows.T
+    starts = range(0, count, _PATH_BLOCK)
+
+    def fill(part):
+        draw = new_draw()
+        block = np.empty((min(_PATH_BLOCK, count), n_steps))
+        for start in part:
+            rows = block[:min(_PATH_BLOCK, count - start)]
+            draw(rows, start)
+            np.cumsum(rows, axis=1, out=rows)
+            m[1:, start:start + rows.shape[0]] = rows.T
+
+    half = (len(starts) + 1) // 2
+    if half == len(starts) or n_steps < _HELPER_MIN_STEPS:
+        fill(starts)
+        return
+    failed = []
+
+    def helper():
+        try:
+            fill(starts[half:])
+        except BaseException as exc:  # re-raised in the calling thread
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper, daemon=True)
+    thread.start()
+    try:
+        fill(starts[:half])
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 def simulate_path(model, horizon: float, n_steps: int, rng: np.random.Generator) -> PathSample:
@@ -214,40 +259,34 @@ def simulate_path(model, horizon: float, n_steps: int, rng: np.random.Generator)
     n_steps = _check_count("n_steps", n_steps, 1)
     horizon = _positive("horizon", horizon)
     grid, m, p = _simulate(model, horizon, n_steps, 1,
-                           lambda block, offset: rng.standard_normal(out=block[0]))
+                           lambda: lambda block, offset: rng.standard_normal(out=block[0]))
     return PathSample(grid=grid, m=m.ravel(), p=p.ravel())
 
 
 def _simulate_batch(model, horizon, n_steps, master_seed, first_index, count):
     """(grid, m, p) for paths first_index .. first_index + count - 1 of master_seed.
 
-    One Philox generator serves the batch: Philox is counter based, so
-    loading path j's key (word 0 of path_stream's key is the path index)
-    with a zero counter and an empty buffer gives exactly path_stream(seed,
-    j), without building a generator per path.
+    One Philox generator serves each filling thread: Philox is counter
+    based, so loading path j's key (word 0 of path_stream's key is the path
+    index) with a zero counter and an empty buffer gives exactly
+    path_stream(seed, j), without building a generator per path.
     """
-    rng = path_stream(master_seed, first_index)
-    bits = rng.bit_generator
-    fresh = bits.state
-    key = fresh["state"]["key"]
 
-    def draw(block, offset):
-        for k, row in enumerate(block):
-            key[0] = first_index + offset + k
-            bits.state = fresh
-            rng.standard_normal(out=row)
+    def new_draw():
+        rng = path_stream(master_seed, first_index)
+        bits = rng.bit_generator
+        fresh = bits.state
+        key = fresh["state"]["key"]
 
-    return _simulate(model, horizon, n_steps, count, draw)
+        def draw(block, offset):
+            for k, row in enumerate(block):
+                key[0] = first_index + offset + k
+                bits.state = fresh
+                rng.standard_normal(out=row)
 
+        return draw
 
-def _batches(model, horizon, n_steps, master_seed, n_paths):
-    """Yield (slice of path indices, grid, m, p) over consecutive batches of _BATCH_DEFAULT."""
-    done = 0
-    while done < n_paths:
-        count = min(_BATCH_DEFAULT, n_paths - done)
-        grid, m, p = _simulate_batch(model, horizon, n_steps, master_seed, done, count)
-        yield slice(done, done + count), grid, m, p
-        done += count
+    return _simulate(model, horizon, n_steps, count, new_draw)
 
 
 # ---------------------------------------------------------------------------
@@ -257,24 +296,22 @@ def _batches(model, horizon, n_steps, master_seed, n_paths):
 class _FeedbackPolicy:
     """u = urgency(t) * x + extra, with extra the signal table's value at (t, state).
 
-    With no table it is the signal-free policy.  The engine looks each table
-    up itself, once per step for all that read it, and hands the value to
-    rate().
+    With no table it is the signal-free policy.  The engine does not call
+    it: it takes the urgencies and runs the inventory recurrence itself, and
+    looks each table up once per block of steps for all that read it.
     """
 
     def __init__(self, kernel: GKernel, signal_table):
         self.kernel = kernel
         self.signal_table = signal_table
 
-    def rate(self, t, x, extra):
-        u = urgency(self.kernel, t) * x
-        return u if self.signal_table is None else u + extra
-
     def __call__(self, t, x, state):
         x = _finite_array("x", x)
-        table = self.signal_table
-        extra = None if table is None else table.extra_values(t, state.p, state.m)
-        return self.rate(t, x, extra)
+        u = urgency(self.kernel, t) * x
+        if self.signal_table is None:
+            return u
+        p, m = _finite_array("state.p", state.p), _finite_array("state.m", state.m)
+        return u + self.signal_table.extra_values(t, p, m)
 
 
 def ac_policy(kernel: GKernel) -> Callable:
@@ -312,7 +349,7 @@ def run_strategy(path: PathSample, policy: Callable, costs: CostParams):
         raise ValueError(f"grid must span [0, horizon = {costs.horizon!r}], "
                          f"got [{grid[0]!r}, {grid[-1]!r}]")
     p, m = path.p[:, None], path.m[:, None]
-    run = _run_batch(grid, p, m, [policy], costs, collect=True)
+    run = _run_batch(_plan(grid, [policy]), p, m, costs, collect=True)
     bk, (xs, us) = run.goals[0], run.paths[0]
     parts = (bk.cash, bk.terminal_asset, bk.running_penalty, bk.terminal_penalty)
     return (TradePlan(grid=grid, positions=xs[:, 0], rates=us[:, 0]),
@@ -328,52 +365,117 @@ class _BatchRun(NamedTuple):
     v1_squared: np.ndarray | None   # per-path sum of v1^2 dt, when asked
 
 
-def _run_batch(grid, p, m, policies, costs, square=None, collect=False) -> _BatchRun:
-    """Run the policies down one time-major batch in one step loop.
+class _Plan(NamedTuple):
+    """What a call fixes once for all its batches."""
 
-    Each signal table in play, square's and each feedback policy's, is looked
-    up once per step.  The value feeds the policy's rate and, for square,
-    the left Riemann sum of v1^2 with the step dt, T / n_steps bit for bit.  Any
-    other callable is called with a MarketState.  Inventory, cash and running
-    penalty start as scalars, so the signal-free inventory stays one number
-    per step.  With collect, the positions X and rates U of every policy are
-    kept.
+    grid: np.ndarray
+    policies: list
+    square: object      # the table whose v1^2 is summed, or None
+    tables: dict        # id(table) -> (table, its step rows)
+    urgencies: list     # per policy: urgency at each step, None for a plain callable
+
+
+def _plan(grid, policies, square=None) -> _Plan:
+    """The step rows of each table in play, square's and each feedback policy's,
+    and the urgencies of each feedback policy, at the step times grid[:-1]."""
+    times = grid[:-1]
+    signals = [policy.signal_table for policy in policies if isinstance(policy, _FeedbackPolicy)]
+    tables = {}
+    for table in (square, *signals):
+        if table is not None and id(table) not in tables:
+            tables[id(table)] = (table, table.step_rows(times))
+    urgencies = [[urgency(policy.kernel, t) for t in times.tolist()]
+                 if isinstance(policy, _FeedbackPolicy) else None for policy in policies]
+    return _Plan(grid, list(policies), square, tables, urgencies)
+
+
+def _run_batch(plan, p, m, costs, collect=False) -> _BatchRun:
+    """Run the plan's policies down one time-major batch, _STEP_BLOCK steps at a time.
+
+    In each block, each table of the plan is looked up once for the block's
+    prices.  The values feed the feedback policies' rates and, for square's
+    table, the left Riemann sum of v1^2 with the step dt, T / n_steps bit for
+    bit.  A feedback policy then runs u_i = a_i x_i + e_i, x_{i+1} = x_i - u_i
+    dt step by step, with the plan's urgencies a_i; the signal-free one (no
+    table) keeps one inventory per step, shared by every path.  Any other
+    callable is called at every step with a MarketState.  Cash, running
+    penalty and v1^2 are computed for the whole block and added into their
+    per-path sums one step at a time, in step order, so every sum is the
+    step-by-step one bit for bit.  With collect, the positions X and rates U
+    of every policy are kept.
     """
+    grid, policies = plan.grid, plan.policies
     n_grid, count = p.shape
     n_steps = n_grid - 1
     dt = float(grid[1] - grid[0])
-    signals = [policy.signal_table for policy in policies if isinstance(policy, _FeedbackPolicy)]
-    tables = {id(table): table for table in (square, *signals) if table is not None}
+    block = min(_STEP_BLOCK, n_steps)
     x = [float(costs.x0)] * len(policies)
     cash = [0.0] * len(policies)
     run_pen = [0.0] * len(policies)
-    xs = [np.empty((n_grid, count)) for _ in policies] if collect else []
-    us = [np.empty((n_steps, count)) for _ in policies] if collect else []
-    v1_squared = None if square is None else np.zeros(count)
-    for i in range(n_steps):
-        t, p_i, m_i = float(grid[i]), p[i], m[i]
-        extra = {key: table.extra_values(t, p_i, m_i) for key, table in tables.items()}
+    if collect:
+        xs = [np.empty((n_grid, count)) for _ in policies]
+        us = [np.empty((n_steps, count)) for _ in policies]
+    else:
+        # a block's positions (one more row: the next block's start) and
+        # rates; the signal-free policy's are one number per step
+        widths = [1 if isinstance(policy, _FeedbackPolicy) and policy.signal_table is None
+                  else count for policy in policies]
+        xs = [np.empty((block + 1, width)) for width in widths]
+        us = [np.empty((block, width)) for width in widths]
+    work, step = np.empty((block, count)), np.empty(count)
+    v1_squared = None if plan.square is None else np.zeros(count)
+    for lo in range(0, n_steps, block):
+        hi = min(lo + block, n_steps)
+        b, rows = hi - lo, slice(lo, hi)
+        extra = {key: table.block_values(step_rows, rows, p[rows], m[rows])
+                 for key, (table, step_rows) in plan.tables.items()}
         if v1_squared is not None:
-            v1_squared += np.square(extra[id(square)]) * dt
+            sq = np.square(extra[id(plan.square)], out=work[:b])
+            sq *= dt
+            for r in range(b):
+                v1_squared += sq[r]
         for k, policy in enumerate(policies):
-            if isinstance(policy, _FeedbackPolicy):
-                # a policy with no table finds no extra and ignores it
-                u = policy.rate(t, x[k], extra.get(id(policy.signal_table)))
+            X, U = (xs[k][lo:hi + 1], us[k][rows]) if collect else (xs[k][:b + 1], us[k][:b])
+            a = plan.urgencies[k]
+            xk = x[k]
+            if a is None:
+                for r in range(b):
+                    X[r] = xk
+                    u = policy(float(grid[lo + r]), np.broadcast_to(xk, (count,)),
+                               MarketState(p=p[lo + r], m=m[lo + r]))
+                    U[r] = np.broadcast_to(np.asarray(u, dtype=float), (count,))
+                    xk = xk - U[r] * dt
+                X[b] = xk
+            elif policy.signal_table is None:
+                for r in range(b):
+                    u = a[lo + r] * xk
+                    X[r], U[r] = xk, u
+                    xk = xk - u * dt
+                X[b] = xk
             else:
-                u = policy(t, np.broadcast_to(x[k], (count,)), MarketState(p=p_i, m=m_i))
-                u = np.broadcast_to(np.asarray(u, dtype=float), (count,))
-            if collect:
-                xs[k][i] = x[k]
-                us[k][i] = u
-            cash[k] += (p_i - costs.lam * u) * u * dt
-            run_pen[k] += costs.gamma * np.square(x[k]) * dt
-            x[k] = x[k] - u * dt
-    for k in range(len(xs)):
-        xs[k][n_steps] = x[k]
+                e = extra[id(policy.signal_table)]
+                X[0] = xk
+                for r in range(b):
+                    np.multiply(X[r], a[lo + r], out=U[r])
+                    U[r] += e[r]
+                    np.multiply(U[r], dt, out=step)
+                    np.subtract(X[r], step, out=X[r + 1])
+                xk = X[b]
+            x[k] = xk
+            # cash (p - lam u) u dt and running penalty gamma x^2 dt
+            np.multiply(U, costs.lam, out=work[:b])
+            gain = np.subtract(p[rows], work[:b], out=work[:b])
+            gain *= U
+            gain *= dt
+            for r in range(b):
+                cash[k] += gain[r]
+            pen = costs.gamma * np.square(X[:b]) * dt
+            for r in range(b):
+                run_pen[k] += pen[r]
     goals = [GoalBreakdown(*(np.broadcast_to(part, (count,)) for part in
                              (c, p[-1] * x_end, r, costs.big_gamma * np.square(x_end))))
              for c, x_end, r in zip(cash, x, run_pen)]
-    return _BatchRun(p, goals, list(zip(xs, us)), v1_squared)
+    return _BatchRun(p, goals, list(zip(xs, us)) if collect else [], v1_squared)
 
 
 def _check_mc_args(n_paths, n_steps) -> tuple[int, int]:
@@ -384,19 +486,25 @@ def _one_pass(model, costs, n_paths, n_steps, master_seed, reductions,
               policies=(), square=None, collect=False) -> list[np.ndarray]:
     """Simulate each batch once, run it once and fold it with every reduction.
 
-    A reduction maps a _BatchRun to one row per path (shape (count,) or
-    (count, k)); the result stacks each reduction's rows in path-index order.
+    The plan (each table's step rows, each policy's urgencies) is formed once
+    for all batches.  A reduction maps a _BatchRun to one row per path (shape
+    (count,) or (count, k)); the result stacks each reduction's rows in
+    path-index order.  Nothing of a batch is held while the next is simulated.
     """
     n_paths, n_steps = _check_mc_args(n_paths, n_steps)
+    plan = _plan(np.linspace(0.0, costs.horizon, n_steps + 1), policies, square)
     out = [None] * len(reductions)
-    for sl, grid, m, p in _batches(model, costs.horizon, n_steps, master_seed, n_paths):
-        run = _run_batch(grid, p, m, policies, costs, square, collect)
+    for first in range(0, n_paths, _BATCH_DEFAULT):
+        count = min(_BATCH_DEFAULT, n_paths - first)
+        _, m, p = _simulate_batch(model, costs.horizon, n_steps, master_seed, first, count)
+        run = _run_batch(plan, p, m, costs, collect)
+        del m, p
         for k, reduce in enumerate(reductions):
             rows = reduce(run)
             if out[k] is None:
                 out[k] = np.empty((n_paths,) + rows.shape[1:])
-            out[k][sl] = rows
-        del run, rows  # free this batch's arrays before the next one is simulated
+            out[k][first:first + count] = rows
+        del run, rows
     return out
 
 
@@ -455,8 +563,8 @@ def estimate_v0_and_value(model, kernel, costs, n_paths, n_steps,
                           master_seed) -> tuple[MCEstimate, MCEstimate]:
     """(estimate_v0, estimate_value of optimal_policy) from one pass over the paths.
 
-    Both read the one signal lookup per step, and each equals its separate
-    call bit for bit.
+    Both read the one signal lookup per block of steps, and each equals its
+    separate call bit for bit.
     """
     policy = optimal_policy(model, kernel, costs)
     v1_squared, totals = _one_pass(model, costs, n_paths, n_steps, master_seed,

@@ -82,7 +82,7 @@ def _finite_array(name: str, values, lower: float = -math.inf, strict: bool = Fa
 def _check_time(name: str, t, horizon: float, closed: bool = True) -> float:
     """t as a float; ValueError naming it unless 0 <= t <= horizon (t < horizon unless closed).
 
-    Plain comparisons, which NaN fails: the step loop calls this once per step.
+    Plain comparisons, which NaN fails: a Monte Carlo call makes one per step time.
     """
     t = float(t)
     if not (0.0 <= t <= horizon if closed else 0.0 <= t < horizon):

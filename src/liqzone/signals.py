@@ -598,6 +598,12 @@ def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return out
 
 
+def _per_step(values: np.ndarray, ndim: int) -> np.ndarray:
+    """values, one per step, shaped to broadcast along the first axis of an
+    ndim-dimensional (steps, ...) block."""
+    return values.reshape((-1,) + (1,) * (ndim - 1))
+
+
 class _CappedSignalTable:
     """Extra selling rate of a capped model as one table in (root, z).
 
@@ -609,14 +615,18 @@ class _CappedSignalTable:
     node in root on [0, sigma sqrt(T)]: from 9 nodes the set doubles until the
     new rows agree with the coarser interpolant to 1e-6 of the table's max,
     else QuadratureError past 513 nodes.  It is built on the first query and
-    does not grow with the number of times queried.  A query takes the row of
-    its root when the root is a node (t = 0; a dict lookup), else
-    interpolates in root by barycentric weights (one GEMV).  It then
-    interpolates linearly in z on the uniform grid: the cell index is one
-    multiply, clamped to the last cell before the cast to int, both cell
-    ends a and b are gathered with take, a (1 - frac) + b frac is computed
-    in place, and z beyond the last node gives 0 (the rate there is below
-    1e-30 of scale).  The linear z step sets the rate error: below 1e-4
+    does not grow with the number of times queried.  A query is in two
+    parts.  step_rows forms the table in z at each step time, scaled by its
+    root: the row of the root when the root is a node (t = 0; a dict
+    lookup), else the barycentric interpolant in root (one GEMV per step).
+    The Monte Carlo engine forms these once per call and holds them itself.
+    block_values then interpolates a block of steps at once, each step's
+    prices in its own row, linearly in z on the uniform grid: the cell index
+    is one multiply, clamped to the last cell before the cast to int, both
+    cell ends a and b are gathered with take from the flat rows, a (1 -
+    frac) + b frac is computed in place, and z beyond the last node gives 0
+    (the rate there is below 1e-30 of scale).  extra_values is the one-step
+    case of the two.  The linear z step sets the rate error: below 1e-4
     relative up to beta T ~ 3 (1.3e-5 at small costs, 8.1e-5 at beta T =
     3.2), growing about in proportion to beta T beyond (7.9e-4 at beta T =
     32), worst just off the barrier.  The level multiply is skipped for a
@@ -663,19 +673,23 @@ class _CappedSignalTable:
         raise QuadratureError(f"signal table in root did not converge with {n + 1} "
                               f"Chebyshev nodes")
 
-    def _interp(self, tab: np.ndarray, z):
-        # manual linear interpolation: the z grid is uniform, so the cell
-        # index is one multiply instead of a binary search per element
-        if np.ndim(z) == 0:
-            return self._interp(tab, np.reshape(z, 1))[0]
+    def _interp(self, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Each row of rows (steps, z_grid.size) interpolated linearly at its row of z.
+
+        The z grid is uniform, so the cell index is one multiply instead of
+        a binary search per element; both cell ends are gathered from the
+        flat rows, the cell index offset by its row's start.
+        """
         last = self.z_grid.size - 1
         pos = z * self._inv_step
         # clamp before the cast: a far-field z must not overflow the index
         frac = np.minimum(pos, last - 1)
         idx = frac.astype(np.intp)
         np.subtract(pos, idx, out=frac)
-        out = tab.take(idx)
-        right = tab[1:].take(idx)
+        idx += _per_step(np.arange(0, rows.size, rows.shape[1]), z.ndim)
+        flat = rows.ravel()
+        out = flat.take(idx)
+        right = flat[1:].take(idx)
         right *= frac
         np.subtract(1.0, frac, out=frac)
         out *= frac
@@ -683,29 +697,53 @@ class _CappedSignalTable:
         np.putmask(out, pos > last, 0.0)
         return out
 
+    def step_rows(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """(roots, rows) at step times in [0, horizon): row i is the table in z at
+        times[i], scaled by its root.
+
+        A row is the root's node row when the root is a node, else one
+        barycentric GEMV, as a single query forms it.  The caller holds them
+        (len(times) x z_grid.size doubles) for block_values.
+        """
+        if self.rows is None:
+            self._build()
+        horizon = self.kernel.horizon
+        roots = np.empty(len(times))
+        rows = np.empty((len(times), self.z_grid.size))
+        for i, t in enumerate(times):
+            root = self.model.sigma * math.sqrt(horizon - _check_time("t", t, horizon, closed=False))
+            hit = self._root_index.get(root)
+            if hit is not None:
+                rows[i] = root * self.rows[hit]
+            else:
+                rows[i] = root * (_barycentric(self.roots, self.weights, root) @ self.rows)
+            roots[i] = root
+        return roots, rows
+
+    def block_values(self, step_rows, steps: slice, p: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Extra rate -v1 at the steps of step_rows in steps, for prices and levels
+        p, m whose first axis runs over those steps."""
+        roots, rows = step_rows
+        z, level = self.model._moneyness(p, m, _per_step(roots[steps], p.ndim))
+        out = self._interp(rows[steps], z)
+        return out if level is _UNIT_LEVEL else out * level
+
     def extra_values(self, t: float, p, m):
         """Extra rate -v1 at time t in [0, horizon] for price/level arrays p, m."""
         tau = self.kernel.horizon - _check_time("t", t, self.kernel.horizon)
+        p = np.asarray(p, dtype=float)
         if tau == 0.0:
-            return np.zeros_like(np.asarray(p, dtype=float))
-        root = self.model.sigma * math.sqrt(tau)
-        z, level = self.model._moneyness(p, m, root)
-        if self.rows is None:
-            self._build()
-        hit = self._root_index.get(root)
-        if hit is not None:
-            tab = root * self.rows[hit]
-        else:
-            tab = root * (_barycentric(self.roots, self.weights, root) @ self.rows)
-        out = self._interp(tab, z)
-        return out if level is _UNIT_LEVEL else out * level
+            return np.zeros_like(p)
+        return self.block_values(self.step_rows([t]), slice(None), p[None],
+                                 np.asarray(m, dtype=float)[None])[0]
 
 
 class _CurveSignalTable:
     """Extra rate -v1(t) of a model whose v1 depends on t alone (state independent).
 
-    The model's curve (_v1_curve) is evaluated once on a dense grid; lookups
-    interpolate.
+    The model's curve (_v1_curve) is evaluated once on a dense grid;
+    step_rows interpolates it at the step times, and block_values broadcasts
+    each step's value over the paths.
     """
 
     _N_NODES = 8193
@@ -715,9 +753,18 @@ class _CurveSignalTable:
         self._grid = np.linspace(0.0, kernel.horizon, self._N_NODES)
         self._curve = -model._v1_curve(kernel, lam, self._grid)
 
+    def step_rows(self, times) -> np.ndarray:
+        """The extra rate at each step time in [0, horizon]."""
+        horizon = self.kernel.horizon
+        return np.interp([_check_time("t", t, horizon) for t in times], self._grid, self._curve)
+
+    def block_values(self, step_rows, steps: slice, p: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The extra rate at the steps in steps, broadcast over p's paths."""
+        return np.broadcast_to(_per_step(step_rows[steps], p.ndim), p.shape)
+
     def extra_values(self, t: float, p, m):
-        v = float(np.interp(_check_time("t", t, self.kernel.horizon), self._grid, self._curve))
-        return np.broadcast_to(np.float64(v), np.asarray(p, dtype=float).shape)
+        p = np.asarray(p, dtype=float)
+        return self.block_values(self.step_rows([t]), slice(None), p[None], None)[0]
 
 
 def extra_rate(kernel: GKernel, costs: CostParams, model, state: TargetZoneState) -> float:

@@ -20,6 +20,7 @@ from liqzone import (
     urgency,
 )
 from liqzone.cli import _KEYS, _MODELS, ConfigError, _write_csv, load_config, main
+from liqzone.montecarlo import _STEP_BLOCK
 from liqzone.signals import _CappedSignalTable
 
 BASE = """
@@ -218,8 +219,9 @@ def test_value_row_is_self_consistent(tmp_path):
 
 
 def test_value_simulates_and_looks_up_the_signal_once(tmp_path, monkeypatch):
-    # v0 and the policy value share one pass: one table build, one lookup per step
-    calls = {"_build": 0, "extra_values": 0}
+    # v0 and the policy value share one pass: one table build, one set of
+    # step rows for the call, and one lookup per block of steps and batch
+    calls = {"_build": 0, "step_rows": 0, "block_values": 0}
     for name in calls:
         method = getattr(_CappedSignalTable, name)
 
@@ -228,10 +230,12 @@ def test_value_simulates_and_looks_up_the_signal_once(tmp_path, monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(_CappedSignalTable, name, counted)
-    n_paths, n_steps = 2100, 16  # two batches of the default 2048 paths
+    n_paths, n_steps = 2100, 20  # two batches of the default 2048 paths
     assert main(["value", "--config", write(tmp_path, BASE), "--output",
                  str(tmp_path / "v.csv"), "--paths", str(n_paths), "--steps", str(n_steps)]) == 0
-    assert calls == {"_build": 1, "extra_values": n_steps * 2}
+    blocks = -(-n_steps // _STEP_BLOCK)
+    assert blocks == 3
+    assert calls == {"_build": 1, "step_rows": 1, "block_values": blocks * 2}
 
 
 def test_verify_passes_at_moderate_resolution(tmp_path, capsys):

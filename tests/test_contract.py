@@ -232,6 +232,11 @@ def _numeric(args: dict) -> dict:
                 out[f"{name}.{f}"] = (getattr(value, f),
                                       lambda bad, name=name, value=value, f=f:
                                       {name: replace(value, **{f: bad})})
+        elif isinstance(value, MarketState):
+            for f in ("p", "m"):
+                out[f"{name}.{f}"] = (getattr(value, f),
+                                      lambda bad, name=name, value=value, f=f:
+                                      {name: value._replace(**{f: bad})})
         elif isinstance(value, (float, np.ndarray)) or _is_count(value):
             out[name] = (value, lambda bad, name=name: {name: bad})
     return out

@@ -6,6 +6,8 @@ path's prices must reproduce the engine's realized totals exactly.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -42,8 +44,10 @@ from liqzone import (
     TargetZoneState,
 )
 from liqzone import montecarlo
-from liqzone.montecarlo import _PATH_BLOCK, _probe_alphas, _simulate_batch
+from liqzone.montecarlo import (_HELPER_MIN_STEPS, _PATH_BLOCK, _STEP_BLOCK, _fill_sums, _plan,
+                                 _probe_alphas, _run_batch, _simulate_batch)
 from liqzone.signals import _Z_SLACK, _barycentric
+from engine_reference import reference_run
 from quad_reference import quad_extra
 
 # a quad reference that did not converge fails the test instead of warning
@@ -148,6 +152,93 @@ def test_batch_simulation_holds_no_full_size_scratch():
     finally:
         tracemalloc.stop()
     assert peak < 2 * (n_steps + 1) * count * 8 + 2 * 2**20
+
+
+@pytest.mark.parametrize("model", [BACH, CappedBlackScholes(m0=1.0, sigma=0.5, p_bar=1.1),
+                                   Martingale(p0=1.0, sigma=0.5)],
+                         ids=["bachelier", "bs", "martingale"])
+def test_fill_shares_long_paths_with_one_helper_thread(model, monkeypatch):
+    # paths of _HELPER_MIN_STEPS steps or more, in more than one block, are
+    # shared with one helper thread, and every column is still its own path
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(montecarlo.threading, "Thread", Counted)
+    monkeypatch.setattr(montecarlo, "_HELPER_MIN_STEPS", 32)
+    _simulate_batch(model, 1.0, 31, 5, 0, 3 * _PATH_BLOCK)
+    _simulate_batch(model, 1.0, 32, 5, 0, _PATH_BLOCK)
+    assert started == []
+    seed, first, count = 99, 70, 2 * _PATH_BLOCK + 22
+    _, m, p = _simulate_batch(model, 1.0, 32, seed, first, count)
+    assert len(started) == 1 and not started[0].is_alive()
+    for j in range(count):
+        path = simulate_path(model, 1.0, 32, path_stream(seed, first + j))
+        np.testing.assert_array_equal(path.m, m[:, j])
+        np.testing.assert_array_equal(path.p, p[:, j])
+
+
+def test_concurrent_fills_equal_the_one_thread_fill(monkeypatch):
+    # three callers, each with its helper: six threads switching every
+    # 10 us, and every batch equals the one-thread fill
+    monkeypatch.setattr(montecarlo, "_HELPER_MIN_STEPS", 10**9)
+    want = _simulate_batch(BACH, 1.0, 32, 7, 0, 4 * _PATH_BLOCK)
+    monkeypatch.setattr(montecarlo, "_HELPER_MIN_STEPS", 32)
+    got = [None] * 3
+
+    def run(k):
+        got[k] = _simulate_batch(BACH, 1.0, 32, 7, 0, 4 * _PATH_BLOCK)
+
+    callers = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for batch in got:
+        for g, w in zip(batch, want, strict=True):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_fill_raises_what_the_helper_thread_raised():
+    # three blocks: the calling thread fills the first two, the helper the third
+    def new_draw():
+        def draw(block, offset):
+            if offset == 2 * _PATH_BLOCK:
+                raise RuntimeError("draw failed")
+            block[:] = 1.0
+        return draw
+
+    with pytest.raises(RuntimeError, match="draw failed"):
+        _fill_sums(np.empty((_HELPER_MIN_STEPS + 1, 3 * _PATH_BLOCK)), new_draw)
+
+
+def test_estimators_hold_one_batch_at_a_time(monkeypatch):
+    # a batch's levels and prices are freed before the next batch is
+    # simulated: holding two batches at once peaked at twice this bound
+    count, n_steps = 1024, 256
+    monkeypatch.setattr(montecarlo, "_BATCH_DEFAULT", count)
+    batch = 2 * (n_steps + 1) * count * 8
+    policy = ac_policy(GKernel.from_costs(UNIT_COSTS))
+    # a first call fills the interpreter's caches, which tracemalloc counts
+    estimate_value(BACH, policy, UNIT_COSTS, n_paths=2 * _PATH_BLOCK, n_steps=n_steps,
+                   master_seed=3)
+    tracemalloc.start()
+    try:
+        estimate_value(BACH, policy, UNIT_COSTS, n_paths=3 * count, n_steps=n_steps,
+                       master_seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < batch + 2**19
 
 
 def test_skorokhod_invariants_many_seeds():
@@ -501,7 +592,8 @@ def test_table_lookup_equals_reference_formula(model):
         root = model.sigma * math.sqrt(UNIT_COSTS.horizon - t)
         tab = root * table.rows[-1]
         for z in (zs, np.array([-_Z_SLACK, 1e3])):
-            assert np.array_equal(table._interp(tab, z), _reference_interp(table, tab, z))
+            assert np.array_equal(table._interp(tab[None], z[None])[0],
+                                  _reference_interp(table, tab, z))
         z = np.append(zs, -0.5 * _Z_SLACK)
         m = np.full(z.shape, 1.2)
         p = model.p_bar - (m * np.expm1(z * root) if isinstance(model, CappedBlackScholes)
@@ -510,6 +602,64 @@ def test_table_lookup_equals_reference_formula(model):
         for j in (0, zs.size - 1):
             got, want = table.extra_values(t, p[j], m[j]), _reference_lookup(table, t, p[j], m[j])
             assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("model", [BACH, CappedBlackScholes(m0=1.0, sigma=0.5, p_bar=1.05)],
+                         ids=["bachelier", "bs"])
+def test_block_lookup_equals_reference_formula(model):
+    # 21 steps: two full blocks and a partial one; grid[0] is a root node
+    table = optimal_policy(model, GKernel.from_costs(UNIT_COSTS), UNIT_COSTS).signal_table
+    n_steps = 21
+    grid, m, p = _simulate_batch(model, 1.0, n_steps, 4, 0, 100)
+    step_rows = table.step_rows(grid[:-1])
+    for lo in range(0, n_steps, _STEP_BLOCK):
+        steps = slice(lo, min(lo + _STEP_BLOCK, n_steps))
+        got = table.block_values(step_rows, steps, p[steps], m[steps])
+        for r, i in enumerate(range(lo, steps.stop)):
+            assert np.array_equal(got[r], _reference_lookup(table, float(grid[i]), p[i], m[i]))
+
+
+ENGINE_MODELS = {
+    "bachelier": BACH,
+    "bs": CappedBlackScholes(m0=1.0, sigma=0.5, p_bar=1.05),
+    "martingale": Martingale(p0=1.0, sigma=0.5),
+    "drift": DeterministicDrift(times=np.array([0.0, 0.5, 1.0]),
+                                values=np.array([-0.1, 0.2, 0.05]), p0=1.0),
+}
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 13, 1027])
+@pytest.mark.parametrize("name", list(ENGINE_MODELS))
+def test_blocked_engine_equals_step_by_step_reference(name, n_steps):
+    # the feedback policies with and without a table and a plain callable,
+    # with no v1^2 sum, with one on the policy's table and one on a table of
+    # its own; counts around the path block and past a batch
+    model, costs = ENGINE_MODELS[name], UNIT_COSTS
+    kernel = GKernel.from_costs(costs)
+    optimal = optimal_policy(model, kernel, costs)
+
+    def plain(t, x, state):
+        return 0.7 * x + 0.05 * (state.m - state.p) + 0.01
+
+    policies = [optimal, ac_policy(kernel), plain]
+    settings = ((None, False), (optimal.signal_table, True),
+                (model._signal_table(kernel, costs.lam), False))
+    for count in (1, 63, 64, 65, 2049):
+        grid, m, p = _simulate_batch(model, costs.horizon, n_steps, 11, 0, count)
+        for square, collect in settings:
+            got = _run_batch(_plan(grid, policies, square), p, m, costs, collect)
+            want = reference_run(grid, p, m, policies, costs, square, collect)
+            assert got.p is want.p
+            for g, w in zip(got.goals, want.goals, strict=True):
+                for part in ("cash", "terminal_asset", "running_penalty", "terminal_penalty",
+                             "total"):
+                    assert np.array_equal(getattr(g, part), getattr(w, part)), (count, part)
+            assert (got.v1_squared is None) == (square is None)
+            if square is not None:
+                assert np.array_equal(got.v1_squared, want.v1_squared)
+            assert len(got.paths) == len(want.paths)
+            for (gx, gu), (wx, wu) in zip(got.paths, want.paths):
+                assert np.array_equal(gx, wx) and np.array_equal(gu, wu)
 
 
 def _footprint(table):
