@@ -183,8 +183,9 @@ def load_config(path: str) -> RunConfig:
 def _validate(cfg: RunConfig, present: frozenset) -> None:
     if cfg.model not in _MODELS:
         raise ConfigError(f"key 'model' must be one of {', '.join(_MODELS)}; got {cfg.model!r}")
+    # sigma is checked by the model: a martingale takes 0, the drift model ignores it
     for key, value in (("T", cfg.horizon), ("lambda", cfg.lam), ("gamma", cfg.gamma),
-                       ("big_gamma", cfg.big_gamma), ("sigma", cfg.sigma)):
+                       ("big_gamma", cfg.big_gamma)):
         if value <= 0.0:
             raise ConfigError(f"key '{key}' must be strictly positive")
     if cfg.n_steps < 1:

@@ -18,13 +18,14 @@ oracle.discrete_goal at the path's prices gives a run's total from its rates.
 GoalBreakdown sums its total from its parts and PathSample takes m_star
 from m.  Reductions over paths always run in path-index order.
 
-Policies are callables (t, x, state) -> selling rate.  ac_policy and
-optimal_policy are one feedback class, u = urgency(t) * x + extra, whose
-extra is the engine's lookup of the model's signal table (liqzone.signals);
-the signal-free policy has no table.  Any other callable is called at every
-step with x and a MarketState as arrays with one entry per path.  For the
-capped models the table is one per policy, built on its first query
-(_CappedSignalTable in liqzone.signals states its error).
+Policies are callables (t, x, state) -> selling rate u, and every one
+runs through the same inventory update x_{i+1} = x_i - u_i dt.  ac_policy
+and optimal_policy are one feedback class, u = urgency(t) * x + extra,
+whose extra is the engine's lookup of the model's signal table
+(liqzone.signals); the signal-free policy has no table.  Any other callable
+is called at every step with a read-only x and a MarketState, as arrays
+with one entry per path.  For the capped models the table is one per
+policy, built on its first query (_CappedSignalTable states its error).
 
 One engine serves every entry point: _simulate turns per-path normals into
 levels and capped prices, _plan fixes what a call shares across its
@@ -297,8 +298,8 @@ class _FeedbackPolicy:
     """u = urgency(t) * x + extra, with extra the signal table's value at (t, state).
 
     With no table it is the signal-free policy.  The engine does not call
-    it: it takes the urgencies and runs the inventory recurrence itself, and
-    looks each table up once per block of steps for all that read it.
+    it: it forms the rate from the urgencies and the table's value itself,
+    and looks each table up once per block of steps for all that read it.
     """
 
     def __init__(self, kernel: GKernel, signal_table):
@@ -373,20 +374,22 @@ class _Plan(NamedTuple):
     square: object      # the table whose v1^2 is summed, or None
     tables: dict        # id(table) -> (table, its step rows)
     urgencies: list     # per policy: urgency at each step, None for a plain callable
+    signals: list       # per policy: its signal table, None if it has none
 
 
 def _plan(grid, policies, square=None) -> _Plan:
-    """The step rows of each table in play, square's and each feedback policy's,
-    and the urgencies of each feedback policy, at the step times grid[:-1]."""
+    """Each policy's urgencies and signal table, and the step rows of each
+    table in play (square's and the policies'), at the step times grid[:-1]."""
     times = grid[:-1]
-    signals = [policy.signal_table for policy in policies if isinstance(policy, _FeedbackPolicy)]
+    feedback = [policy if isinstance(policy, _FeedbackPolicy) else None for policy in policies]
+    signals = [None if policy is None else policy.signal_table for policy in feedback]
     tables = {}
     for table in (square, *signals):
         if table is not None and id(table) not in tables:
             tables[id(table)] = (table, table.step_rows(times))
-    urgencies = [[urgency(policy.kernel, t) for t in times.tolist()]
-                 if isinstance(policy, _FeedbackPolicy) else None for policy in policies]
-    return _Plan(grid, list(policies), square, tables, urgencies)
+    urgencies = [None if policy is None else [urgency(policy.kernel, t) for t in times.tolist()]
+                 for policy in feedback]
+    return _Plan(grid, list(policies), square, tables, urgencies, signals)
 
 
 def _run_batch(plan, p, m, costs, collect=False) -> _BatchRun:
@@ -395,14 +398,16 @@ def _run_batch(plan, p, m, costs, collect=False) -> _BatchRun:
     In each block, each table of the plan is looked up once for the block's
     prices.  The values feed the feedback policies' rates and, for square's
     table, the left Riemann sum of v1^2 with the step dt, T / n_steps bit for
-    bit.  A feedback policy then runs u_i = a_i x_i + e_i, x_{i+1} = x_i - u_i
-    dt step by step, with the plan's urgencies a_i; the signal-free one (no
-    table) keeps one inventory per step, shared by every path.  Any other
-    callable is called at every step with a MarketState.  Cash, running
-    penalty and v1^2 are computed for the whole block and added into their
-    per-path sums one step at a time, in step order, so every sum is the
-    step-by-step one bit for bit.  With collect, the positions X and rates U
-    of every policy are kept.
+    bit.  Every policy then runs one inventory update step by step: U_i is
+    its rate at X_i, and X_{i+1} = X_i - U_i dt.  A feedback policy's rate
+    is a_i X_i with the plan's urgencies a_i, plus its table's value when it
+    has one; the signal-free policy (no table) keeps one inventory per step,
+    shared by every path.  Any other callable's rate is what it returns when
+    called with t, a read-only X_i and a MarketState.  Cash, running penalty
+    and v1^2 are computed for the whole block and added into their per-path
+    sums one step at a time, in step order, so every sum is the step-by-step
+    one bit for bit.  With collect, the positions X and rates U of every
+    policy are kept.
     """
     grid, policies = plan.grid, plan.policies
     n_grid, count = p.shape
@@ -418,8 +423,8 @@ def _run_batch(plan, p, m, costs, collect=False) -> _BatchRun:
     else:
         # a block's positions (one more row: the next block's start) and
         # rates; the signal-free policy's are one number per step
-        widths = [1 if isinstance(policy, _FeedbackPolicy) and policy.signal_table is None
-                  else count for policy in policies]
+        widths = [1 if a is not None and table is None else count
+                  for a, table in zip(plan.urgencies, plan.signals)]
         xs = [np.empty((block + 1, width)) for width in widths]
         us = [np.empty((block, width)) for width in widths]
     work, step = np.empty((block, count)), np.empty(count)
@@ -436,32 +441,21 @@ def _run_batch(plan, p, m, costs, collect=False) -> _BatchRun:
                 v1_squared += sq[r]
         for k, policy in enumerate(policies):
             X, U = (xs[k][lo:hi + 1], us[k][rows]) if collect else (xs[k][:b + 1], us[k][:b])
-            a = plan.urgencies[k]
-            xk = x[k]
-            if a is None:
-                for r in range(b):
-                    X[r] = xk
-                    u = policy(float(grid[lo + r]), np.broadcast_to(xk, (count,)),
-                               MarketState(p=p[lo + r], m=m[lo + r]))
-                    U[r] = np.broadcast_to(np.asarray(u, dtype=float), (count,))
-                    xk = xk - U[r] * dt
-                X[b] = xk
-            elif policy.signal_table is None:
-                for r in range(b):
-                    u = a[lo + r] * xk
-                    X[r], U[r] = xk, u
-                    xk = xk - u * dt
-                X[b] = xk
-            else:
-                e = extra[id(policy.signal_table)]
-                X[0] = xk
-                for r in range(b):
+            a, table = plan.urgencies[k], plan.signals[k]
+            e = None if table is None else extra[id(table)]
+            dx = step[:X.shape[1]]
+            X[0] = x[k]
+            for r in range(b):
+                if a is None:
+                    U[r] = policy(float(grid[lo + r]), np.broadcast_to(X[r], (count,)),
+                                  MarketState(p=p[lo + r], m=m[lo + r]))
+                else:
                     np.multiply(X[r], a[lo + r], out=U[r])
-                    U[r] += e[r]
-                    np.multiply(U[r], dt, out=step)
-                    np.subtract(X[r], step, out=X[r + 1])
-                xk = X[b]
-            x[k] = xk
+                    if e is not None:
+                        U[r] += e[r]
+                np.multiply(U[r], dt, out=dx)
+                np.subtract(X[r], dx, out=X[r + 1])
+            x[k] = X[b]
             # cash (p - lam u) u dt and running penalty gamma x^2 dt
             np.multiply(U, costs.lam, out=work[:b])
             gain = np.subtract(p[rows], work[:b], out=work[:b])

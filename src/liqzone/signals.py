@@ -604,7 +604,22 @@ def _per_step(values: np.ndarray, ndim: int) -> np.ndarray:
     return values.reshape((-1,) + (1,) * (ndim - 1))
 
 
-class _CappedSignalTable:
+class _SignalTable:
+    """A table of -v1 for the Monte Carlo engine: step_rows, block_values and
+    extra_values, the one-step query of the two."""
+
+    def extra_values(self, t: float, p, m):
+        """Extra rate -v1 at time t in [0, horizon] for price/level arrays p, m,
+        shaped like p; zero at t = horizon."""
+        tau = self.kernel.horizon - _check_time("t", t, self.kernel.horizon)
+        p = np.asarray(p, dtype=float)
+        if tau == 0.0:
+            return np.zeros_like(p)
+        return self.block_values(self.step_rows([t]), slice(None), p[None],
+                                 np.asarray(m, dtype=float)[None])[0]
+
+
+class _CappedSignalTable(_SignalTable):
     """Extra selling rate of a capped model as one table in (root, z).
 
     The rate over root * level depends on the state only through the scaled
@@ -625,14 +640,14 @@ class _CappedSignalTable:
     is one multiply, clamped to the last cell before the cast to int, both
     cell ends a and b are gathered with take from the flat rows, a (1 -
     frac) + b frac is computed in place, and z beyond the last node gives 0
-    (the rate there is below 1e-30 of scale).  extra_values is the one-step
-    case of the two.  The linear z step sets the rate error: below 1e-4
-    relative up to beta T ~ 3 (1.3e-5 at small costs, 8.1e-5 at beta T =
-    3.2), growing about in proportion to beta T beyond (7.9e-4 at beta T =
-    32), worst just off the barrier.  The level multiply is skipped for a
-    model whose rate is per unit level.  Two cheaper forms round differently
-    and are not used: a + slope frac, and a zero pad node past the grid,
-    which gives a (1 - frac) != 0 between the last node and the pad.
+    (the rate there is below 1e-30 of scale).  The linear z step sets the
+    rate error: below 1e-4 relative up to beta T ~ 3 (1.3e-5 at small costs,
+    8.1e-5 at beta T = 3.2), growing about in proportion to beta T beyond
+    (7.9e-4 at beta T = 32), worst just off the barrier.  The level multiply
+    is skipped for a model whose rate is per unit level.  Two cheaper forms
+    round differently and are not used: a + slope frac, and a zero pad node
+    past the grid, which gives a (1 - frac) != 0 between the last node and
+    the pad.
     """
 
     def __init__(self, model: _CappedModel, kernel: GKernel, lam: float):
@@ -728,17 +743,8 @@ class _CappedSignalTable:
         out = self._interp(rows[steps], z)
         return out if level is _UNIT_LEVEL else out * level
 
-    def extra_values(self, t: float, p, m):
-        """Extra rate -v1 at time t in [0, horizon] for price/level arrays p, m."""
-        tau = self.kernel.horizon - _check_time("t", t, self.kernel.horizon)
-        p = np.asarray(p, dtype=float)
-        if tau == 0.0:
-            return np.zeros_like(p)
-        return self.block_values(self.step_rows([t]), slice(None), p[None],
-                                 np.asarray(m, dtype=float)[None])[0]
 
-
-class _CurveSignalTable:
+class _CurveSignalTable(_SignalTable):
     """Extra rate -v1(t) of a model whose v1 depends on t alone (state independent).
 
     The model's curve (_v1_curve) is evaluated once on a dense grid;
@@ -761,10 +767,6 @@ class _CurveSignalTable:
     def block_values(self, step_rows, steps: slice, p: np.ndarray, m: np.ndarray) -> np.ndarray:
         """The extra rate at the steps in steps, broadcast over p's paths."""
         return np.broadcast_to(_per_step(step_rows[steps], p.ndim), p.shape)
-
-    def extra_values(self, t: float, p, m):
-        p = np.asarray(p, dtype=float)
-        return self.block_values(self.step_rows([t]), slice(None), p[None], None)[0]
 
 
 def extra_rate(kernel: GKernel, costs: CostParams, model, state: TargetZoneState) -> float:

@@ -351,6 +351,25 @@ def test_invalid_overrides_exit_2(tmp_path):
                  str(tmp_path / "x.csv"), "--seed", "-3"]) == 2
 
 
+def test_sigma_is_checked_by_the_model(tmp_path, capsys):
+    # a martingale at sigma = 0 is the exact case and the drift model ignores
+    # sigma; a capped model needs sigma > 0 and its check names the key
+    out = tmp_path / "sim.csv"
+    flat = BASE.replace("sigma = 0.5", "sigma = 0")
+    mart = flat.replace("bachelier-capped", "martingale")
+    assert main(["simulate", "--config", write(tmp_path, mart), "--paths", "4", "--steps", "8",
+                 "--output", str(out)]) == 0
+    assert [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]] == [0.0, 0.0]
+    drift = flat.replace("bachelier-capped", "drift") + "drift = -0.1\nn_steps = 400\n"
+    assert main(["verify", "--config", write(tmp_path, drift)]) == 0
+    assert "verify: PASS" in capsys.readouterr().out
+    for model in ("bachelier-capped", "bs-capped"):
+        capped = flat.replace("bachelier-capped", model)
+        assert main(["simulate", "--config", write(tmp_path, capped),
+                     "--output", str(out)]) == 2
+        assert re.search(r"config error: sigma must", capsys.readouterr().err)
+
+
 def test_missing_output_named(tmp_path, capsys):
     assert main(["surface", "--config", write(tmp_path, BASE)]) == 2
     assert "output" in capsys.readouterr().err

@@ -75,9 +75,9 @@ GRID = np.linspace(0.0, 1.0, 3)
 PROBLEM = DiscreteProblem(np.zeros(3), COSTS)
 MC = dict(n_paths=4, n_steps=8, master_seed=1)
 MC_OUTSIDE = {"n_paths": (1, 3.0), "n_steps": (0, 2.5), "master_seed": (-1, 2**64, 1.5)}
-# the signal tables the step loop looks up, one of each kind
-CAPPED_TABLE = optimal_policy(BACH, K, COSTS).signal_table
-CURVE_TABLE = optimal_policy(DRIFT, K, COSTS).signal_table
+# the signal tables the step loop looks up, of each model
+CAPPED_TABLE, BS_TABLE, CURVE_TABLE, MART_TABLE = (
+    optimal_policy(model, K, COSTS).signal_table for model in (BACH, BS, DRIFT, MART))
 
 # results the library returns, records whose fields the functions reading
 # them check (state.t against the horizon, for one), and exceptions
@@ -101,9 +101,8 @@ def _mc_row(call, **args):
 
 _STATE_ROW = Row(v1_target_zone, dict(kernel=K, costs=COSTS, model=BACH, state=STATE),
                  {"state.t": (-2.0, 1.0, 1.5), "state.p": (1.05,)},
-                 ((dict(model=MART, state=replace(STATE, t=1.5)), "state.t"),
-                  (dict(model=DRIFT, state=replace(STATE, t=-2.0)), "state.t"),
-                  (dict(model=BS, state=replace(STATE, t=math.nan)), "state.t"),
+                 (*((dict(model=model, state=replace(STATE, t=t)), "state.t")
+                    for model in (BS, MART, DRIFT) for t in (math.nan, -2.0, 1.5)),
                   (dict(model=BS, state=replace(STATE, m=math.nan)), "state.m"),
                   (dict(model=BS, state=replace(STATE, p=math.nan)), "state.p"),
                   (dict(model=BACH, state=replace(STATE, m=0.8)), "state.p"),
@@ -201,15 +200,19 @@ ROWS = {
                                 dict(t=0.5, x=np.ones(2),
                                      state=MarketState(p=np.array([0.9, 0.9]), m=np.ones(2))),
                                 {"t": (-2.0, 1.5)}),
+    # each row's table, then the other model's of its kind
     "optimal_policy[capped table]": Row(
-        lambda t: CAPPED_TABLE.extra_values(t, np.array([0.9]), np.array([1.0])),
-        dict(t=0.5), {"t": (-2.0, 1.5)}),
+        lambda t, table=CAPPED_TABLE: table.extra_values(t, np.array([0.9]), np.array([1.0])),
+        dict(t=0.5), {"t": (-2.0, 1.5)},
+        tuple((dict(table=BS_TABLE, t=t), "t") for t in (math.nan, -2.0, 1.5))),
     "optimal_policy[curve table]": Row(
-        lambda t: CURVE_TABLE.extra_values(t, np.array([0.9]), np.array([1.0])),
-        dict(t=0.5), {"t": (-2.0, 1.5)}),
+        lambda t, table=CURVE_TABLE: table.extra_values(t, np.array([0.9]), np.array([1.0])),
+        dict(t=0.5), {"t": (-2.0, 1.5)},
+        tuple((dict(table=MART_TABLE, t=t), "t") for t in (math.nan, -2.0, 1.5))),
     # oracle
     "DiscreteProblem": Row(DiscreteProblem, dict(prices=np.zeros(3), costs=COSTS),
-                           {"prices": (np.zeros(2), np.zeros((3, 3)))}),
+                           {"prices": (np.zeros(2), np.zeros((3, 3)))},
+                           ((dict(prices=[0.0, math.nan, 0.0]), "prices"),)),
     "DiscreteProblem[uniform]": Row(DiscreteProblem.uniform,
                                     dict(costs=COSTS, n_steps=4, drift_level=-0.1),
                                     {"n_steps": (1, -1, 2.5)}),

@@ -631,17 +631,24 @@ ENGINE_MODELS = {
 @pytest.mark.parametrize("n_steps", [1, 7, 13, 1027])
 @pytest.mark.parametrize("name", list(ENGINE_MODELS))
 def test_blocked_engine_equals_step_by_step_reference(name, n_steps):
-    # the feedback policies with and without a table and a plain callable,
-    # with no v1^2 sum, with one on the policy's table and one on a table of
-    # its own; counts around the path block and past a batch
+    # the feedback policies with and without a table and plain callables
+    # returning a per-path array, a Python float, a Python int and a
+    # one-element array, with no v1^2 sum, with one on the policy's table and
+    # one on a table of its own; counts around the path block and past a batch
     model, costs = ENGINE_MODELS[name], UNIT_COSTS
     kernel = GKernel.from_costs(costs)
     optimal = optimal_policy(model, kernel, costs)
 
     def plain(t, x, state):
+        # the engine's inventory is not the policy's to change
+        assert not x.flags.writeable
         return 0.7 * x + 0.05 * (state.m - state.p) + 0.01
 
-    policies = [optimal, ac_policy(kernel), plain]
+    def flat(t, x, state):
+        return 0.9 - 0.3 * t
+
+    policies = [optimal, ac_policy(kernel), plain, flat, lambda t, x, state: 1,
+                lambda t, x, state: np.array([0.4 * t + 0.2])]
     settings = ((None, False), (optimal.signal_table, True),
                 (model._signal_table(kernel, costs.lam), False))
     for count in (1, 63, 64, 65, 2049):
@@ -723,14 +730,6 @@ def test_optimal_policy_accepts_engine_paths_over_the_cap_by_rounding():
     policy = optimal_policy(model, GKernel.from_costs(SMALL_COSTS), SMALL_COSTS)
     est = estimate_value(model, policy, SMALL_COSTS, n_paths=10_240, n_steps=512, master_seed=7)
     assert math.isfinite(est.mean) and est.std_error > 0.0
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_uncapped_models_reject_non_finite_p0(bad):
-    with pytest.raises(ValueError, match="p0"):
-        Martingale(p0=bad, sigma=0.5)
-    with pytest.raises(ValueError, match="p0"):
-        DeterministicDrift(times=np.array([0.0, 1.0]), values=np.array([0.1, 0.1]), p0=bad)
 
 
 def test_probe_expansion_matches_direct_replay():

@@ -107,17 +107,6 @@ def test_solver_matches_dense_reference():
                                            rtol=0.0, atol=1e-12 * scale)
 
 
-def test_dimension_and_argument_validation():
-    problem = DiscreteProblem.uniform(UNIT_COSTS, 16)
-    with pytest.raises(ValueError):
-        discrete_goal(problem, np.ones(15))
-    with pytest.raises(ValueError):
-        DiscreteProblem.uniform(UNIT_COSTS, 1)
-    for prices in (np.zeros(2), np.zeros((3, 3)), [0.0, np.nan, 0.0]):
-        with pytest.raises(ValueError, match="prices"):
-            DiscreteProblem(prices, UNIT_COSTS)
-
-
 def test_step_is_the_horizon_over_the_step_count():
     # n is one fewer than the prices and delta is T / n itself, so the plan
     # keeps its own Euler identity to rounding
