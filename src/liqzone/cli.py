@@ -113,7 +113,7 @@ class _ModelSpec(NamedTuple):
     build: Callable[[RunConfig], object]  # the market model a config describes
     commands: tuple[str, ...]             # the subcommands that accept it
     requires: tuple[str, ...] = ()        # keys its config must set
-    reads_drift: bool = False             # whether a non-zero drift key applies
+    reads: tuple[str, ...] = ()           # the model-specific keys it reads
 
 
 _MODELS = {
@@ -122,14 +122,14 @@ _MODELS = {
         ("surface", "simulate", "value"), requires=("m0", "p_bar")),
     "bs-capped": _ModelSpec(
         lambda cfg: CappedBlackScholes(m0=cfg.m0, sigma=cfg.sigma, p_bar=cfg.p_bar),
-        ("surface", "simulate", "value"), requires=("m0", "p_bar")),
+        ("surface", "simulate", "value"), requires=("m0", "p_bar"), reads=("bs_m",)),
     "martingale": _ModelSpec(
         lambda cfg: Martingale(p0=cfg.m0, sigma=cfg.sigma),
         ("simulate", "value", "verify")),
     "drift": _ModelSpec(
         lambda cfg: DeterministicDrift(times=np.array([0.0, cfg.horizon]),
                                        values=np.array([cfg.drift, cfg.drift]), p0=cfg.m0),
-        ("simulate", "verify"), reads_drift=True),
+        ("simulate", "verify"), reads=("drift",)),
 }
 
 
@@ -203,9 +203,11 @@ def _validate(cfg: RunConfig, present: frozenset) -> None:
     for key in _MODELS[cfg.model].requires:
         if key not in present:
             raise ConfigError(f"missing required key '{key}' (model = {cfg.model})")
-    if cfg.drift != 0.0 and not _MODELS[cfg.model].reads_drift:
-        drift_models = ", ".join(name for name, m in _MODELS.items() if m.reads_drift)
-        raise ConfigError(f"key 'drift' requires model = {drift_models}")
+    # a key only other models read must keep its default (so drift = 0 passes)
+    for name, spec in _MODELS.items():
+        for key in sorted(set(spec.reads) - set(_MODELS[cfg.model].reads)):
+            if getattr(cfg, _KEYS[key].name) != _KEYS[key].metadata["default"]:
+                raise ConfigError(f"key '{key}' requires model = {name}")
 
 
 def _problem(cfg: RunConfig):

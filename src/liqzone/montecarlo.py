@@ -31,10 +31,12 @@ One engine serves every entry point: _simulate turns per-path normals into
 levels and capped prices, _plan fixes what a call shares across its
 batches (each signal table's rows at the step times, each feedback
 policy's urgencies), _run_batch runs every policy of a call down a batch,
-_STEP_BLOCK steps at a time, and _one_pass walks the paths _BATCH_DEFAULT
-at a time, folding each batch into per-path rows with a list of reductions
-(policy totals, the v1^2 sum, the probe's linear functionals) and freeing
-it before the next is simulated.  Each estimator is one pass: each batch is
+_STEP_BLOCK steps at a time, holding one block of positions and rates per
+policy, and _one_pass walks the paths _BATCH_DEFAULT at a time, keeping
+each policy's per-path totals and the per-path v1^2 sums and freeing each
+batch before the next is simulated.  What else reads the positions and
+rates (the probe's linear functionals, run_strategy's plan) is handed each
+block as it is run, by a fold.  Each estimator is one pass: each batch is
 simulated once, and each signal table is looked up once per block of
 steps, its values feeding both the optimal policy's rate and the v1^2 sum.
 So estimate_v0_and_value costs one simulation and one lookup per block,
@@ -62,6 +64,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -349,20 +352,22 @@ def run_strategy(path: PathSample, policy: Callable, costs: CostParams):
     if not np.allclose(grid[[0, -1]], (0.0, costs.horizon), rtol=0.0, atol=1e-9 * costs.horizon):
         raise ValueError(f"grid must span [0, horizon = {costs.horizon!r}], "
                          f"got [{grid[0]!r}, {grid[-1]!r}]")
-    p, m = path.p[:, None], path.m[:, None]
-    run = _run_batch(_plan(grid, [policy]), p, m, costs, collect=True)
-    bk, (xs, us) = run.goals[0], run.paths[0]
+    positions, rates = np.empty(grid.size), np.empty(steps.size)
+
+    def fold(k, lo, p, X, U):
+        positions[lo:lo + X.shape[0]] = X[:, 0]
+        rates[lo:lo + U.shape[0]] = U[:, 0]
+
+    bk, = _run_batch(_plan(grid, [policy]), path.p[:, None], path.m[:, None], costs, fold).goals
     parts = (bk.cash, bk.terminal_asset, bk.running_penalty, bk.terminal_penalty)
-    return (TradePlan(grid=grid, positions=xs[:, 0], rates=us[:, 0]),
+    return (TradePlan(grid=grid, positions=positions, rates=rates),
             GoalBreakdown(*(float(part[0]) for part in parts)))
 
 
 class _BatchRun(NamedTuple):
-    """What one step loop over a batch produced, for the reductions to fold."""
+    """What one step loop over a batch produced."""
 
-    p: np.ndarray                   # capped prices, time-major
     goals: list                     # GoalBreakdown of per-path arrays, per policy
-    paths: list                     # (X, U) per policy when collected, else empty
     v1_squared: np.ndarray | None   # per-path sum of v1^2 dt, when asked
 
 
@@ -392,7 +397,7 @@ def _plan(grid, policies, square=None) -> _Plan:
     return _Plan(grid, list(policies), square, tables, urgencies, signals)
 
 
-def _run_batch(plan, p, m, costs, collect=False) -> _BatchRun:
+def _run_batch(plan, p, m, costs, fold=None) -> _BatchRun:
     """Run the plan's policies down one time-major batch, _STEP_BLOCK steps at a time.
 
     In each block, each table of the plan is looked up once for the block's
@@ -406,27 +411,25 @@ def _run_batch(plan, p, m, costs, collect=False) -> _BatchRun:
     called with t, a read-only X_i and a MarketState.  Cash, running penalty
     and v1^2 are computed for the whole block and added into their per-path
     sums one step at a time, in step order, so every sum is the step-by-step
-    one bit for bit.  With collect, the positions X and rates U of every
-    policy are kept.
+    one bit for bit.  Each policy holds one block of positions and rates:
+    with fold, fold(k, lo, p, X, U) is handed policy k's block of b steps
+    from step lo once it is run, X[r] and U[r] the position and rate at step
+    lo + r (one column for the signal-free policy) and X[b] the position
+    after the block.  The next block overwrites them.
     """
     grid, policies = plan.grid, plan.policies
-    n_grid, count = p.shape
-    n_steps = n_grid - 1
+    n_steps, count = p.shape[0] - 1, p.shape[1]
     dt = float(grid[1] - grid[0])
     block = min(_STEP_BLOCK, n_steps)
     x = [float(costs.x0)] * len(policies)
     cash = [0.0] * len(policies)
     run_pen = [0.0] * len(policies)
-    if collect:
-        xs = [np.empty((n_grid, count)) for _ in policies]
-        us = [np.empty((n_steps, count)) for _ in policies]
-    else:
-        # a block's positions (one more row: the next block's start) and
-        # rates; the signal-free policy's are one number per step
-        widths = [1 if a is not None and table is None else count
-                  for a, table in zip(plan.urgencies, plan.signals)]
-        xs = [np.empty((block + 1, width)) for width in widths]
-        us = [np.empty((block, width)) for width in widths]
+    # a block's positions (one more row: the next block's start) and rates;
+    # the signal-free policy's are one number per step
+    widths = [1 if a is not None and table is None else count
+              for a, table in zip(plan.urgencies, plan.signals)]
+    xs = [np.empty((block + 1, width)) for width in widths]
+    us = [np.empty((block, width)) for width in widths]
     work, step = np.empty((block, count)), np.empty(count)
     v1_squared = None if plan.square is None else np.zeros(count)
     for lo in range(0, n_steps, block):
@@ -440,7 +443,7 @@ def _run_batch(plan, p, m, costs, collect=False) -> _BatchRun:
             for r in range(b):
                 v1_squared += sq[r]
         for k, policy in enumerate(policies):
-            X, U = (xs[k][lo:hi + 1], us[k][rows]) if collect else (xs[k][:b + 1], us[k][:b])
+            X, U = xs[k][:b + 1], us[k][:b]
             a, table = plan.urgencies[k], plan.signals[k]
             e = None if table is None else extra[id(table)]
             dx = step[:X.shape[1]]
@@ -466,49 +469,43 @@ def _run_batch(plan, p, m, costs, collect=False) -> _BatchRun:
             pen = costs.gamma * np.square(X[:b]) * dt
             for r in range(b):
                 run_pen[k] += pen[r]
+            if fold is not None:
+                fold(k, lo, p, X, U)
     goals = [GoalBreakdown(*(np.broadcast_to(part, (count,)) for part in
                              (c, p[-1] * x_end, r, costs.big_gamma * np.square(x_end))))
              for c, x_end, r in zip(cash, x, run_pen)]
-    return _BatchRun(p, goals, list(zip(xs, us)) if collect else [], v1_squared)
+    return _BatchRun(goals, v1_squared)
 
 
 def _check_mc_args(n_paths, n_steps) -> tuple[int, int]:
     return _check_count("n_paths", n_paths, 2), _check_count("n_steps", n_steps, 1)
 
 
-def _one_pass(model, costs, n_paths, n_steps, master_seed, reductions,
-              policies=(), square=None, collect=False) -> list[np.ndarray]:
-    """Simulate each batch once, run it once and fold it with every reduction.
+def _one_pass(model, costs, n_paths, n_steps, master_seed, policies=(), square=None,
+              fold=None) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Simulate each batch once and run it once; (totals, v1_squared) in path-index order.
 
-    The plan (each table's step rows, each policy's urgencies) is formed once
-    for all batches.  A reduction maps a _BatchRun to one row per path (shape
-    (count,) or (count, k)); the result stacks each reduction's rows in
-    path-index order.  Nothing of a batch is held while the next is simulated.
+    totals holds each policy's per-path realized goals, v1_squared the
+    per-path v1^2 sums of square's table (None without square).  The plan
+    (each table's step rows, each policy's urgencies) is formed once for all
+    batches.  With fold, fold(first, k, lo, p, X, U) is handed every block
+    _run_batch runs for the batch of paths from index first.  Nothing of a
+    batch is held while the next is simulated.
     """
     n_paths, n_steps = _check_mc_args(n_paths, n_steps)
     plan = _plan(np.linspace(0.0, costs.horizon, n_steps + 1), policies, square)
-    out = [None] * len(reductions)
+    totals = [np.empty(n_paths) for _ in policies]
+    v1_squared = None if square is None else np.empty(n_paths)
     for first in range(0, n_paths, _BATCH_DEFAULT):
         count = min(_BATCH_DEFAULT, n_paths - first)
         _, m, p = _simulate_batch(model, costs.horizon, n_steps, master_seed, first, count)
-        run = _run_batch(plan, p, m, costs, collect)
+        run = _run_batch(plan, p, m, costs, None if fold is None else partial(fold, first))
         del m, p
-        for k, reduce in enumerate(reductions):
-            rows = reduce(run)
-            if out[k] is None:
-                out[k] = np.empty((n_paths,) + rows.shape[1:])
-            out[k][first:first + count] = rows
-        del run, rows
-    return out
-
-
-def _total(k: int) -> Callable:
-    """The reduction to per-path realized goals of the k-th policy."""
-    return lambda run: run.goals[k].total
-
-
-def _v1_squared(run: _BatchRun) -> np.ndarray:
-    return run.v1_squared
+        for out, goal in zip(totals, run.goals):
+            out[first:first + count] = goal.total
+        if v1_squared is not None:
+            v1_squared[first:first + count] = run.v1_squared
+    return totals, v1_squared
 
 
 def _estimate(totals: np.ndarray, seed: int) -> MCEstimate:
@@ -523,16 +520,15 @@ def _estimate(totals: np.ndarray, seed: int) -> MCEstimate:
 
 def estimate_value(model, policy, costs, n_paths, n_steps, master_seed) -> MCEstimate:
     """Mean realized goal of a policy over n_paths streams of master_seed."""
-    totals, = _one_pass(model, costs, n_paths, n_steps, master_seed,
-                        [_total(0)], policies=[policy])
+    (totals,), _ = _one_pass(model, costs, n_paths, n_steps, master_seed, policies=[policy])
     return _estimate(totals, master_seed)
 
 
 def paired_value_difference(model, policy_a, policy_b, costs, n_paths, n_steps,
                             master_seed) -> PairedComparison:
     """Both policies on the same paths; difference = per-path (a - b)."""
-    tot_a, tot_b = _one_pass(model, costs, n_paths, n_steps, master_seed,
-                             [_total(0), _total(1)], policies=[policy_a, policy_b])
+    (tot_a, tot_b), _ = _one_pass(model, costs, n_paths, n_steps, master_seed,
+                                  policies=[policy_a, policy_b])
     return PairedComparison(
         value_a=_estimate(tot_a, master_seed),
         value_b=_estimate(tot_b, master_seed),
@@ -548,9 +544,9 @@ def estimate_v0(model, kernel, costs, n_paths, n_steps, master_seed) -> MCEstima
     The kernel must be GKernel.from_costs(costs), else ValueError.
     """
     _check_kernel(kernel, costs)
-    totals, = _one_pass(model, costs, n_paths, n_steps, master_seed,
-                        [_v1_squared], square=model._signal_table(kernel, costs.lam))
-    return _estimate(totals, master_seed)
+    _, v1_squared = _one_pass(model, costs, n_paths, n_steps, master_seed,
+                              square=model._signal_table(kernel, costs.lam))
+    return _estimate(v1_squared, master_seed)
 
 
 def estimate_v0_and_value(model, kernel, costs, n_paths, n_steps,
@@ -561,9 +557,8 @@ def estimate_v0_and_value(model, kernel, costs, n_paths, n_steps,
     separate call bit for bit.
     """
     policy = optimal_policy(model, kernel, costs)
-    v1_squared, totals = _one_pass(model, costs, n_paths, n_steps, master_seed,
-                                   [_v1_squared, _total(0)], policies=[policy],
-                                   square=policy.signal_table)
+    (totals,), v1_squared = _one_pass(model, costs, n_paths, n_steps, master_seed,
+                                      policies=[policy], square=policy.signal_table)
     return _estimate(v1_squared, master_seed), _estimate(totals, master_seed)
 
 
@@ -640,26 +635,27 @@ def probe_optimality(model, kernel, costs, n_paths, n_steps, master_seed,
     knot_of_step = np.minimum((np.arange(n_steps) * _PROBE_KNOTS) // n_steps, _PROBE_KNOTS - 1)
     alpha_steps = alphas[:, knot_of_step]                        # (D, n_steps)
     da = -dt * np.concatenate((np.zeros((n_directions, 1)), np.cumsum(alpha_steps, axis=1)), axis=1)
-
-    w_price = dt * alpha_steps.T                                  # (n_steps, D)
-    w_rate = -2.0 * costs.lam * dt * alpha_steps.T
-    w_pos = -2.0 * costs.gamma * dt * da[:, :-1].T
-    c_price = da[:, -1]                                           # (D,)
-    c_pos = -2.0 * costs.big_gamma * da[:, -1]
     curvature = (
         -costs.lam * dt * np.sum(alpha_steps**2, axis=1)
         - costs.gamma * dt * np.sum(da[:, :-1]**2, axis=1)
         - costs.big_gamma * da[:, -1]**2
     )
+    # L's weights on the price, rate and position at each step; the terminal
+    # price and position (row n_steps) join the last block
+    w_price = np.vstack((dt * alpha_steps.T, da[:, -1]))         # (n_steps + 1, D)
+    w_rate = -2.0 * costs.lam * dt * alpha_steps.T               # (n_steps, D)
+    w_pos = np.vstack((-2.0 * costs.gamma * dt * da[:, :-1].T, -2.0 * costs.big_gamma * da[:, -1]))
+    lin = np.zeros((n_paths, n_directions))
 
-    def functionals(run):
-        xs, us = run.paths[0]
-        return (run.p[:-1].T @ w_price + np.outer(run.p[-1], c_price)
-                + us.T @ w_rate
-                + xs[:-1].T @ w_pos + np.outer(xs[-1], c_pos))
+    def fold(first, k, lo, p, X, U):
+        hi = lo + U.shape[0]
+        end = hi + 1 if hi == n_steps else hi
+        block = np.concatenate((p[lo:end], U, X[:end - lo]))
+        weights = np.concatenate((w_price[lo:end], w_rate[lo:hi], w_pos[lo:end]))
+        lin[first:first + p.shape[1]] += block.T @ weights
 
-    totals, lin = _one_pass(model, costs, n_paths, n_steps, master_seed,
-                            [_total(0), functionals], policies=[policy], collect=True)
+    (totals,), _ = _one_pass(model, costs, n_paths, n_steps, master_seed, policies=[policy],
+                             fold=fold)
 
     eps = np.array(_PROBE_EPSILONS)
     lin_mean = lin.mean(axis=0)

@@ -85,6 +85,17 @@ def test_drift_key_requires_drift_model(tmp_path):
         load_config(write(tmp_path, BASE + "drift = -0.1\n"))
 
 
+@pytest.mark.parametrize("model, command", [("bachelier-capped", "surface"),
+                                            ("martingale", "simulate")])
+def test_bs_m_key_requires_bs_capped_model(tmp_path, capsys, model, command):
+    # both ran and ignored bs_m: the surface wrote the CSV it writes without it
+    cfg = BASE.replace("bachelier-capped", model) + "bs_m = 5\nn_paths = 2\nn_steps = 1\n"
+    assert main([command, "--config", write(tmp_path, cfg),
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    assert "key 'bs_m' requires model = bs-capped" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_csv_row_format_prints_what_the_per_value_format_prints(tmp_path):
     values = [0.0, -0.0, 5e-324, 1e-300, 1e300, math.nan, math.inf, -math.inf,
               0.1, 1.0 / 3.0, -2.5, 2.0**53 + 2.0, 0.020408163265306121, 7.0]

@@ -223,22 +223,33 @@ def test_fill_raises_what_the_helper_thread_raised():
 
 def test_estimators_hold_one_batch_at_a_time(monkeypatch):
     # a batch's levels and prices are freed before the next batch is
-    # simulated: holding two batches at once peaked at twice this bound
-    count, n_steps = 1024, 256
+    # simulated: holding two batches at once peaked at twice this bound.
+    # The probe adds only its per-path functionals, folding each block of
+    # positions and rates as it is run (holding the batch's X and U as well
+    # peaked at 7.7 MB here, above its bound of 5.2 MB)
+    count, n_steps, n_directions = 1024, 256, 20
     monkeypatch.setattr(montecarlo, "_BATCH_DEFAULT", count)
     batch = 2 * (n_steps + 1) * count * 8
-    policy = ac_policy(GKernel.from_costs(UNIT_COSTS))
-    # a first call fills the interpreter's caches, which tracemalloc counts
-    estimate_value(BACH, policy, UNIT_COSTS, n_paths=2 * _PATH_BLOCK, n_steps=n_steps,
-                   master_seed=3)
-    tracemalloc.start()
-    try:
-        estimate_value(BACH, policy, UNIT_COSTS, n_paths=3 * count, n_steps=n_steps,
-                       master_seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < batch + 2**19
+    kernel = GKernel.from_costs(UNIT_COSTS)
+    # the martingale's table is a curve: a capped model's step rows
+    # (n_steps x its z grid) would outweigh the batch
+    calls = [
+        (lambda n_paths: estimate_value(BACH, ac_policy(kernel), UNIT_COSTS, n_paths, n_steps, 3),
+         0),
+        (lambda n_paths: probe_optimality(Martingale(p0=1.0, sigma=0.5), kernel, UNIT_COSTS,
+                                          n_paths, n_steps, 3, n_directions),
+         3 * count * n_directions * 8),
+    ]
+    for call, functionals in calls:
+        # a first call fills the interpreter's caches, which tracemalloc counts
+        call(2 * _PATH_BLOCK)
+        tracemalloc.start()
+        try:
+            call(3 * count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < batch + functionals + 2**19
 
 
 def test_skorokhod_invariants_many_seeds():
@@ -649,23 +660,34 @@ def test_blocked_engine_equals_step_by_step_reference(name, n_steps):
 
     policies = [optimal, ac_policy(kernel), plain, flat, lambda t, x, state: 1,
                 lambda t, x, state: np.array([0.4 * t + 0.2])]
-    settings = ((None, False), (optimal.signal_table, True),
-                (model._signal_table(kernel, costs.lam), False))
+    squares = (None, optimal.signal_table, model._signal_table(kernel, costs.lam))
     for count in (1, 63, 64, 65, 2049):
         grid, m, p = _simulate_batch(model, costs.horizon, n_steps, 11, 0, count)
-        for square, collect in settings:
-            got = _run_batch(_plan(grid, policies, square), p, m, costs, collect)
-            want = reference_run(grid, p, m, policies, costs, square, collect)
-            assert got.p is want.p
-            for g, w in zip(got.goals, want.goals, strict=True):
-                for part in ("cash", "terminal_asset", "running_penalty", "terminal_penalty",
-                             "total"):
-                    assert np.array_equal(getattr(g, part), getattr(w, part)), (count, part)
-            assert (got.v1_squared is None) == (square is None)
-            if square is not None:
-                assert np.array_equal(got.v1_squared, want.v1_squared)
-            assert len(got.paths) == len(want.paths)
-            for (gx, gu), (wx, wu) in zip(got.paths, want.paths):
+        for square in squares:
+            # the blocks each fold receives, assembled into the batch's X and U
+            paths = [(np.empty((n_steps + 1, count)), np.empty((n_steps, count)))
+                     for _ in policies]
+
+            def fold(k, lo, p_, X, U):
+                assert p_ is p
+                xs, us = paths[k]
+                xs[lo:lo + X.shape[0]] = X
+                us[lo:lo + U.shape[0]] = U
+
+            plan = _plan(grid, policies, square)
+            got = _run_batch(plan, p, m, costs, fold)
+            want = reference_run(grid, p, m, policies, costs, square)
+            # the run without a fold is the same run
+            runs = (got, _run_batch(plan, p, m, costs)) if square is None else (got,)
+            for run in runs:
+                for g, w in zip(run.goals, want.goals, strict=True):
+                    for part in ("cash", "terminal_asset", "running_penalty",
+                                 "terminal_penalty", "total"):
+                        assert np.array_equal(getattr(g, part), getattr(w, part)), (count, part)
+                assert (run.v1_squared is None) == (square is None)
+                if square is not None:
+                    assert np.array_equal(run.v1_squared, want.v1_squared)
+            for (gx, gu), (wx, wu) in zip(paths, want.paths, strict=True):
                 assert np.array_equal(gx, wx) and np.array_equal(gu, wu)
 
 
@@ -831,28 +853,3 @@ def test_entry_points_reject_a_kernel_of_other_costs(other):
     for call in calls:
         with pytest.raises(ValueError, match="kernel"):
             call()
-
-
-_K = GKernel.from_costs(UNIT_COSTS)
-_MC = dict(n_paths=4, n_steps=8, master_seed=1)
-
-
-@pytest.mark.parametrize("field, call", [
-    ("n_steps", lambda: DiscreteProblem.uniform(UNIT_COSTS, -1)),
-    ("n_steps", lambda: DiscreteProblem.uniform(UNIT_COSTS, 2.5)),
-    ("n_paths", lambda: estimate_value(BACH, ac_policy(_K), UNIT_COSTS,
-                                       **{**_MC, "n_paths": math.nan})),
-    ("n_paths", lambda: estimate_value(BACH, ac_policy(_K), UNIT_COSTS,
-                                       **{**_MC, "n_paths": 3.0})),
-    ("n_steps", lambda: simulate_path(BACH, 1.0, 2.5, path_stream(0, 0))),
-    ("n_steps", lambda: estimate_v0(BACH, _K, UNIT_COSTS, **{**_MC, "n_steps": 2.5})),
-    ("n_directions", lambda: probe_optimality(BACH, _K, UNIT_COSTS, **_MC, n_directions=0)),
-    ("master_seed", lambda: estimate_value(BACH, ac_policy(_K), UNIT_COSTS,
-                                           **{**_MC, "master_seed": 1.5})),
-], ids=["uniform-negative", "uniform-fraction", "paths-nan", "paths-float", "path-steps",
-        "mc-steps", "no-directions", "seed-fraction"])
-def test_counts_must_be_integers_naming_the_field(field, call):
-    # int() would run seed 1.5 as seed 1, a NaN count compares false with
-    # every bound, and a probe of no direction passes by having no margin
-    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= "):
-        call()
