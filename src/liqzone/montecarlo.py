@@ -53,16 +53,28 @@ Batch arrays are laid out time-major, shape (n_steps + 1, n_paths): a
 block of steps is then a contiguous slab of rows, which is what makes 10^5
 paths at 4096 steps affordable.  A batch is drawn a cache-sized block of
 paths at a time, summed along each path and copied into the batch
-(_fill_sums), so no full-size array of normals is held.  Two threads share
-the blocks, the calling one and a helper started for the batch, each with
-one Philox generator re-keyed per path (_simulate_batch).  Every path has
-its own stream, so no output depends on the helper thread.
+(_fill_sums), so no full-size array of normals is held; one Philox
+generator, re-keyed per path, draws the batch (_simulate_batch).
+
+On Linux, a call whose policies are all library feedback policies splits
+its paths into one contiguous range per usable CPU, each of at least
+_FORK_MIN_PATH_STEPS path-steps (_workers).  The calling process runs the
+first range and an os.fork() child each other one (_in_workers); the plan
+is formed before the fork, and each process writes its rows of the
+per-path outputs into arrays on shared memory (_shared).  Every path has
+its own stream and the results do not depend on the batch size, so no
+output depends on the worker count.  A plain callable policy is always run
+in the calling process, so its side effects are kept.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+import mmap
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -105,10 +117,10 @@ _BATCH_DEFAULT = 2048
 _PATH_BLOCK = 64
 # steps run at a time: each table is looked up once per block
 _STEP_BLOCK = 8
-# paths shorter than this are filled by the calling thread alone: each path's
-# re-key holds the GIL, and below about 600 normals per path (2 vCPUs, 2048
-# paths) two threads spend more handing the GIL over than they save
-_HELPER_MIN_STEPS = 768
+# path-steps a forked worker gets at least.  Two workers against one (2 vCPUs,
+# capped Bachelier, two policies, 1024 steps) took 1.14 times as long at 2^17
+# path-steps each, where the call's fixed costs dominate, and 0.91 at 2^18
+_FORK_MIN_PATH_STEPS = 2**18
 
 
 class MarketState(NamedTuple):
@@ -185,13 +197,12 @@ def path_stream(master_seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _simulate(model, horizon, n_steps, count, new_draw):
+def _simulate(model, horizon, n_steps, count, draw):
     """(grid, m, p): levels and capped prices, time-major (n_steps + 1, count).
 
-    new_draw() returns a function draw(block, offset) that fills each row k
-    of a (rows, n_steps) block with the standard normals of path offset + k;
-    _fill_sums calls it once per filling thread.  It is not called when
-    sigma is 0, where every path is the model's expected level path.
+    draw(block, offset) fills each row k of a (rows, n_steps) block with the
+    standard normals of path offset + k.  It is not called when sigma is 0,
+    where every path is the model's expected level path.
     """
     grid = np.linspace(0.0, horizon, n_steps + 1)
     if model.sigma == 0.0:
@@ -199,57 +210,27 @@ def _simulate(model, horizon, n_steps, count, new_draw):
         return grid, m, m
     m = np.empty((n_steps + 1, count))
     m[0] = 0.0
-    _fill_sums(m, new_draw)
+    _fill_sums(m, draw)
     m *= model.sigma * math.sqrt(horizon / n_steps)
     model._to_levels(m, grid)
     return grid, m, model._cap(m)
 
 
-def _fill_sums(m, new_draw):
+def _fill_sums(m, draw):
     """Fill m[1:] with each path's running sums of its normals, a block of paths at a time.
 
     Each block of _PATH_BLOCK paths is drawn into a cache-sized scratch
     array, summed along each path (a sequential accumulate, so bit for bit
-    the step-by-step running sum) and copied transposed into m.  With more
-    than one block of paths of at least _HELPER_MIN_STEPS steps, the later
-    half of the blocks is filled by a helper thread started for this call,
-    with its own draw and scratch array: numpy releases the GIL while it
-    draws, sums and copies.  Each path's normals come from its own stream,
-    so m does not depend on which thread filled it.  The scratch arrays are
-    freed on return, before the capped prices are allocated.
+    the step-by-step running sum) and copied transposed into m.  The scratch
+    array is freed on return, before the capped prices are allocated.
     """
     n_steps, count = m.shape[0] - 1, m.shape[1]
-    starts = range(0, count, _PATH_BLOCK)
-
-    def fill(part):
-        draw = new_draw()
-        block = np.empty((min(_PATH_BLOCK, count), n_steps))
-        for start in part:
-            rows = block[:min(_PATH_BLOCK, count - start)]
-            draw(rows, start)
-            np.cumsum(rows, axis=1, out=rows)
-            m[1:, start:start + rows.shape[0]] = rows.T
-
-    half = (len(starts) + 1) // 2
-    if half == len(starts) or n_steps < _HELPER_MIN_STEPS:
-        fill(starts)
-        return
-    failed = []
-
-    def helper():
-        try:
-            fill(starts[half:])
-        except BaseException as exc:  # re-raised in the calling thread
-            failed.append(exc)
-
-    thread = threading.Thread(target=helper, daemon=True)
-    thread.start()
-    try:
-        fill(starts[:half])
-    finally:
-        thread.join()
-    if failed:
-        raise failed[0]
+    block = np.empty((min(_PATH_BLOCK, count), n_steps))
+    for start in range(0, count, _PATH_BLOCK):
+        rows = block[:min(_PATH_BLOCK, count - start)]
+        draw(rows, start)
+        np.cumsum(rows, axis=1, out=rows)
+        m[1:, start:start + rows.shape[0]] = rows.T
 
 
 def simulate_path(model, horizon: float, n_steps: int, rng: np.random.Generator) -> PathSample:
@@ -263,34 +244,30 @@ def simulate_path(model, horizon: float, n_steps: int, rng: np.random.Generator)
     n_steps = _check_count("n_steps", n_steps, 1)
     horizon = _positive("horizon", horizon)
     grid, m, p = _simulate(model, horizon, n_steps, 1,
-                           lambda: lambda block, offset: rng.standard_normal(out=block[0]))
+                           lambda block, offset: rng.standard_normal(out=block[0]))
     return PathSample(grid=grid, m=m.ravel(), p=p.ravel())
 
 
 def _simulate_batch(model, horizon, n_steps, master_seed, first_index, count):
     """(grid, m, p) for paths first_index .. first_index + count - 1 of master_seed.
 
-    One Philox generator serves each filling thread: Philox is counter
-    based, so loading path j's key (word 0 of path_stream's key is the path
-    index) with a zero counter and an empty buffer gives exactly
-    path_stream(seed, j), without building a generator per path.
+    One Philox generator serves the batch: Philox is counter based, so
+    loading path j's key (word 0 of path_stream's key is the path index)
+    with a zero counter and an empty buffer gives exactly path_stream(seed,
+    j), without building a generator per path.
     """
+    rng = path_stream(master_seed, first_index)
+    bits = rng.bit_generator
+    fresh = bits.state
+    key = fresh["state"]["key"]
 
-    def new_draw():
-        rng = path_stream(master_seed, first_index)
-        bits = rng.bit_generator
-        fresh = bits.state
-        key = fresh["state"]["key"]
+    def draw(block, offset):
+        for k, row in enumerate(block):
+            key[0] = first_index + offset + k
+            bits.state = fresh
+            rng.standard_normal(out=row)
 
-        def draw(block, offset):
-            for k, row in enumerate(block):
-                key[0] = first_index + offset + k
-                bits.state = fresh
-                rng.standard_normal(out=row)
-
-        return draw
-
-    return _simulate(model, horizon, n_steps, count, new_draw)
+    return _simulate(model, horizon, n_steps, count, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -488,24 +465,123 @@ def _one_pass(model, costs, n_paths, n_steps, master_seed, policies=(), square=N
     totals holds each policy's per-path realized goals, v1_squared the
     per-path v1^2 sums of square's table (None without square).  The plan
     (each table's step rows, each policy's urgencies) is formed once for all
-    batches.  With fold, fold(first, k, lo, p, X, U) is handed every block
-    _run_batch runs for the batch of paths from index first.  Nothing of a
-    batch is held while the next is simulated.
+    batches.  The paths are split into _workers contiguous ranges, run by
+    _in_workers: each range is walked _BATCH_DEFAULT paths at a time from
+    its start, and nothing of a batch is held while the next is simulated.
+    Every path has its own stream and the results do not depend on the batch
+    size, so they are bit for bit the one-process results.  Each range's
+    rows of the outputs are written in place into shared arrays (_shared).
+    With fold, fold(first, k, lo, p, X, U) is handed every block _run_batch
+    runs for the batch of paths from index first; it may run in a forked
+    worker, so it must write only into _shared arrays.
     """
     n_paths, n_steps = _check_mc_args(n_paths, n_steps)
     plan = _plan(np.linspace(0.0, costs.horizon, n_steps + 1), policies, square)
-    totals = [np.empty(n_paths) for _ in policies]
-    v1_squared = None if square is None else np.empty(n_paths)
-    for first in range(0, n_paths, _BATCH_DEFAULT):
-        count = min(_BATCH_DEFAULT, n_paths - first)
-        _, m, p = _simulate_batch(model, costs.horizon, n_steps, master_seed, first, count)
-        run = _run_batch(plan, p, m, costs, None if fold is None else partial(fold, first))
-        del m, p
-        for out, goal in zip(totals, run.goals):
-            out[first:first + count] = goal.total
-        if v1_squared is not None:
-            v1_squared[first:first + count] = run.v1_squared
+    totals = [_shared((n_paths,)) for _ in policies]
+    v1_squared = None if square is None else _shared((n_paths,))
+
+    def work(lo, hi):
+        for first in range(lo, hi, _BATCH_DEFAULT):
+            count = min(_BATCH_DEFAULT, hi - first)
+            _, m, p = _simulate_batch(model, costs.horizon, n_steps, master_seed, first, count)
+            run = _run_batch(plan, p, m, costs, None if fold is None else partial(fold, first))
+            del m, p
+            for out, goal in zip(totals, run.goals):
+                out[first:first + count] = goal.total
+            if v1_squared is not None:
+                v1_squared[first:first + count] = run.v1_squared
+
+    _in_workers(work, n_paths, _workers(plan, n_paths, n_steps))
     return totals, v1_squared
+
+
+def _shared(shape) -> np.ndarray:
+    """A zeroed float array on an anonymous shared mmap: what a forked worker
+    writes into it, the caller reads."""
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * size), count=size).reshape(shape)
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _workers(plan, n_paths, n_steps) -> int:
+    """Processes for a call: one per usable CPU, each with at least
+    _FORK_MIN_PATH_STEPS path-steps; one off Linux or with a plain callable
+    policy, whose side effects must stay in the calling process."""
+    if sys.platform != "linux" or any(a is None for a in plan.urgencies):
+        return 1
+    return max(1, min(_usable_cpus(), n_paths, n_paths * n_steps // _FORK_MIN_PATH_STEPS))
+
+
+def _in_workers(work, n_paths, workers) -> None:
+    """Run work(lo, hi) on `workers` contiguous ranges covering [0, n_paths).
+
+    The calling process runs range 0 and an os.fork() child each other
+    range.  A child reports an exception over a pipe and leaves with
+    os._exit; the caller raises the first one, in range order, with its type
+    and message (a RuntimeError carrying its text if it does not pickle).  If
+    the caller fails or is interrupted, it kills the children it has not
+    reaped, and it reaps every child before it returns or raises.
+    """
+    bounds = [n_paths * w // workers for w in range(workers + 1)]
+    children = []  # (pid, read end of the child's report pipe), in range order
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker_child(work, lo, hi, write)
+            children.append((pid, read))
+            os.close(write)
+        work(bounds[0], bounds[1])
+        while children:
+            pid, read = children[0]
+            with open(read, "rb", closefd=False) as pipe:
+                report = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            os.close(read)
+            if report:
+                raise _reported_error(report)
+            if status != 0:
+                raise RuntimeError(f"a Monte Carlo worker ended with wait status {status}")
+    finally:
+        for pid, read in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+            os.close(read)
+
+
+def _worker_child(work, lo, hi, write):
+    """A forked worker: run work(lo, hi), report an exception, never return."""
+    status = 0
+    try:
+        work(lo, hi)
+    except BaseException as exc:  # raised again in the caller
+        status = 1
+        text = f"{type(exc).__name__}: {exc}"
+        try:
+            payload = pickle.dumps(exc)
+        except Exception:
+            payload = None
+        with open(write, "wb", closefd=False) as pipe:
+            pipe.write(pickle.dumps((text, payload)))
+    finally:
+        os._exit(status)
+
+
+def _reported_error(report: bytes) -> BaseException:
+    """The exception a worker reported, or a RuntimeError with its text."""
+    text, payload = pickle.loads(report)
+    try:
+        return pickle.loads(payload)
+    except Exception:
+        return RuntimeError(f"a Monte Carlo worker raised {text}")
 
 
 def _estimate(totals: np.ndarray, seed: int) -> MCEstimate:
@@ -645,7 +721,7 @@ def probe_optimality(model, kernel, costs, n_paths, n_steps, master_seed,
     w_price = np.vstack((dt * alpha_steps.T, da[:, -1]))         # (n_steps + 1, D)
     w_rate = -2.0 * costs.lam * dt * alpha_steps.T               # (n_steps, D)
     w_pos = np.vstack((-2.0 * costs.gamma * dt * da[:, :-1].T, -2.0 * costs.big_gamma * da[:, -1]))
-    lin = np.zeros((n_paths, n_directions))
+    lin = _shared((n_paths, n_directions))
 
     def fold(first, k, lo, p, X, U):
         hi = lo + U.shape[0]

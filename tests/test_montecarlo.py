@@ -5,9 +5,15 @@ independent referee here: a strategy replayed through discrete_goal at the
 path's prices must reproduce the engine's realized totals exactly.
 """
 
+import collections
 import math
+import os
+import pathlib
+import signal
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -44,8 +50,8 @@ from liqzone import (
     TargetZoneState,
 )
 from liqzone import montecarlo
-from liqzone.montecarlo import (_HELPER_MIN_STEPS, _PATH_BLOCK, _STEP_BLOCK, _fill_sums, _plan,
-                                 _probe_alphas, _run_batch, _simulate_batch)
+from liqzone.montecarlo import (_PATH_BLOCK, _STEP_BLOCK, _plan, _probe_alphas, _run_batch,
+                                 _simulate_batch)
 from liqzone.signals import _Z_SLACK, _barycentric
 from engine_reference import reference_run
 from quad_reference import quad_extra
@@ -154,39 +160,10 @@ def test_batch_simulation_holds_no_full_size_scratch():
     assert peak < 2 * (n_steps + 1) * count * 8 + 2 * 2**20
 
 
-@pytest.mark.parametrize("model", [BACH, CappedBlackScholes(m0=1.0, sigma=0.5, p_bar=1.1),
-                                   Martingale(p0=1.0, sigma=0.5)],
-                         ids=["bachelier", "bs", "martingale"])
-def test_fill_shares_long_paths_with_one_helper_thread(model, monkeypatch):
-    # paths of _HELPER_MIN_STEPS steps or more, in more than one block, are
-    # shared with one helper thread, and every column is still its own path
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(montecarlo.threading, "Thread", Counted)
-    monkeypatch.setattr(montecarlo, "_HELPER_MIN_STEPS", 32)
-    _simulate_batch(model, 1.0, 31, 5, 0, 3 * _PATH_BLOCK)
-    _simulate_batch(model, 1.0, 32, 5, 0, _PATH_BLOCK)
-    assert started == []
-    seed, first, count = 99, 70, 2 * _PATH_BLOCK + 22
-    _, m, p = _simulate_batch(model, 1.0, 32, seed, first, count)
-    assert len(started) == 1 and not started[0].is_alive()
-    for j in range(count):
-        path = simulate_path(model, 1.0, 32, path_stream(seed, first + j))
-        np.testing.assert_array_equal(path.m, m[:, j])
-        np.testing.assert_array_equal(path.p, p[:, j])
-
-
-def test_concurrent_fills_equal_the_one_thread_fill(monkeypatch):
-    # three callers, each with its helper: six threads switching every
-    # 10 us, and every batch equals the one-thread fill
-    monkeypatch.setattr(montecarlo, "_HELPER_MIN_STEPS", 10**9)
+def test_concurrent_fills_equal_the_one_thread_fill():
+    # three callers in user threads switching every 10 us: every batch
+    # equals the one-thread fill
     want = _simulate_batch(BACH, 1.0, 32, 7, 0, 4 * _PATH_BLOCK)
-    monkeypatch.setattr(montecarlo, "_HELPER_MIN_STEPS", 32)
     got = [None] * 3
 
     def run(k):
@@ -208,19 +185,6 @@ def test_concurrent_fills_equal_the_one_thread_fill(monkeypatch):
             np.testing.assert_array_equal(g, w)
 
 
-def test_fill_raises_what_the_helper_thread_raised():
-    # three blocks: the calling thread fills the first two, the helper the third
-    def new_draw():
-        def draw(block, offset):
-            if offset == 2 * _PATH_BLOCK:
-                raise RuntimeError("draw failed")
-            block[:] = 1.0
-        return draw
-
-    with pytest.raises(RuntimeError, match="draw failed"):
-        _fill_sums(np.empty((_HELPER_MIN_STEPS + 1, 3 * _PATH_BLOCK)), new_draw)
-
-
 def test_estimators_hold_one_batch_at_a_time(monkeypatch):
     # a batch's levels and prices are freed before the next batch is
     # simulated: holding two batches at once peaked at twice this bound.
@@ -229,6 +193,8 @@ def test_estimators_hold_one_batch_at_a_time(monkeypatch):
     # peaked at 7.7 MB here, above its bound of 5.2 MB)
     count, n_steps, n_directions = 1024, 256, 20
     monkeypatch.setattr(montecarlo, "_BATCH_DEFAULT", count)
+    # one process walks all three batches
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
     batch = 2 * (n_steps + 1) * count * 8
     kernel = GKernel.from_costs(UNIT_COSTS)
     # the martingale's table is a curve: a capped model's step rows
@@ -385,6 +351,176 @@ def test_paired_and_probe_batch_size_independent(monkeypatch):
         assert probe.value == probes[0].value
         for name in ("epsilons", "mean_gain", "std_error", "curvature"):
             np.testing.assert_array_equal(getattr(probe, name), getattr(probes[0], name))
+
+
+_FORK_MODELS = [BACH, CappedBlackScholes(m0=1.0, sigma=0.5, p_bar=1.1),
+                Martingale(p0=1.0, sigma=0.5)]
+# 301 paths in batches of 64: three workers get 100, 100 and 101 paths, and
+# every range ends in a partial batch
+_FORK_ARGS = dict(n_paths=301, n_steps=16, master_seed=17)
+
+
+def _with_workers(monkeypatch, workers, estimator, *args, **kwargs):
+    """estimator's result with its paths split over `workers` processes."""
+    monkeypatch.setattr(montecarlo, "_BATCH_DEFAULT", 64)
+    monkeypatch.setattr(montecarlo, "_FORK_MIN_PATH_STEPS", 1)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+    split = montecarlo._in_workers
+    seen = []
+
+    def counted(work, n_paths, count):
+        seen.append(count)
+        split(work, n_paths, count)
+
+    monkeypatch.setattr(montecarlo, "_in_workers", counted)
+    result = estimator(*args, **kwargs)
+    assert seen == [workers]
+    return result
+
+
+@pytest.mark.parametrize("model", _FORK_MODELS, ids=["bachelier", "bs", "martingale"])
+def test_forked_workers_equal_one_process(model, monkeypatch):
+    kernel = GKernel.from_costs(SMALL_COSTS)
+    calls = [
+        lambda: estimate_value(model, optimal_policy(model, kernel, SMALL_COSTS), SMALL_COSTS,
+                               **_FORK_ARGS),
+        lambda: paired_value_difference(model, optimal_policy(model, kernel, SMALL_COSTS),
+                                        ac_policy(kernel), SMALL_COSTS, **_FORK_ARGS),
+        lambda: estimate_v0(model, kernel, SMALL_COSTS, **_FORK_ARGS),
+        lambda: estimate_v0_and_value(model, kernel, SMALL_COSTS, **_FORK_ARGS),
+    ]
+    for call in calls:
+        one, two, three = (_with_workers(monkeypatch, workers, call) for workers in (1, 2, 3))
+        assert one == two == three
+    probes = [_with_workers(monkeypatch, workers, probe_optimality, model, kernel, SMALL_COSTS,
+                          n_directions=3, **_FORK_ARGS)
+              for workers in (1, 2, 3)]
+    for probe in probes[1:]:
+        assert probe.value == probes[0].value
+        for name in ("epsilons", "mean_gain", "std_error", "curvature"):
+            np.testing.assert_array_equal(getattr(probe, name), getattr(probes[0], name))
+
+
+def _failing_batches(monkeypatch, fail):
+    """_simulate_batch that calls fail(first) before simulating each batch."""
+    simulate = montecarlo._simulate_batch
+
+    def patched(model, horizon, n_steps, master_seed, first, count):
+        fail(first)
+        return simulate(model, horizon, n_steps, master_seed, first, count)
+
+    monkeypatch.setattr(montecarlo, "_simulate_batch", patched)
+
+
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+@pytest.mark.parametrize("error, raised, message", [
+    (ValueError("path 200 failed"), ValueError, "^path 200 failed$"),
+    (_Unpicklable("path 200 failed"), RuntimeError,
+     "^a Monte Carlo worker raised _Unpicklable: path 200 failed$"),
+], ids=["picklable", "unpicklable"])
+def test_worker_error_is_raised_in_the_caller(error, raised, message, monkeypatch):
+    # the last of three ranges starts at path 200
+    def fail(first):
+        if first >= 200:
+            raise error
+
+    _failing_batches(monkeypatch, fail)
+    with pytest.raises(raised, match=message):
+        _with_workers(monkeypatch, 3, estimate_value, BACH,
+                      ac_policy(GKernel.from_costs(UNIT_COSTS)), UNIT_COSTS, **_FORK_ARGS)
+    _no_child_is_left()
+
+
+def test_worker_killed_without_a_report_is_an_error(monkeypatch):
+    caller = os.getpid()
+
+    def fail(first):
+        if first >= 200 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _failing_batches(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="^a Monte Carlo worker ended with wait status 9$"):
+        _with_workers(monkeypatch, 3, estimate_value, BACH,
+                      ac_policy(GKernel.from_costs(UNIT_COSTS)), UNIT_COSTS, **_FORK_ARGS)
+    _no_child_is_left()
+
+
+def test_interrupted_caller_kills_its_workers(monkeypatch):
+    # the caller's range (paths 0-99) is interrupted while the workers of
+    # the other two ranges sleep: they are killed and reaped, not awaited
+    def fail(first):
+        if first < 100:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    _failing_batches(monkeypatch, fail)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        _with_workers(monkeypatch, 3, estimate_value, BACH,
+                      ac_policy(GKernel.from_costs(UNIT_COSTS)), UNIT_COSTS, **_FORK_ARGS)
+    assert time.perf_counter() - start < 30
+    _no_child_is_left()
+
+
+def test_plain_callable_runs_every_path_in_the_caller(monkeypatch):
+    # its side effects stay in this process: it sees every step of every path
+    kernel = GKernel.from_costs(UNIT_COSTS)
+    seen = collections.Counter()
+
+    def signal_free(t, x, state):
+        seen[t] += x.size
+        return urgency(kernel, t) * x
+
+    monkeypatch.setattr(montecarlo, "_BATCH_DEFAULT", 64)
+    monkeypatch.setattr(montecarlo, "_FORK_MIN_PATH_STEPS", 1)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    est = estimate_value(BACH, signal_free, UNIT_COSTS, **_FORK_ARGS)
+    n_steps = _FORK_ARGS["n_steps"]
+    assert seen == {t: _FORK_ARGS["n_paths"] for t in np.linspace(0.0, 1.0, n_steps + 1)[:-1]}
+    assert est == _with_workers(monkeypatch, 3, estimate_value, BACH, ac_policy(kernel),
+                                UNIT_COSTS, **_FORK_ARGS)
+
+
+_FORK_WITH_BLAS_THREADS = """
+import numpy as np
+from liqzone import CappedBachelier, CostParams, GKernel, montecarlo, probe_optimality
+
+a = np.ones((256, 256))
+a @ a  # starts the BLAS thread pool before the fork
+costs = CostParams(lam=0.1, gamma=1e-5, big_gamma=1e-5, horizon=1.0, x0=1.0)
+model = CappedBachelier(m0=1.0, sigma=0.5, p_bar=1.0)
+kernel = GKernel.from_costs(costs)
+montecarlo._FORK_MIN_PATH_STEPS = 1
+probes = []
+for workers in (1, 2):
+    montecarlo._usable_cpus = lambda: workers
+    probes.append(probe_optimality(model, kernel, costs, 4100, 64, 5, n_directions=20))
+assert probes[0].value == probes[1].value
+for name in ("mean_gain", "std_error"):
+    assert np.array_equal(getattr(probes[0], name), getattr(probes[1], name)), name
+print("equal")
+"""
+
+
+def test_fork_after_blas_threads_start():
+    # a forked child inherits no BLAS worker threads: its first GEMM must
+    # not wait on them
+    src = str(pathlib.Path(montecarlo.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _FORK_WITH_BLAS_THREADS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "equal"
 
 
 def test_paired_difference_uses_common_paths():
