@@ -224,20 +224,30 @@ def _output(cfg: RunConfig) -> str:
     return cfg.output
 
 
-def _write_csv(path: str, header: str, row_format: str, rows) -> None:
-    """Write the header, then each row tuple as `row_format % row`.
+def _floats(values) -> list[str]:
+    """Each value as a CSV cell, %.17g: as f"{value:.17g}" prints it, nan, inf and -0 too."""
+    return list(map("%.17g".__mod__, np.asarray(values, dtype=float).ravel().tolist()))
 
-    %.17g prints a float exactly as f"{value:.17g}" does, nan, inf and -0
-    included.
-    """
-    line = row_format + "\n"
+
+def _write_csv(path: str, header: str, lines) -> None:
+    """Write the header, then each preformatted line, each ended by LF."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        fh.writelines(line % row for row in rows)
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def _surface_lines(taus, money, rate_ac, rate, rate_extra, relative_increase):
+    """Yield the surface CSV's lines, tau-major, a row at a time.  rate_ac holds one value
+    per tau (constant along a row); each tau, moneyness and rate_ac is formatted once."""
+    money = _floats(money)
+    for tau, ac, *row in zip(_floats(taus), _floats(rate_ac), rate, rate_extra,
+                             relative_increase):
+        for k, r, extra, rel in zip(money, *map(_floats, row)):
+            yield f"{tau},{k},{r},{ac},{extra},{rel}"
 
 
 def cmd_surface(cfg: RunConfig) -> int:
-    """Write the optimal-rate surface on the tau x moneyness grid (capped models)."""
+    """Write the optimal-rate surface on the tau x moneyness grid (capped models), tau-major."""
     output = _output(cfg)
     model, costs, kernel = _problem(cfg)
     taus = np.linspace(cfg.tau_min, cfg.tau_max, cfg.tau_count)
@@ -253,11 +263,9 @@ def cmd_surface(cfg: RunConfig) -> int:
                               f"{float(grid[0])!r} to {float(grid[-1])!r}")
     bs_m = cfg.bs_m if cfg.bs_m is not None else model.p_bar
     surf = rate_surface(kernel, costs, model, taus, money, x=cfg.x0, bs_m=bs_m)
-    tau_col, money_col = np.meshgrid(taus, money, indexing="ij")
-    columns = (tau_col, money_col, surf.rate, surf.rate_ac, surf.rate_extra,
-               surf.relative_increase)
     _write_csv(output, "tau,moneyness,rate,rate_ac,rate_extra,relative_increase",
-               ",".join(["%.17g"] * len(columns)), zip(*(c.ravel().tolist() for c in columns)))
+               _surface_lines(surf.taus, surf.moneyness, surf.rate_ac[:, 0], surf.rate,
+                              surf.rate_extra, surf.relative_increase))
     return 0
 
 
@@ -269,10 +277,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         model, optimal_policy(model, kernel, costs), ac_policy(kernel), costs,
         n_paths=cfg.n_paths, n_steps=cfg.n_steps, master_seed=cfg.seed,
     )
-    rows = [(name, est.mean, est.std_error, est.n_paths, est.seed)
-            for name, est in (("optimal", comparison.value_a),
-                              ("almgren-chriss", comparison.value_b))]
-    _write_csv(output, "policy,mean,std_error,n_paths,seed", "%s,%.17g,%.17g,%s,%s", rows)
+    lines = [",".join([name, *_floats([est.mean, est.std_error]), str(est.n_paths), str(est.seed)])
+             for name, est in (("optimal", comparison.value_a),
+                               ("almgren-chriss", comparison.value_b))]
+    _write_csv(output, "policy,mean,std_error,n_paths,seed", lines)
     return 0
 
 
@@ -287,8 +295,7 @@ def cmd_value(cfg: RunConfig) -> int:
     value = value_formula(kernel, costs, p0, v0.mean, v1_0)
     row = (p0, costs.x0, -urgency(kernel, 0.0), v1_0, v0.mean, v0.std_error, value,
            mc.mean, mc.std_error)
-    _write_csv(output, "p0,x0,v2_0,v1_0,v0_0,v0_se,value,mc_value,mc_se",
-               ",".join(["%.17g"] * len(row)), [row])
+    _write_csv(output, "p0,x0,v2_0,v1_0,v0_0,v0_se,value,mc_value,mc_se", [",".join(_floats(row))])
     return 0
 
 

@@ -90,6 +90,7 @@ from .schedule import (
     _check_kernel,
     _finite_array,
     _positive,
+    _urgencies,
     urgency,
 )
 
@@ -369,7 +370,7 @@ def _plan(grid, policies, square=None) -> _Plan:
     for table in (square, *signals):
         if table is not None and id(table) not in tables:
             tables[id(table)] = (table, table.step_rows(times))
-    urgencies = [None if policy is None else [urgency(policy.kernel, t) for t in times.tolist()]
+    urgencies = [None if policy is None else _urgencies(policy.kernel, times)
                  for policy in feedback]
     return _Plan(grid, list(policies), square, tables, urgencies, signals)
 

@@ -255,12 +255,25 @@ def urgency(kernel: GKernel, t: float) -> float:
     At t = T this is exactly gamma_ratio; as tau grows it saturates at beta.
     The value always lies between min(beta, gamma_ratio) and max(beta, gamma_ratio).
     """
-    tau = kernel.horizon - _check_time("t", t, kernel.horizon)
-    beta, g = kernel.beta, kernel.gamma_ratio
+    return _urgency_to_go(kernel.beta, kernel.gamma_ratio,
+                          kernel.horizon - _check_time("t", t, kernel.horizon))
+
+
+def _urgency_to_go(beta: float, g: float, tau: float) -> float:
+    """urgency's formula at time to go tau = T - t."""
     if tau == 0.0:
         return g
     th = math.tanh(beta * tau)
     return beta * (beta * th + g) / (beta + g * th)
+
+
+def _urgencies(kernel: GKernel, times: np.ndarray) -> list:
+    """urgency(kernel, t) bit for bit at each t of a 1-d array, the range checked once."""
+    horizon = kernel.horizon
+    if times.size and not (0.0 <= times.min() and times.max() <= horizon):
+        for t in times:
+            _check_time("t", t, horizon)
+    return [_urgency_to_go(kernel.beta, kernel.gamma_ratio, horizon - t) for t in times.tolist()]
 
 
 def ac_position(kernel: GKernel, t: float, x0: float) -> float:
@@ -296,7 +309,8 @@ def trajectory_from_signal(kernel, x0, v1_curve, grid) -> TradePlan:
 
     The position integral is evaluated by composite trapezoid on the sampled
     curve, propagated stepwise through ratios of G so that no intermediate
-    overflows; rates are urgency * X - v1 at the grid points.
+    overflows; rates are urgency * X - v1 at the grid points.  The stepwise
+    recursion runs on Python floats, which round as numpy's doubles do.
 
     The grid must start at 0 and end by the horizon (to relative 1e-12).
     """
@@ -312,16 +326,16 @@ def trajectory_from_signal(kernel, x0, v1_curve, grid) -> TradePlan:
     beta, g, horizon = kernel.beta, kernel.gamma_ratio, kernel.horizon
     lg = _log_g_array(beta, g, beta * (horizon - grid))
     # step ratio rho_j = G(T - s_{j+1}) / G(T - s_j) <= 1
-    rho = np.exp(np.diff(lg))
-    h = np.diff(grid)
+    rho = np.exp(np.diff(lg)).tolist()
+    h = np.diff(grid).tolist()
+    v = values.tolist()
 
-    positions = np.empty(grid.size)
-    positions[0] = x0 * math.exp(lg[0] - _log_g(beta, g, beta * horizon))
-    for j in range(grid.size - 1):
-        positions[j + 1] = (rho[j] * positions[j]
-                            + 0.5 * h[j] * (rho[j] * values[j] + values[j + 1]))
+    positions = [x0 * math.exp(lg[0] - _log_g(beta, g, beta * horizon))]
+    for r, step, a, b in zip(rho, h, v, v[1:]):
+        positions.append(r * positions[-1] + 0.5 * step * (r * a + b))
+    positions = np.array(positions)
 
-    rates = np.array([urgency(kernel, t) for t in grid[:-1]]) * positions[:-1] - values[:-1]
+    rates = np.array(_urgencies(kernel, grid[:-1])) * positions[:-1] - values[:-1]
     return TradePlan(grid=grid, positions=positions, rates=rates)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import (CostParams, GKernel, _check_grid, _check_kernel, _check_time, _finite,
-                       _finite_array, _log_g, _log_g_array, _positive, optimal_rate, urgency)
+                       _finite_array, _log_g, _log_g_array, _positive, _urgencies, optimal_rate)
 
 __all__ = [
     "CappedBachelier",
@@ -117,8 +117,13 @@ class QuadratureError(RuntimeError):
     """
 
 
-def _norm_pdf(z):
-    return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
+def _norm_pdf(z, out=None):
+    """The standard normal density at z, computed in out when given (out may be z)."""
+    out = np.square(z, out=np.empty_like(z, dtype=float) if out is None else out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= _SQRT_2PI
+    return out if out.ndim else out[()]
 
 
 def _ndtr(x):
@@ -323,13 +328,12 @@ class CappedBachelier(_CappedModel):
 
     def _table_rows(self, lam, z_grid, y, roots, w):
         # extra / root: the integrand does not depend on the root, so one
-        # GEMM per panel covers every root and both rules
-        pdf = _norm_pdf(z_grid / y[..., None])
-        sums = np.empty(w.shape[:3] + z_grid.shape)
-        for p in range(y.shape[0]):
-            np.matmul(w[p].reshape(-1, y.shape[1]), pdf[p], out=sums[p].reshape(-1, z_grid.size))
+        # stacked GEMM covers every panel, root and rule (one BLAS call per panel)
+        pdf = z_grid / y[..., None]
+        _norm_pdf(pdf, out=pdf)
+        sums = np.matmul(w.reshape(y.shape[0], -1, y.shape[1]), pdf)
         sums /= lam
-        return sums.transpose(2, 0, 1, 3)
+        return sums.reshape(w.shape[:3] + z_grid.shape).transpose(2, 0, 1, 3)
 
     def _surface_levels(self, bs_m, ks):
         return np.full(ks.shape, self.p_bar)
@@ -543,7 +547,8 @@ def v1_curve_deterministic(model: DeterministicDrift, kernel: GKernel, lam: floa
 
     Evaluates (1 / 2 lam) int_t^T G(T-s)/G(T-t) a(s) ds by composite trapezoid
     on the union of the grid and the curve's samples, via a backward recursion
-    in discount ratios so that huge G values never appear.
+    in discount ratios so that huge G values never appear.  The recursion
+    runs on Python floats, which round as numpy's doubles do.
     """
     _positive("lam", lam)
     grid = _check_grid("grid", grid, min_size=1)
@@ -558,20 +563,19 @@ def v1_curve_deterministic(model: DeterministicDrift, kernel: GKernel, lam: floa
     refine = np.linspace(grid[0], kernel.horizon, min_nodes)
     fine = np.union1d(np.union1d(grid, refine),
                       model.times[(model.times > grid[0]) & (model.times < kernel.horizon)])
-    a = np.interp(fine, model.times, model.values)
+    a = np.interp(fine, model.times, model.values).tolist()
     beta = kernel.beta
     lg = _log_g_array(beta, kernel.gamma_ratio, beta * (kernel.horizon - fine))
-    rho = np.exp(lg[1:] - lg[:-1])  # G(T - s_{j+1}) / G(T - s_j) <= 1
-    h = np.diff(fine)
+    rho = np.exp(lg[1:] - lg[:-1]).tolist()  # G(T - s_{j+1}) / G(T - s_j) <= 1
+    h = np.diff(fine).tolist()
 
-    acc = np.empty(fine.size)
-    acc[-1] = 0.0
+    acc = [0.0] * fine.size
     for j in range(fine.size - 2, -1, -1):
         # int over [s_j, s_{j+1}] of G(T-s)/G(T-s_j) a(s) ds, then fold the tail in
         local = 0.5 * h[j] * (a[j] + rho[j] * a[j + 1])
         acc[j] = local + rho[j] * acc[j + 1]
     idx = np.searchsorted(fine, grid)
-    return acc[idx] / (2.0 * lam)
+    return np.array(acc)[idx] / (2.0 * lam)
 
 
 def _barycentric(nodes: np.ndarray, weights: np.ndarray, at) -> np.ndarray:
@@ -818,7 +822,7 @@ def rate_surface(kernel: GKernel, costs: CostParams, model, grid_tau, grid_money
     m_cols = model._surface_levels(bs_m, ks)
     rate_ex, quad_err = np.array([model._extra(kernel, costs.lam, tau, model.p_bar - ks, m_cols)
                                   for tau in taus]).transpose(1, 0, 2)
-    rate_ac = np.repeat([[urgency(kernel, kernel.horizon - tau) * x] for tau in taus], ks.size, axis=1)
+    rate_ac = np.repeat([[a * x] for a in _urgencies(kernel, kernel.horizon - taus)], ks.size, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(rate_ac != 0.0, rate_ex / rate_ac, np.inf)
     return RateSurface(

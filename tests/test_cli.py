@@ -19,9 +19,11 @@ from liqzone import (
     estimate_value,
     urgency,
 )
-from liqzone.cli import _KEYS, _MODELS, ConfigError, _write_csv, load_config, main
+from liqzone.cli import (_KEYS, _MODELS, ConfigError, _floats, _surface_lines, _write_csv,
+                         load_config, main)
 from liqzone.montecarlo import _STEP_BLOCK
 from liqzone.signals import _CappedSignalTable
+import loop_reference
 
 BASE = """
 model = bachelier-capped
@@ -102,9 +104,27 @@ def test_csv_row_format_prints_what_the_per_value_format_prints(tmp_path):
     values += [np.float64(v) for v in values]
     rows = [tuple(values), tuple(reversed(values))]
     path = tmp_path / "rows.csv"
-    _write_csv(str(path), "h", ",".join(["%.17g"] * len(values)), rows)
+    _write_csv(str(path), "h", [",".join(_floats(row)) for row in rows])
     want = "h\n" + "".join(",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
     assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("n_tau, n_money", [(4, 5), (1, 7), (6, 1), (1, 1)])
+def test_surface_lines_print_what_the_per_row_format_prints(n_tau, n_money):
+    # the CLI's cells are finite (x0 > 0); the builder must print any double
+    special = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e-300, 1e300,
+               0.020408163265306121, 2.0**53 + 2.0, 1.0 / 3.0]
+    rng = np.random.default_rng(n_tau * 10 + n_money)
+
+    def draw(*shape):
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        flat = values.reshape(-1)
+        flat[::2] = np.resize(rng.permutation(special), flat[::2].size)
+        return values
+
+    args = (np.sort(rng.uniform(0.0, 1.0, n_tau)), np.sort(rng.uniform(0.0, 1.0, n_money)),
+            draw(n_tau), draw(n_tau, n_money), draw(n_tau, n_money), draw(n_tau, n_money))
+    assert list(_surface_lines(*args)) == loop_reference.surface_lines(*args)
 
 
 def test_surface_csv_contract(tmp_path):

@@ -22,6 +22,7 @@ from liqzone import (
     urgency,
     value_formula,
 )
+from liqzone.schedule import _urgencies
 
 SMALL_COSTS = CostParams(lam=0.1, gamma=1e-5, big_gamma=1e-5, horizon=1.0, x0=1.0)
 UNIT_COSTS = CostParams(lam=0.1, gamma=1.0, big_gamma=1.0, horizon=1.0, x0=1.0)
@@ -49,6 +50,27 @@ def test_urgency_matches_multiprecision():
         3.6966190733515455, rel=1e-13)
     assert urgency(GKernel.from_costs(SMALL_COSTS), 0.0) == pytest.approx(
         1.9997666979957688e-4, rel=1e-13)
+
+
+@pytest.mark.parametrize("costs", [
+    SMALL_COSTS, UNIT_COSTS,
+    CostParams(lam=1e-3, gamma=1e3, big_gamma=1.0, horizon=1.0, x0=1.0),  # beta T = 1000
+    CostParams(lam=0.1, gamma=1e-5, big_gamma=10.0, horizon=2.5, x0=1.0),
+], ids=["small", "unit", "betaT_1000", "horizon_2.5"])
+def test_urgencies_equal_the_scalar_urgency(costs):
+    k = GKernel.from_costs(costs)
+    horizon = costs.horizon
+    times = np.concatenate((np.linspace(0.0, horizon, 4097),
+                            np.random.default_rng(5).uniform(0.0, horizon, 1000),
+                            [np.nextafter(horizon, 0.0), horizon * (1.0 - 1e-9), horizon]))
+    assert _urgencies(k, times) == [urgency(k, t) for t in times]
+    assert _urgencies(k, times[:0]) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, -2.0, 1.5])
+def test_urgencies_reject_a_time_outside_the_horizon_naming_it(bad):
+    with pytest.raises(ValueError, match=r"^t must"):
+        _urgencies(GKernel.from_costs(UNIT_COSTS), np.array([0.0, bad, 0.5]))
 
 
 def test_urgency_terminal_value_is_exact():

@@ -31,12 +31,14 @@ from liqzone import (
     g_value,
     optimal_policy,
     rate_surface,
+    trajectory_from_signal,
     urgency,
     v1_curve_deterministic,
     v1_target_zone,
 )
 from liqzone import signals
 from quad_reference import quad_extra
+import loop_reference
 
 # a quad reference that did not converge fails the test instead of warning
 pytestmark = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
@@ -408,6 +410,47 @@ def test_time_outside_the_horizon_is_rejected_naming_it(name, t):
     table = optimal_policy(target, kernel, UNIT_COSTS).signal_table
     with pytest.raises(ValueError, match=r"^t must"):
         table.extra_values(t, np.array([0.9]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("n_steps", [40, 409, 4096, 777])
+@pytest.mark.parametrize("values", [[-0.1, -0.1], [0.5, -0.5, 0.5]], ids=["constant", "two_piece"])
+@pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
+def test_drift_curve_and_trajectory_equal_the_numpy_scalar_loops(costs, values, n_steps):
+    model = DeterministicDrift(times=np.linspace(0.0, 1.0, len(values)), values=np.array(values),
+                               p0=1.0)
+    k = GKernel.from_costs(costs)
+    grid = np.linspace(0.0, 1.0, n_steps + 1)
+    curve = v1_curve_deterministic(model, k, costs.lam, grid)
+    np.testing.assert_array_equal(curve, loop_reference.v1_curve(model, k, costs.lam, grid))
+    late = grid[n_steps // 3:]
+    np.testing.assert_array_equal(v1_curve_deterministic(model, k, costs.lam, late),
+                                  loop_reference.v1_curve(model, k, costs.lam, late))
+    plan = trajectory_from_signal(k, costs.x0, curve, grid)
+    want = loop_reference.trajectory(k, costs.x0, curve, grid)
+    np.testing.assert_array_equal(plan.positions, want.positions)
+    np.testing.assert_array_equal(plan.rates, want.rates)
+
+
+@pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
+def test_bachelier_kernel_equals_one_gemm_per_panel(costs, monkeypatch):
+    # every kernel call of a surface (1 root, 50 z) and of a table build
+    # (9 roots, then 8, 16, ..., 1301 z), refinement rounds included
+    calls = []
+    kernel_rows = CappedBachelier._table_rows
+
+    def recorded(self, *args):
+        sums = kernel_rows(self, *args)
+        calls.append((args, sums.copy()))
+        return sums
+
+    monkeypatch.setattr(CappedBachelier, "_table_rows", recorded)
+    model = CappedBachelier(m0=1.0, sigma=SIGMA, p_bar=1.0)
+    k = GKernel.from_costs(costs)
+    rate_surface(k, costs, model, np.linspace(0.02, 1.0, 5), np.linspace(0.0, 1.0, 50), x=1.0)
+    optimal_policy(model, k, costs).signal_table.step_rows([0.0])
+    assert {(1, 50), (9, 1301)} <= {(args[3].size, args[1].size) for args, _ in calls}
+    for args, sums in calls:
+        np.testing.assert_array_equal(sums, loop_reference.bachelier_table_rows(*args))
 
 
 def test_quadrature_error_is_exported():
