@@ -23,10 +23,10 @@ signal models with no cap.
 The time integral has an inverse-square-root singularity at s = t; the
 substitution s = t + tau y^2 removes it.  Each capped model states the
 integrand once (_table_rows) and its scaled moneyness once (_moneyness).
-One y rule integrates it for v1, for each tau row of a rate surface and for
-the rows of the Monte Carlo table (_CappedSignalTable): adaptive
-Gauss-Kronrod 7/15 panels graded towards both ends of [0, 1], with a
-per-cell error estimate (_y_integral).
+One y rule integrates it for v1, for every cell of a rate surface in one
+call and for the rows of the Monte Carlo table (_CappedSignalTable):
+adaptive Gauss-Kronrod 7/15 panels graded towards both ends of [0, 1], with
+a per-cell error estimate (_y_integral).
 """
 
 from __future__ import annotations
@@ -189,10 +189,12 @@ class _CappedModel(_Model):
     The rate is root * level times an integral over y in [0, 1] of a theta
     integrand in the scaled moneyness z (_y_integral).  Subclasses supply
     (z, level) from price and level (_moneyness), the integrand's sums
-    (_table_rows: from nodes y of shape (panels, 15) and weights of shape
-    (panels, roots, 2, 15), the Kronrod and Gauss sums of each panel, root
-    and z, shape (2, panels, roots, z)), the table's z grid (_TABLE_Z) and
-    the surface's uncapped levels (_surface_levels).
+    (_table_rows: from nodes y of shape (panels, 15), weights of shape
+    (panels, roots, 2, 15) and z of shape (1, z), one row shared by every
+    root, or (roots, z), a row per root, the Kronrod and Gauss sums of each
+    panel, root and z, shape (2, panels, roots, z), one (roots, 15, z) block
+    of the integrand per panel), the table's z grid (_TABLE_Z) and the
+    surface's uncapped levels (_surface_levels).
     """
 
     m0: float
@@ -229,42 +231,48 @@ class _CappedModel(_Model):
         return tau
 
     def _v1(self, kernel, lam, state, tau):
-        return -float(self._extra(kernel, lam, tau, np.array([state.p]), np.array([state.m]))[0][0])
+        return -float(self._extra(kernel, lam, np.array([tau]), np.array([state.p]),
+                                  np.array([state.m]))[0][0, 0])
 
-    def _extra(self, kernel: GKernel, lam: float, tau: float, p: np.ndarray,
+    def _extra(self, kernel: GKernel, lam: float, taus: np.ndarray, p: np.ndarray,
                m: np.ndarray):
-        """Extra rate -v1 and its error estimate at the cells (p, m), 1-D
-        arrays sharing the time to go tau."""
-        root = self.sigma * math.sqrt(tau)
-        z, level = self._moneyness(p, m, root)
-        value, err = self._y_integral(kernel, lam, np.array([tau]), z, p)
-        return root * level * value[0], root * level * err[0]
+        """Extra rate -v1 and its error estimate at the cells (taus[i], p[j], m[j]),
+        shape (taus.size, p.size): one _y_integral call with a z row per tau."""
+        roots = self.sigma * np.sqrt(taus)[:, None]
+        z, level = self._moneyness(p, m, roots)
+        value, err = self._y_integral(kernel, lam, taus, z, p)
+        return roots * level * value, roots * level * err
 
     def _y_integral(self, kernel: GKernel, lam: float, taus: np.ndarray, z: np.ndarray,
                     p=None):
-        """The rate over root * level at the cells (taus[i], z[j]), and its error estimate.
+        """The rate over root * level at the cells (taus[i], z[j]), or (taus[i], z[i, j])
+        when z has a row per tau, and its error estimate.
 
-        Every cell starts on the same 16 panels (_Y_EDGES).  Its value is the
-        sum of the panels' Kronrod sums, its estimate the sum of the panels'
-        |Kronrod - Gauss|, plus, on the panel [0, h] while z < h, twice the
-        share of the phi(z / y) layer that its nodes may not see.
-        While a cell's estimate exceeds _QUAD_RTOL of its value, every panel
-        on which a failing cell's estimate exceeds an equal share of that
-        tolerance is bisected, and only the new halves are evaluated, for
-        the rows and columns that hold a failing cell.  A cell keeps the
-        value and estimate with which it first passes.  All cells of a call
-        share the nodes, so each pass is one _table_rows call.  After
-        _QUAD_ROUNDS rounds, QuadratureError names the first failing cell by
-        tau and p (scaled moneyness z when p is not given).
+        Every cell starts on the same 16 panels (_Y_EDGES), all in one
+        _table_rows call.  Its value is the sum of the panels' Kronrod sums,
+        its estimate the sum of the panels' |Kronrod - Gauss|, plus, on the
+        panel [0, h] while z < h, twice the share of the phi(z / y) layer
+        that its nodes may not see.  Rows sharing a z row refine as one
+        group, a row with its own z row alone: while a cell's estimate
+        exceeds _QUAD_RTOL of its value, every panel of its group on which a
+        failing cell's estimate exceeds an equal share of that tolerance is
+        bisected, and only the new halves are evaluated, for the rows and
+        columns that hold a failing cell.  A cell keeps the value and
+        estimate with which it first passes.  After _QUAD_ROUNDS rounds,
+        QuadratureError names the first failing cell of the first failing
+        group by tau and p (scaled moneyness z when p is not given).
         """
         roots = self.sigma * np.sqrt(taus)
+        z = np.atleast_2d(z)
+        own = z.shape[0] > 1  # one z row per tau
 
         def panel_sums(lo, hi, rows, cols):
             half = 0.5 * (hi - lo)
             y = (lo + half)[:, None] + half[:, None] * _GK_X
-            ratio = np.stack([_discount_ratio(kernel, tau, y) for tau in taus[rows]], axis=1)
+            ratio = _discount_ratio(kernel, taus[rows], y)
             w = ratio[:, :, None, :] * (half[:, None, None] * _GK_W)[:, None]
-            sums = self._table_rows(lam, z[cols], y, roots[rows], w)
+            z_cols = (z[rows] if own else z)[:, cols]
+            sums = self._table_rows(lam, z_cols, y, roots[rows], w)
             sums[1] = np.abs(sums[0] - sums[1])
             if lo[0] == 0.0:
                 # phi(z / y) falls from phi(0) to 0 on y < ~z, which takes
@@ -272,36 +280,48 @@ class _CappedModel(_Model):
                 # While z < h the nodes need not see that, so count twice
                 # it: a bound for z << h, and more than the panel near z ~ h,
                 # which then splits until the layer lies outside it
-                hidden = np.where(z[cols] < hi[0], z[cols], 0.0)
+                hidden = np.where(z_cols < hi[0], z_cols, 0.0)
                 sums[1, 0] += (_SQRT_2PI / hi[0]) * hidden * np.abs(sums[0, 0])
             return sums
 
-        lo, hi = _Y_EDGES[:-1], _Y_EDGES[1:]
-        sums = panel_sums(lo, hi, slice(None), slice(None))
-        value, err = sums.sum(axis=1)
-        for rounds in range(_QUAD_ROUNDS + 1):
+        def failing(value, err):
             tol = np.maximum(_QUAD_RTOL * np.abs(value), _QUAD_FLOOR)
-            fail = ~(err <= tol)
-            if not fail.any():
-                return value, err
-            if rounds == _QUAD_ROUNDS:
-                break
-            split = np.flatnonzero((sums[1][:, fail] > tol[fail] / lo.size).any(axis=1))
-            rows, cols = np.flatnonzero(fail.any(axis=1)), np.flatnonzero(fail.any(axis=0))
-            # the left halves replace their panels, the right halves are appended
-            new = np.concatenate((split, lo.size + np.arange(split.size)))
-            mid = 0.5 * (lo[split] + hi[split])
-            lo, hi = np.concatenate((lo, mid)), np.concatenate((hi, hi[split]))
-            hi[split] = mid
-            sums = np.concatenate((sums, np.zeros((2, split.size) + sums.shape[2:])), axis=1)
-            sums[:, new[:, None, None], rows[:, None], cols] = panel_sums(lo[new], hi[new], rows, cols)
-            value, err = np.where(fail, sums.sum(axis=1), (value, err))
-        i, j = np.argwhere(fail)[0]
-        cell = (f"z={float(z[j])!r}" if p is None else
-                f"p={float(p[j])!r} (moneyness {float(self.p_bar - p[j])!r})")
-        raise QuadratureError(
-            f"y quadrature did not converge in {_QUAD_ROUNDS} rounds at tau={float(taus[i])!r}, "
-            f"{cell}: value={float(value[i, j])!r} (err={err[i, j]:.3e}, tol={tol[i, j]:.3e})")
+            return tol, ~(err <= tol)
+
+        def refine(group, sums, value, err):
+            lo, hi = _Y_EDGES[:-1], _Y_EDGES[1:]
+            for rounds in range(_QUAD_ROUNDS + 1):
+                tol, fail = failing(value, err)
+                if not fail.any():
+                    return value, err
+                if rounds == _QUAD_ROUNDS:
+                    break
+                split = np.flatnonzero((sums[1][:, fail] > tol[fail] / lo.size).any(axis=1))
+                rows, cols = np.flatnonzero(fail.any(axis=1)), np.flatnonzero(fail.any(axis=0))
+                # the left halves replace their panels, the right halves are appended
+                new = np.concatenate((split, lo.size + np.arange(split.size)))
+                mid = 0.5 * (lo[split] + hi[split])
+                lo, hi = np.concatenate((lo, mid)), np.concatenate((hi, hi[split]))
+                hi[split] = mid
+                sums = np.concatenate((sums, np.zeros((2, split.size) + sums.shape[2:])), axis=1)
+                sums[:, new[:, None, None], rows[:, None], cols] = panel_sums(
+                    lo[new], hi[new], group[rows], cols)
+                value, err = np.where(fail, sums.sum(axis=1), (value, err))
+            i, j = np.argwhere(fail)[0]
+            cell = (f"z={float(z[group[i] if own else 0, j])!r}" if p is None else
+                    f"p={float(p[j])!r} (moneyness {float(self.p_bar - p[j])!r})")
+            raise QuadratureError(
+                f"y quadrature did not converge in {_QUAD_ROUNDS} rounds at "
+                f"tau={float(taus[group[i]])!r}, {cell}: value={float(value[i, j])!r} "
+                f"(err={err[i, j]:.3e}, tol={tol[i, j]:.3e})")
+
+        sums = panel_sums(_Y_EDGES[:-1], _Y_EDGES[1:], slice(None), slice(None))
+        value, err = sums.sum(axis=1)
+        groups = ([slice(i, i + 1) for i in np.flatnonzero(failing(value, err)[1].any(axis=1))]
+                  if own else [slice(None)])
+        for g in groups:
+            value[g], err[g] = refine(np.arange(taus.size)[g], sums[:, :, g], value[g], err[g])
+        return value, err
 
     def _in_zone(self, z: np.ndarray, p) -> np.ndarray:
         """z, once every price p is finite and at most p_bar up to rounding."""
@@ -326,14 +346,18 @@ class CappedBachelier(_CappedModel):
         p = np.asarray(p, dtype=float)
         return self._in_zone((self.p_bar - p) / root, p), _UNIT_LEVEL
 
-    def _table_rows(self, lam, z_grid, y, roots, w):
-        # extra / root: the integrand does not depend on the root, so one
-        # stacked GEMM covers every panel, root and rule (one BLAS call per panel)
-        pdf = z_grid / y[..., None]
-        _norm_pdf(pdf, out=pdf)
-        sums = np.matmul(w.reshape(y.shape[0], -1, y.shape[1]), pdf)
+    def _table_rows(self, lam, z, y, roots, w):
+        # extra / root: the integrand does not depend on the root, so per
+        # panel one GEMM (2 roots x 15) @ (15 x z) for a shared z row, else
+        # one (2 x 15) @ (15 x z) per root
+        sums = np.empty(w.shape[:3] + z.shape[1:])
+        for k, y_k in enumerate(y):
+            pdf = z[:, None, :] / y_k[:, None]
+            _norm_pdf(pdf, out=pdf)
+            np.matmul(w[k].reshape(z.shape[0], -1, y.shape[1]), pdf,
+                      out=sums[k].reshape(z.shape[0], -1, z.shape[1]))
         sums /= lam
-        return sums.reshape(w.shape[:3] + z_grid.shape).transpose(2, 0, 1, 3)
+        return sums.transpose(2, 0, 1, 3)
 
     def _surface_levels(self, bs_m, ks):
         return np.full(ks.shape, self.p_bar)
@@ -362,14 +386,15 @@ class CappedBlackScholes(_CappedModel):
         p = np.asarray(p, dtype=float)
         return self._in_zone(np.log1p((self.p_bar - p) / m) / root, p), m
 
-    def _table_rows(self, lam, z_grid, y, roots, w):
-        # extra / (root m) with f = root y / 2 - z / y; f depends on the
-        # root, so one root at a time
-        sums = np.empty(w.shape[:3] + z_grid.shape)
-        z_over_y = z_grid / y[..., None]
-        for k, root in enumerate(roots):
-            f = 0.5 * root * y[..., None] - z_over_y
-            sums[:, k] = 2.0 * (w[:, k] @ _norm_pdf(f)) + root * ((w[:, k] * y[:, None]) @ _ndtr(f))
+    def _table_rows(self, lam, z, y, roots, w):
+        # extra / (root m) with f = root y / 2 - z / y, for every root of a
+        # panel at once; one (2 x 15) @ (15 x z) GEMM per root and sum
+        sums = np.empty(w.shape[:3] + z.shape[1:])
+        half_roots = (0.5 * roots)[:, None, None]
+        for k, y_k in enumerate(y):
+            f = half_roots * y_k[:, None] - z[:, None, :] / y_k[:, None]
+            sums[k] = (2.0 * (w[k] @ _norm_pdf(f))
+                       + roots[:, None, None] * ((w[k] * y_k) @ _ndtr(f)))
         sums /= 2.0 * lam
         return sums.transpose(2, 0, 1, 3)
 
@@ -519,12 +544,15 @@ def bs_theta(u, m, p, sigma, p_bar):
     return out if out.ndim else float(out)
 
 
-def _discount_ratio(kernel: GKernel, tau: float, y: np.ndarray) -> np.ndarray:
-    """G(T - s) / G(T - t) at s = t + tau * y^2, a stable value in (0, 1]."""
+def _discount_ratio(kernel: GKernel, taus: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """G(T - s) / G(T - t) at s = t + tau * y^2, a stable value in (0, 1], for every
+    tau of taus and node of y (panels, 15): shape (panels, taus.size, 15)."""
     beta = kernel.beta
-    lg_t = _log_g(beta, kernel.gamma_ratio, beta * tau)
-    lg_s = _log_g_array(beta, kernel.gamma_ratio, beta * (tau * (1.0 - np.square(y))))
-    return np.exp(lg_s - lg_t)
+    # G(tau) on the scalar _log_g: np.log need not round as math.log does
+    lg_t = np.array([_log_g(beta, kernel.gamma_ratio, beta * tau) for tau in taus])
+    lg_s = _log_g_array(beta, kernel.gamma_ratio,
+                        beta * (taus[:, None] * (1.0 - np.square(y))[:, None]))
+    return np.exp(lg_s - lg_t[:, None])
 
 
 def v1_target_zone(kernel: GKernel, costs: CostParams, model, state: TargetZoneState) -> float:
@@ -820,8 +848,7 @@ def rate_surface(kernel: GKernel, costs: CostParams, model, grid_tau, grid_money
     ks = _finite_array("grid_money", _check_grid("grid_money", grid_money, min_size=1), 0.0)
     _finite("x", x)
     m_cols = model._surface_levels(bs_m, ks)
-    rate_ex, quad_err = np.array([model._extra(kernel, costs.lam, tau, model.p_bar - ks, m_cols)
-                                  for tau in taus]).transpose(1, 0, 2)
+    rate_ex, quad_err = model._extra(kernel, costs.lam, taus, model.p_bar - ks, m_cols)
     rate_ac = np.repeat([[a * x] for a in _urgencies(kernel, kernel.horizon - taus)], ks.size, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(rate_ac != 0.0, rate_ex / rate_ac, np.inf)

@@ -2,14 +2,16 @@
 
 Each function is a computation as the library first wrote it: the surface
 CSV formatted value by value, the trajectory and drift-curve recursions
-reading numpy arrays one element at a time, and the Bachelier quadrature
-kernel as one GEMM per panel.  The library computes the same numbers in
-fewer passes, and its tests compare the two with ==.
+reading numpy arrays one element at a time, the Bachelier quadrature kernel
+as one GEMM per panel, the Black-Scholes kernel one root at a time, and the
+rate surface one quadrature call per tau row.  The library computes the same
+numbers in fewer passes, and its tests compare the two with ==.
 """
 
 import math
 
 import numpy as np
+from scipy.special import ndtr
 
 from liqzone import urgency
 from liqzone.schedule import TradePlan, _log_g, _log_g_array
@@ -59,11 +61,35 @@ def v1_curve(model, kernel, lam, grid) -> np.ndarray:
     return acc[np.searchsorted(fine, grid)] / (2.0 * lam)
 
 
-def bachelier_table_rows(lam, z_grid, y, roots, w) -> np.ndarray:
-    """CappedBachelier._table_rows with one GEMM per panel."""
-    pdf = np.exp(-0.5 * np.square(z_grid / y[..., None])) / math.sqrt(2.0 * math.pi)
-    sums = np.empty(w.shape[:3] + z_grid.shape)
-    for p in range(y.shape[0]):
-        np.matmul(w[p].reshape(-1, y.shape[1]), pdf[p], out=sums[p].reshape(-1, z_grid.size))
+def _norm_pdf(x):
+    return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
+
+
+def bachelier_table_rows(lam, z, y, roots, w) -> np.ndarray:
+    """CappedBachelier._table_rows with one GEMM per panel and z row: (2 roots x 15) @
+    (15 x z) for a z row shared by every root, else (2 x 15) @ (15 x z) per root."""
+    sums = np.empty(w.shape[:3] + z.shape[1:])
+    for r, z_r in zip([slice(None)] if z.shape[0] == 1 else range(z.shape[0]), z):
+        pdf = _norm_pdf(z_r / y[..., None])
+        for p in range(y.shape[0]):
+            np.matmul(w[p, r].reshape(-1, y.shape[1]), pdf[p],
+                      out=sums[p, r].reshape(-1, z.shape[1]))
     sums /= lam
     return sums.transpose(2, 0, 1, 3)
+
+
+def bs_table_rows(lam, z, y, roots, w) -> np.ndarray:
+    """CappedBlackScholes._table_rows one root at a time, a (2 x 15) @ (15 x z) GEMM per panel."""
+    sums = np.empty(w.shape[:3] + z.shape[1:])
+    for k, root in enumerate(roots):
+        f = 0.5 * root * y[..., None] - z[k if z.shape[0] > 1 else 0] / y[..., None]
+        sums[:, k] = 2.0 * (w[:, k] @ _norm_pdf(f)) + root * ((w[:, k] * y[:, None]) @ ndtr(f))
+    sums /= 2.0 * lam
+    return sums.transpose(2, 0, 1, 3)
+
+
+def surface_extra(kernel, costs, model, taus, money, bs_m=None) -> tuple:
+    """rate_surface's rate_extra and quad_error, one quadrature call per tau row."""
+    p, m_cols = model.p_bar - money, model._surface_levels(bs_m, money)
+    rows = [model._extra(kernel, costs.lam, np.array([tau]), p, m_cols) for tau in taus]
+    return tuple(np.concatenate(part) for part in zip(*rows))

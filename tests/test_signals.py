@@ -20,7 +20,6 @@ from liqzone import (
     Martingale,
     QuadratureError,
     TargetZoneState,
-    ac_position,
     bachelier_lookback_price,
     bachelier_theta,
     bs_f,
@@ -47,6 +46,8 @@ SMALL_COSTS = CostParams(lam=0.1, gamma=1e-5, big_gamma=1e-5, horizon=1.0, x0=1.
 UNIT_COSTS = CostParams(lam=0.1, gamma=1.0, big_gamma=1.0, horizon=1.0, x0=1.0)
 # beta T = 31.6: the discount confines the integrand to y < ~0.18
 LARGE_BETA_COSTS = CostParams(lam=0.01, gamma=10.0, big_gamma=1.0, horizon=1.0, x0=1.0)
+# beta T = 31.6 with a terminal penalty as steep as the running one
+STEEP_COSTS = CostParams(lam=0.1, gamma=100.0, big_gamma=100.0, horizon=1.0, x0=1.0)
 SIGMA = 0.5
 
 
@@ -172,7 +173,8 @@ def test_panel_refinement_converged():
     k = GKernel.from_costs(UNIT_COSTS)
     model = CappedBachelier(m0=1.0, sigma=SIGMA, p_bar=1.0)
     for tau, money in ((1.0, 0.0), (0.5, 0.2), (0.05, 0.05)):
-        got = model._extra(k, UNIT_COSTS.lam, tau, np.array([1.0 - money]), np.array([1.0]))[0][0]
+        got = model._extra(k, UNIT_COSTS.lam, np.array([tau]), np.array([1.0 - money]),
+                           np.array([1.0]))[0][0, 0]
         want = quad_extra(model, UNIT_COSTS, tau, money, 1.0)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-18)
 
@@ -374,22 +376,32 @@ def test_quadrature_error_names_the_cell(cls, costs, monkeypatch):
                      bs_m=1.0)
 
 
+@pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
+@pytest.mark.parametrize("cls", [CappedBachelier, CappedBlackScholes])
+def test_quadrature_error_names_the_cell_the_per_tau_loop_names(cls, costs, monkeypatch):
+    # with no refinement the rows tau = 0.5 and 1 fail, tau = 0.01 (z >= 0.02) passes
+    monkeypatch.setattr(signals, "_QUAD_ROUNDS", 0)
+    model = cls(m0=1.0, sigma=SIGMA, p_bar=1.0)
+    args = (GKernel.from_costs(costs), costs, model, np.array([0.01, 0.5, 1.0]),
+            np.array([0.0, 1e-3, 2e-3]))
+    with pytest.raises(QuadratureError, match=r"tau=0\.5, p=0\.999 ") as per_tau:
+        loop_reference.surface_extra(*args, bs_m=1.0)
+    with pytest.raises(QuadratureError) as batched:
+        rate_surface(*args, 1.0, bs_m=1.0)
+    assert str(batched.value) == str(per_tau.value)
+
+
 _TIME_CHECKED = {
     "CappedBachelier": CappedBachelier(m0=1.0, sigma=SIGMA, p_bar=1.0),
     "CappedBlackScholes": CappedBlackScholes(m0=1.0, sigma=SIGMA, p_bar=1.0),
     "Martingale": Martingale(p0=1.0, sigma=SIGMA),
     "DeterministicDrift": DeterministicDrift(times=np.array([0.0, 1.0]),
                                              values=np.array([-0.1, -0.1]), p0=1.0),
-    "urgency": urgency,
-    "ac_position": lambda kernel, t: ac_position(kernel, t, 1.0),
-    "g_value": g_value,
 }
 
 
 @pytest.mark.parametrize("name, t", [
     (name, t) for name in _TIME_CHECKED for t in (math.nan, -2.0, 1.5)
-    # G is defined at every argument t >= 0, past the horizon too
-    if not (name == "g_value" and t == 1.5)
 ])
 def test_time_outside_the_horizon_is_rejected_naming_it(name, t):
     # NaN fails every ordered comparison, so a range check that only looks for
@@ -397,10 +409,6 @@ def test_time_outside_the_horizon_is_rejected_naming_it(name, t):
     # field; T = 1 here, so -2 and 1.5 lie outside it
     kernel = GKernel.from_costs(UNIT_COSTS)
     target = _TIME_CHECKED[name]
-    if callable(target):
-        with pytest.raises(ValueError, match=r"^t must"):
-            target(kernel, t)
-        return
     state = TargetZoneState(t=t, m=1.0, p=0.9)
     for entry in (v1_target_zone, extra_rate):
         with pytest.raises(ValueError, match=r"^state\.t must"):
@@ -431,26 +439,77 @@ def test_drift_curve_and_trajectory_equal_the_numpy_scalar_loops(costs, values, 
     np.testing.assert_array_equal(plan.rates, want.rates)
 
 
-@pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
-def test_bachelier_kernel_equals_one_gemm_per_panel(costs, monkeypatch):
-    # every kernel call of a surface (1 root, 50 z) and of a table build
-    # (9 roots, then 8, 16, ..., 1301 z), refinement rounds included
-    calls = []
-    kernel_rows = CappedBachelier._table_rows
+# z from 0 and 1e-9 up, from tau = 1e-3: every tau row refines, in 11-22
+# kernel calls of its own; one level per column, so that the Black-Scholes z
+# is not monotone along a row
+_REFINING_TAUS = np.array([1e-3, 3e-3, 0.01, 0.05, 0.1, 0.5, 1.0])
+_REFINING_MONEY = np.array([0.0, 1e-9, 1e-6, 1e-3, 1e-2, 0.1, 0.3, 1.0])
+_REFINING_BS_M = np.array([1.0, 3.0, 1.2, 5.0, 1.0, 2.0, 1.1, 4.0])
 
-    def recorded(self, *args):
+
+def _kernel_calls(cls, reference, costs, monkeypatch) -> set:
+    """Build a refining surface and a signal table of cls, checking every _table_rows call
+    against reference with ==; returns each call's (roots, z shape)."""
+    shapes = set()
+    kernel_rows = cls._table_rows
+
+    def checked(self, *args):
         sums = kernel_rows(self, *args)
-        calls.append((args, sums.copy()))
+        np.testing.assert_array_equal(sums, reference(*args))
+        shapes.add((args[3].size, args[1].shape))
         return sums
 
-    monkeypatch.setattr(CappedBachelier, "_table_rows", recorded)
-    model = CappedBachelier(m0=1.0, sigma=SIGMA, p_bar=1.0)
+    monkeypatch.setattr(cls, "_table_rows", checked)
+    model = cls(m0=1.0, sigma=SIGMA, p_bar=1.0)
     k = GKernel.from_costs(costs)
-    rate_surface(k, costs, model, np.linspace(0.02, 1.0, 5), np.linspace(0.0, 1.0, 50), x=1.0)
+    rate_surface(k, costs, model, _REFINING_TAUS, _REFINING_MONEY, x=1.0, bs_m=_REFINING_BS_M)
     optimal_policy(model, k, costs).signal_table.step_rows([0.0])
-    assert {(1, 50), (9, 1301)} <= {(args[3].size, args[1].size) for args, _ in calls}
-    for args, sums in calls:
-        np.testing.assert_array_equal(sums, loop_reference.bachelier_table_rows(*args))
+    return shapes
+
+
+@pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
+def test_bachelier_kernel_equals_one_gemm_per_panel(costs, monkeypatch):
+    # every kernel call of a surface (7 roots, a z row each, then every
+    # refining row alone) and of a table build (9 roots sharing 1301 z,
+    # then 8, 16, ...), refinement rounds included
+    shapes = _kernel_calls(CappedBachelier, loop_reference.bachelier_table_rows, costs,
+                           monkeypatch)
+    assert {(7, (7, 8)), (9, (1, 1301))} <= shapes
+    assert any(roots == 1 and z_shape[0] == 1 for roots, z_shape in shapes)
+
+
+@pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
+def test_black_scholes_kernel_equals_the_per_root_loop(costs, monkeypatch):
+    shapes = _kernel_calls(CappedBlackScholes, loop_reference.bs_table_rows, costs, monkeypatch)
+    assert {(7, (7, 8)), (9, (1, 1601))} <= shapes
+    assert any(roots == 1 and z_shape[0] == 1 for roots, z_shape in shapes)
+
+
+@pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS, STEEP_COSTS],
+                         ids=["small", "unit", "steep"])
+@pytest.mark.parametrize("cls", [CappedBachelier, CappedBlackScholes])
+def test_refining_surface_equals_one_call_per_tau_row(cls, costs, monkeypatch):
+    calls = []
+    kernel_rows = cls._table_rows
+
+    def counted(self, *args):
+        calls.append(args[3].size)
+        return kernel_rows(self, *args)
+
+    monkeypatch.setattr(cls, "_table_rows", counted)
+    model = cls(m0=1.0, sigma=SIGMA, p_bar=1.0)
+    k = GKernel.from_costs(costs)
+    surf = rate_surface(k, costs, model, _REFINING_TAUS, _REFINING_MONEY, x=1.0,
+                        bs_m=_REFINING_BS_M)
+    batched, calls[:] = calls[:], []
+    rate_extra, quad_error = loop_reference.surface_extra(k, costs, model, _REFINING_TAUS,
+                                                          _REFINING_MONEY, _REFINING_BS_M)
+    # one call for every cell, then each refining row alone, as in its own call
+    assert batched[0] == _REFINING_TAUS.size and set(batched[1:]) == {1}
+    assert len(batched) - 1 == len(calls) - _REFINING_TAUS.size > _REFINING_TAUS.size
+    np.testing.assert_array_equal(surf.rate_extra, rate_extra)
+    np.testing.assert_array_equal(surf.quad_error, quad_error)
+    np.testing.assert_array_equal(surf.rate, surf.rate_ac + rate_extra)
 
 
 def test_quadrature_error_is_exported():
