@@ -28,33 +28,38 @@ with one entry per path.  For the capped models the table is one per
 policy, built on its first query (_CappedSignalTable states its error).
 
 One engine serves every entry point: _simulate turns per-path normals into
-levels and capped prices, _plan fixes what a call shares across its
-batches (each signal table's rows at the step times, each feedback
-policy's urgencies), _run_batch runs every policy of a call down a batch,
-_STEP_BLOCK steps at a time, holding one block of positions and rates per
-policy, and _one_pass walks the paths _BATCH_DEFAULT at a time, keeping
-each policy's per-path totals and the per-path v1^2 sums and freeing each
-batch before the next is simulated.  What else reads the positions and
-rates (the probe's linear functionals, run_strategy's plan) is handed each
-block as it is run, by a fold.  Each estimator is one pass: each batch is
-simulated once, and each signal table is looked up once per block of
-steps, its values feeding both the optimal policy's rate and the v1^2 sum.
-So estimate_v0_and_value costs one simulation and one lookup per block,
-and equals estimate_v0 plus estimate_value of the optimal policy bit for
-bit.  The blocked loop adds every sum in step order, so each output is bit
-for bit the step-by-step loop's.  simulate_path(model, T, n,
-path_stream(seed, j)) is bit for bit column j of every batch, and
-run_strategy is the batch runner on one path (it needs a uniform grid, and
-calls no policy at its last point).  What differs between market models
-(start level, increment map, cap map, signal table) lives on the model
-classes in liqzone.signals.
+uncapped levels, _plan fixes what a call shares across its batches (each
+signal table's rows at the step times, each feedback policy's urgencies),
+_run_batch runs every policy of a call down a batch of levels, _STEP_BLOCK
+steps at a time, holding one block of capped prices and one block of
+positions and rates per policy, and _one_pass walks the paths
+_BATCH_DEFAULT at a time, keeping each policy's per-path totals and the
+per-path v1^2 sums and freeing each batch before the next is simulated.  A
+block's prices are capped from its levels just before it is run, by the
+model's _cap_rows with the running max carried from block to block
+(_capped); simulate_path caps its whole path with the same hook, and
+run_strategy hands the step loop its path's given prices.  What else reads
+the prices, positions and rates (the probe's linear functionals,
+run_strategy's plan) is handed each block as it is run, by a fold.  Each
+estimator is one pass: each batch is simulated once, and each signal table
+is looked up once per block of steps, its values feeding both the optimal
+policy's rate and the v1^2 sum.  So estimate_v0_and_value costs one
+simulation and one lookup per block, and equals estimate_v0 plus
+estimate_value of the optimal policy bit for bit.  The blocked loop adds
+every sum in step order, so each output is bit for bit the step-by-step
+loop's.  simulate_path(model, T, n, path_stream(seed, j)) is bit for bit
+column j of every batch, and run_strategy is the batch runner on one path
+(it needs a uniform grid, and calls no policy at its last point).  What
+differs between market models (start level, increment map, cap map, signal
+table) lives on the model classes in liqzone.signals.
 
-Batch arrays are laid out time-major, shape (n_steps + 1, n_paths): a
-block of steps is then a contiguous slab of rows, which is what makes 10^5
-paths at 4096 steps affordable.  A batch is drawn a cache-sized block of
-paths at a time, summed along each path and copied into the batch
-(_fill_sums), so no full-size array of normals is held; one Philox
-generator, re-keyed per path, draws the batch (_simulate_batch).
+Batch levels are laid out time-major, shape (n_steps + 1, n_paths): a block
+of steps is then a contiguous slab of rows, which is what makes 10^5 paths
+at 4096 steps affordable; a batch holds no other full-size array.  A batch
+is drawn a cache-sized block of paths at a time, summed along each path and
+copied into the batch (_fill_sums), so no full-size array of normals is
+held; one Philox generator, re-keyed per path, draws the batch
+(_simulate_batch).
 
 On Linux, a call whose policies are all library feedback policies splits
 its paths into one contiguous range per usable CPU, each of at least
@@ -199,7 +204,7 @@ def path_stream(master_seed: int, path_index: int) -> np.random.Generator:
 
 
 def _simulate(model, horizon, n_steps, count, draw):
-    """(grid, m, p): levels and capped prices, time-major (n_steps + 1, count).
+    """(grid, m): uncapped levels, time-major (n_steps + 1, count).
 
     draw(block, offset) fills each row k of a (rows, n_steps) block with the
     standard normals of path offset + k.  It is not called when sigma is 0,
@@ -207,14 +212,14 @@ def _simulate(model, horizon, n_steps, count, draw):
     """
     grid = np.linspace(0.0, horizon, n_steps + 1)
     if model.sigma == 0.0:
-        m = np.broadcast_to(model._expected_levels(grid)[:, None], (n_steps + 1, count)).copy()
-        return grid, m, m
+        return grid, np.broadcast_to(model._expected_levels(grid)[:, None],
+                                     (n_steps + 1, count)).copy()
     m = np.empty((n_steps + 1, count))
     m[0] = 0.0
     _fill_sums(m, draw)
     m *= model.sigma * math.sqrt(horizon / n_steps)
     model._to_levels(m, grid)
-    return grid, m, model._cap(m)
+    return grid, m
 
 
 def _fill_sums(m, draw):
@@ -223,7 +228,7 @@ def _fill_sums(m, draw):
     Each block of _PATH_BLOCK paths is drawn into a cache-sized scratch
     array, summed along each path (a sequential accumulate, so bit for bit
     the step-by-step running sum) and copied transposed into m.  The scratch
-    array is freed on return, before the capped prices are allocated.
+    array is freed on return.
     """
     n_steps, count = m.shape[0] - 1, m.shape[1]
     block = np.empty((min(_PATH_BLOCK, count), n_steps))
@@ -244,13 +249,13 @@ def simulate_path(model, horizon: float, n_steps: int, rng: np.random.Generator)
     """
     n_steps = _check_count("n_steps", n_steps, 1)
     horizon = _positive("horizon", horizon)
-    grid, m, p = _simulate(model, horizon, n_steps, 1,
-                           lambda block, offset: rng.standard_normal(out=block[0]))
-    return PathSample(grid=grid, m=m.ravel(), p=p.ravel())
+    grid, m = _simulate(model, horizon, n_steps, 1,
+                        lambda block, offset: rng.standard_normal(out=block[0]))
+    return PathSample(grid=grid, m=m.ravel(), p=model._cap(m).ravel())
 
 
 def _simulate_batch(model, horizon, n_steps, master_seed, first_index, count):
-    """(grid, m, p) for paths first_index .. first_index + count - 1 of master_seed.
+    """(grid, m) for paths first_index .. first_index + count - 1 of master_seed.
 
     One Philox generator serves the batch: Philox is counter based, so
     loading path j's key (word 0 of path_stream's key is the path index)
@@ -269,6 +274,15 @@ def _simulate_batch(model, horizon, n_steps, master_seed, first_index, count):
             rng.standard_normal(out=row)
 
     return _simulate(model, horizon, n_steps, count, draw)
+
+
+def _capped(model, m):
+    """prices(lo, end, out) for _run_batch: rows lo .. end - 1 of model._cap(m),
+    bit for bit, capped in out (or m's own rows for an uncapped model).  The
+    running max is carried from call to call, so the rows must be asked for
+    in step order, each once."""
+    run = np.array(m[0])
+    return lambda lo, end, out: model._cap_rows(m[lo:end], run, out)
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +346,14 @@ def run_strategy(path: PathSample, policy: Callable, costs: CostParams):
                          f"got [{grid[0]!r}, {grid[-1]!r}]")
     positions, rates = np.empty(grid.size), np.empty(steps.size)
 
-    def fold(k, lo, p, X, U):
+    def fold(k, lo, P, X, U):
         positions[lo:lo + X.shape[0]] = X[:, 0]
         rates[lo:lo + U.shape[0]] = U[:, 0]
 
-    bk, = _run_batch(_plan(grid, [policy]), path.p[:, None], path.m[:, None], costs, fold).goals
+    # the path's prices are given, not recomputed from its levels
+    p = path.p[:, None]
+    bk, = _run_batch(_plan(grid, [policy]), path.m[:, None],
+                     lambda lo, end, out: p[lo:end], costs, fold).goals
     parts = (bk.cash, bk.terminal_asset, bk.running_penalty, bk.terminal_penalty)
     return (TradePlan(grid=grid, positions=positions, rates=rates),
             GoalBreakdown(*(float(part[0]) for part in parts)))
@@ -375,28 +392,35 @@ def _plan(grid, policies, square=None) -> _Plan:
     return _Plan(grid, list(policies), square, tables, urgencies, signals)
 
 
-def _run_batch(plan, p, m, costs, fold=None) -> _BatchRun:
-    """Run the plan's policies down one time-major batch, _STEP_BLOCK steps at a time.
+def _run_batch(plan, m, prices, costs, fold=None) -> _BatchRun:
+    """Run the plan's policies down one time-major batch of levels m,
+    _STEP_BLOCK steps at a time.
 
-    In each block, each table of the plan is looked up once for the block's
-    prices.  The values feed the feedback policies' rates and, for square's
-    table, the left Riemann sum of v1^2 with the step dt, T / n_steps bit for
-    bit.  Every policy then runs one inventory update step by step: U_i is
-    its rate at X_i, and X_{i+1} = X_i - U_i dt.  A feedback policy's rate
-    is a_i X_i with the plan's urgencies a_i, plus its table's value when it
-    has one; the signal-free policy (no table) keeps one inventory per step,
-    shared by every path.  Any other callable's rate is what it returns when
-    called with t, a read-only X_i and a MarketState.  Cash, running penalty
-    and v1^2 are computed for the whole block and added into their per-path
-    sums one step at a time, in step order, so every sum is the step-by-step
-    one bit for bit.  Each policy holds one block of positions and rates:
-    with fold, fold(k, lo, p, X, U) is handed policy k's block of b steps
-    from step lo once it is run, X[r] and U[r] the position and rate at step
-    lo + r (one column for the signal-free policy) and X[b] the position
-    after the block.  The next block overwrites them.
+    Each block first forms its prices: prices(lo, end, out) returns the
+    price rows lo to end - 1, in out (block + 1 rows) or as a view of rows
+    the caller holds.  It is called once per block, in step order, and the
+    last block's rows take in the terminal row n_steps, so a batch holds its
+    levels and one block of prices (_capped).  In each block, each table of
+    the plan is looked up once for the block's prices.  The values feed the
+    feedback policies' rates and, for square's table, the left Riemann sum
+    of v1^2 with the step dt, T / n_steps bit for bit.  Every policy then
+    runs one inventory update step by step: U_i is its rate at X_i, and
+    X_{i+1} = X_i - U_i dt.  A feedback policy's rate is a_i X_i with the
+    plan's urgencies a_i, plus its table's value when it has one; the
+    signal-free policy (no table) keeps one inventory per step, shared by
+    every path.  Any other callable's rate is what it returns when called
+    with t, a read-only X_i and a MarketState.  Cash, running penalty and
+    v1^2 are computed for the whole block and added into their per-path sums
+    one step at a time, in step order, so every sum is the step-by-step one
+    bit for bit.  Each policy holds one block of positions and rates: with
+    fold, fold(k, lo, P, X, U) is handed policy k's block of b steps from
+    step lo once it is run, P[r], X[r] and U[r] the price, position and rate
+    at step lo + r (one column for the signal-free policy), X[b] the
+    position after the block and, in the last block, P[b] the terminal
+    price.  The next block overwrites them.
     """
     grid, policies = plan.grid, plan.policies
-    n_steps, count = p.shape[0] - 1, p.shape[1]
+    n_steps, count = m.shape[0] - 1, m.shape[1]
     dt = float(grid[1] - grid[0])
     block = min(_STEP_BLOCK, n_steps)
     x = [float(costs.x0)] * len(policies)
@@ -409,11 +433,14 @@ def _run_batch(plan, p, m, costs, fold=None) -> _BatchRun:
     xs = [np.empty((block + 1, width)) for width in widths]
     us = [np.empty((block, width)) for width in widths]
     work, step = np.empty((block, count)), np.empty(count)
+    price_rows = np.empty((block + 1, count))
     v1_squared = None if plan.square is None else np.zeros(count)
     for lo in range(0, n_steps, block):
         hi = min(lo + block, n_steps)
         b, rows = hi - lo, slice(lo, hi)
-        extra = {key: table.block_values(step_rows, rows, p[rows], m[rows])
+        end = hi + 1 if hi == n_steps else hi
+        P = prices(lo, end, price_rows[:end - lo])
+        extra = {key: table.block_values(step_rows, rows, P[:b], m[rows])
                  for key, (table, step_rows) in plan.tables.items()}
         if v1_squared is not None:
             sq = np.square(extra[id(plan.square)], out=work[:b])
@@ -429,7 +456,7 @@ def _run_batch(plan, p, m, costs, fold=None) -> _BatchRun:
             for r in range(b):
                 if a is None:
                     U[r] = policy(float(grid[lo + r]), np.broadcast_to(X[r], (count,)),
-                                  MarketState(p=p[lo + r], m=m[lo + r]))
+                                  MarketState(p=P[r], m=m[lo + r]))
                 else:
                     np.multiply(X[r], a[lo + r], out=U[r])
                     if e is not None:
@@ -439,7 +466,7 @@ def _run_batch(plan, p, m, costs, fold=None) -> _BatchRun:
             x[k] = X[b]
             # cash (p - lam u) u dt and running penalty gamma x^2 dt
             np.multiply(U, costs.lam, out=work[:b])
-            gain = np.subtract(p[rows], work[:b], out=work[:b])
+            gain = np.subtract(P[:b], work[:b], out=work[:b])
             gain *= U
             gain *= dt
             for r in range(b):
@@ -448,9 +475,9 @@ def _run_batch(plan, p, m, costs, fold=None) -> _BatchRun:
             for r in range(b):
                 run_pen[k] += pen[r]
             if fold is not None:
-                fold(k, lo, p, X, U)
+                fold(k, lo, P, X, U)
     goals = [GoalBreakdown(*(np.broadcast_to(part, (count,)) for part in
-                             (c, p[-1] * x_end, r, costs.big_gamma * np.square(x_end))))
+                             (c, P[-1] * x_end, r, costs.big_gamma * np.square(x_end))))
              for c, x_end, r in zip(cash, x, run_pen)]
     return _BatchRun(goals, v1_squared)
 
@@ -472,7 +499,7 @@ def _one_pass(model, costs, n_paths, n_steps, master_seed, policies=(), square=N
     Every path has its own stream and the results do not depend on the batch
     size, so they are bit for bit the one-process results.  Each range's
     rows of the outputs are written in place into shared arrays (_shared).
-    With fold, fold(first, k, lo, p, X, U) is handed every block _run_batch
+    With fold, fold(first, k, lo, P, X, U) is handed every block _run_batch
     runs for the batch of paths from index first; it may run in a forked
     worker, so it must write only into _shared arrays.
     """
@@ -484,9 +511,10 @@ def _one_pass(model, costs, n_paths, n_steps, master_seed, policies=(), square=N
     def work(lo, hi):
         for first in range(lo, hi, _BATCH_DEFAULT):
             count = min(_BATCH_DEFAULT, hi - first)
-            _, m, p = _simulate_batch(model, costs.horizon, n_steps, master_seed, first, count)
-            run = _run_batch(plan, p, m, costs, None if fold is None else partial(fold, first))
-            del m, p
+            _, m = _simulate_batch(model, costs.horizon, n_steps, master_seed, first, count)
+            run = _run_batch(plan, m, _capped(model, m), costs,
+                             None if fold is None else partial(fold, first))
+            del m
             for out, goal in zip(totals, run.goals):
                 out[first:first + count] = goal.total
             if v1_squared is not None:
@@ -724,12 +752,11 @@ def probe_optimality(model, kernel, costs, n_paths, n_steps, master_seed,
     w_pos = np.vstack((-2.0 * costs.gamma * dt * da[:, :-1].T, -2.0 * costs.big_gamma * da[:, -1]))
     lin = _shared((n_paths, n_directions))
 
-    def fold(first, k, lo, p, X, U):
-        hi = lo + U.shape[0]
-        end = hi + 1 if hi == n_steps else hi
-        block = np.concatenate((p[lo:end], U, X[:end - lo]))
+    def fold(first, k, lo, P, X, U):
+        hi, end = lo + U.shape[0], lo + P.shape[0]
+        block = np.concatenate((P, U, X[:end - lo]))
         weights = np.concatenate((w_price[lo:end], w_rate[lo:hi], w_pos[lo:end]))
-        lin[first:first + p.shape[1]] += block.T @ weights
+        lin[first:first + P.shape[1]] += block.T @ weights
 
     (totals,), _ = _one_pass(model, costs, n_paths, n_steps, master_seed, policies=[policy],
                              fold=fold)

@@ -93,6 +93,10 @@ _Y_EDGES = np.concatenate(([0.0], np.ldexp(1.0, np.arange(-8, 0)),
 _QUAD_RTOL = 1e-8
 _QUAD_FLOOR = np.finfo(float).tiny
 _QUAD_ROUNDS = 40
+# cells of a rate surface one _y_integral call takes at most (whole tau rows,
+# at least one): a call holds 32 panel sums of each cell, so this bounds a
+# surface's memory; the default 50 x 50 surface is one call
+_SURFACE_CELLS = 4096
 # How far below 0 the scaled moneyness may fall before a price is above the cap:
 # engine paths exceed p_bar by rounding (~3e-15 in z), -1e-10 moves the rate ~1e-10
 _Z_SLACK = 1e-10
@@ -155,9 +159,18 @@ class _Model:
         """Turn scaled Brownian sums m (time-major, in place) into uncapped levels."""
         m += self.p0
 
-    def _cap(self, m: np.ndarray) -> np.ndarray:
-        """Capped prices of time-major levels m."""
+    def _cap_rows(self, m: np.ndarray, run: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Capped prices of rows of time-major levels m that follow, in step order,
+        the rows whose running max run holds; run is carried forward in place.
+
+        A capped model writes the prices into out (shaped like m) and returns
+        it; here the levels are the prices, and m itself is returned.
+        """
         return m
+
+    def _cap(self, m: np.ndarray) -> np.ndarray:
+        """Capped prices of time-major levels m: _cap_rows over every row."""
+        return self._cap_rows(m, np.array(m[0]), np.empty_like(m))
 
     def _check_state(self, state: TargetZoneState, horizon: float) -> float:
         """Validate a state against the model; returns the time to go."""
@@ -211,17 +224,15 @@ class _CappedModel(_Model):
     def _to_levels(self, m, grid):
         m += self.m0
 
-    def _cap(self, m):
-        # row by row: each row is one contiguous, cache-resident vector
-        p = np.empty_like(m)
-        run = np.array(m[0])
-        tmp = np.empty(m.shape[1])
+    def _cap_rows(self, m, run, out):
+        # row by row: each row is one contiguous, cache-resident vector, and
+        # the push-down max(run - p_bar, 0) is formed in the price row
         for i in range(m.shape[0]):
             np.maximum(run, m[i], out=run)
-            np.subtract(run, self.p_bar, out=tmp)
-            np.maximum(tmp, 0.0, out=tmp)
-            np.subtract(m[i], tmp, out=p[i])
-        return p
+            push = np.subtract(run, self.p_bar, out=out[i])
+            np.maximum(push, 0.0, out=push)
+            np.subtract(m[i], push, out=push)
+        return out
 
     def _check_state(self, state, horizon):
         tau = super()._check_state(state, horizon)
@@ -237,10 +248,15 @@ class _CappedModel(_Model):
     def _extra(self, kernel: GKernel, lam: float, taus: np.ndarray, p: np.ndarray,
                m: np.ndarray):
         """Extra rate -v1 and its error estimate at the cells (taus[i], p[j], m[j]),
-        shape (taus.size, p.size): one _y_integral call with a z row per tau."""
+        shape (taus.size, p.size): _y_integral calls with a z row per tau, on
+        whole tau rows of at most _SURFACE_CELLS cells (at least one row)."""
         roots = self.sigma * np.sqrt(taus)[:, None]
         z, level = self._moneyness(p, m, roots)
-        value, err = self._y_integral(kernel, lam, taus, z, p)
+        value, err = np.empty(z.shape), np.empty(z.shape)
+        chunk = max(1, _SURFACE_CELLS // z.shape[1])
+        for lo in range(0, taus.size, chunk):
+            rows = slice(lo, lo + chunk)
+            value[rows], err[rows] = self._y_integral(kernel, lam, taus[rows], z[rows], p)
         return roots * level * value, roots * level * err
 
     def _y_integral(self, kernel: GKernel, lam: float, taus: np.ndarray, z: np.ndarray,

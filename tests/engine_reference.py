@@ -4,9 +4,10 @@ reference_run is the engine's step loop as first written: every signal
 table in play is looked up once per step with extra_values, a feedback
 policy's rate is urgency(t) * x plus that value, any other callable is
 called with a MarketState, and cash, running penalty and v1^2 are added
-one step at a time.  It keeps every position and rate of the batch, so the
-blocks montecarlo._run_batch hands its fold can be compared with them bit
-for bit.
+one step at a time.  It takes the batch's prices whole (model._cap of its
+levels), where montecarlo._run_batch caps them a block at a time, and it
+keeps every position and rate of the batch, so the blocks _run_batch hands
+its fold can be compared with them bit for bit.
 """
 
 from typing import NamedTuple

@@ -50,8 +50,8 @@ from liqzone import (
     TargetZoneState,
 )
 from liqzone import montecarlo
-from liqzone.montecarlo import (_PATH_BLOCK, _STEP_BLOCK, _plan, _probe_alphas, _run_batch,
-                                 _simulate_batch)
+from liqzone.montecarlo import (_PATH_BLOCK, _STEP_BLOCK, _capped, _plan, _probe_alphas,
+                                 _run_batch, _simulate_batch)
 from liqzone.signals import _Z_SLACK, _barycentric
 from engine_reference import reference_run
 from quad_reference import quad_extra
@@ -107,9 +107,9 @@ def test_deterministic_models_ignore_randomness():
 
 
 def test_batch_concatenation_is_bit_exact():
-    grid, m, p = _simulate_batch(BACH, 1.0, 64, 99, 0, 48)
-    _, m1, p1 = _simulate_batch(BACH, 1.0, 64, 99, 0, 17)
-    _, m2, p2 = _simulate_batch(BACH, 1.0, 64, 99, 17, 31)
+    (_, m), (_, m1), (_, m2) = (_simulate_batch(BACH, 1.0, 64, 99, first, count)
+                                for first, count in ((0, 48), (0, 17), (17, 31)))
+    p, p1, p2 = (BACH._cap(levels) for levels in (m, m1, m2))
     np.testing.assert_array_equal(m[:, :17], m1)
     np.testing.assert_array_equal(m[:, 17:], m2)
     np.testing.assert_array_equal(p[:, :17], p1)
@@ -121,7 +121,8 @@ def test_batch_column_matches_single_path():
     # of the level arithmetic between the single-path and batch code shows
     for model in (BACH, CappedBachelier(m0=0.3, sigma=1.7, p_bar=2.0)):
         for n_steps in (7, 256):
-            _, m, p = _simulate_batch(model, 1.0, n_steps, 5, 0, 8)
+            _, m = _simulate_batch(model, 1.0, n_steps, 5, 0, 8)
+            p = model._cap(m)
             for j in (0, 3, 7):
                 path = simulate_path(model, 1.0, n_steps, path_stream(5, j))
                 np.testing.assert_array_equal(path.m, m[:, j])
@@ -136,9 +137,10 @@ def test_batch_across_path_blocks_is_bit_exact(model):
     # starts the second batch inside the first one's second block
     seed, first, count, cut, n_steps = 99, 70, 150, 83, 64
     assert count > 2 * _PATH_BLOCK and cut > _PATH_BLOCK
-    _, m, p = _simulate_batch(model, 1.0, n_steps, seed, first, count)
-    _, m1, p1 = _simulate_batch(model, 1.0, n_steps, seed, first, cut)
-    _, m2, p2 = _simulate_batch(model, 1.0, n_steps, seed, first + cut, count - cut)
+    (_, m), (_, m1), (_, m2) = (_simulate_batch(model, 1.0, n_steps, seed, lo, size)
+                                for lo, size in ((first, count), (first, cut),
+                                                 (first + cut, count - cut)))
+    p, p1, p2 = (model._cap(levels) for levels in (m, m1, m2))
     np.testing.assert_array_equal(m, np.hstack((m1, m2)))
     np.testing.assert_array_equal(p, np.hstack((p1, p2)))
     for j in range(count):
@@ -148,8 +150,8 @@ def test_batch_across_path_blocks_is_bit_exact(model):
 
 
 def test_batch_simulation_holds_no_full_size_scratch():
-    # m and p are the only full-size arrays: the normals pass through one
-    # block of paths, freed before the capped prices are allocated
+    # the levels m are the only full-size array: the normals pass through
+    # one block of paths, and the capped prices are formed by the step loop
     n_steps, count = 1024, 2048
     tracemalloc.start()
     try:
@@ -157,7 +159,7 @@ def test_batch_simulation_holds_no_full_size_scratch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * (n_steps + 1) * count * 8 + 2 * 2**20
+    assert peak < (n_steps + 1) * count * 8 + 2 * 2**20
 
 
 def test_concurrent_fills_equal_the_one_thread_fill():
@@ -216,6 +218,26 @@ def test_estimators_hold_one_batch_at_a_time(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < batch + functionals + 2**19
+
+
+def test_batch_pass_holds_its_levels_and_one_block_of_prices(monkeypatch):
+    # a one-process estimate_value of the capped model holds one full-size
+    # array, the batch's levels, besides the plan's step rows: its prices are
+    # formed a block of steps at a time (with the batch's capped prices held
+    # as well it peaked at 22.6 MiB here, above its bound of 15.1 MiB)
+    count, n_steps = 2048, 512
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    policy = optimal_policy(BACH, GKernel.from_costs(UNIT_COSTS), UNIT_COSTS)
+    # a first call builds the policy's table and fills the interpreter's caches
+    estimate_value(BACH, policy, UNIT_COSTS, 2 * _PATH_BLOCK, n_steps, 3)
+    step_rows = n_steps * (policy.signal_table.z_grid.size + 1) * 8
+    tracemalloc.start()
+    try:
+        estimate_value(BACH, policy, UNIT_COSTS, count, n_steps, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n_steps + 1) * count * 8 + step_rows + 2**21
 
 
 def test_skorokhod_invariants_many_seeds():
@@ -757,7 +779,8 @@ def test_block_lookup_equals_reference_formula(model):
     # 21 steps: two full blocks and a partial one; grid[0] is a root node
     table = optimal_policy(model, GKernel.from_costs(UNIT_COSTS), UNIT_COSTS).signal_table
     n_steps = 21
-    grid, m, p = _simulate_batch(model, 1.0, n_steps, 4, 0, 100)
+    grid, m = _simulate_batch(model, 1.0, n_steps, 4, 0, 100)
+    p = model._cap(m)
     step_rows = table.step_rows(grid[:-1])
     for lo in range(0, n_steps, _STEP_BLOCK):
         steps = slice(lo, min(lo + _STEP_BLOCK, n_steps))
@@ -798,23 +821,25 @@ def test_blocked_engine_equals_step_by_step_reference(name, n_steps):
                 lambda t, x, state: np.array([0.4 * t + 0.2])]
     squares = (None, optimal.signal_table, model._signal_table(kernel, costs.lam))
     for count in (1, 63, 64, 65, 2049):
-        grid, m, p = _simulate_batch(model, costs.horizon, n_steps, 11, 0, count)
+        grid, m = _simulate_batch(model, costs.horizon, n_steps, 11, 0, count)
+        p = model._cap(m)
         for square in squares:
             # the blocks each fold receives, assembled into the batch's X and U
             paths = [(np.empty((n_steps + 1, count)), np.empty((n_steps, count)))
                      for _ in policies]
 
-            def fold(k, lo, p_, X, U):
-                assert p_ is p
+            def fold(k, lo, P, X, U):
+                assert np.array_equal(P, p[lo:lo + P.shape[0]])
                 xs, us = paths[k]
                 xs[lo:lo + X.shape[0]] = X
                 us[lo:lo + U.shape[0]] = U
 
             plan = _plan(grid, policies, square)
-            got = _run_batch(plan, p, m, costs, fold)
+            got = _run_batch(plan, m, _capped(model, m), costs, fold)
             want = reference_run(grid, p, m, policies, costs, square)
             # the run without a fold is the same run
-            runs = (got, _run_batch(plan, p, m, costs)) if square is None else (got,)
+            runs = ((got, _run_batch(plan, m, _capped(model, m), costs)) if square is None
+                    else (got,))
             for run in runs:
                 for g, w in zip(run.goals, want.goals, strict=True):
                     for part in ("cash", "terminal_asset", "running_penalty",
@@ -825,6 +850,26 @@ def test_blocked_engine_equals_step_by_step_reference(name, n_steps):
                     assert np.array_equal(run.v1_squared, want.v1_squared)
             for (gx, gu), (wx, wu) in zip(paths, want.paths, strict=True):
                 assert np.array_equal(gx, wx) and np.array_equal(gu, wu)
+
+
+@pytest.mark.parametrize("name", ["bachelier", "bs", "martingale", "drift"])
+def test_fold_price_blocks_assemble_the_capped_prices(name):
+    # 1027 steps: 128 full blocks and a partial one of 3 steps, which also
+    # takes in the terminal row
+    model, costs, n_steps, count = ENGINE_MODELS[name], UNIT_COSTS, 1027, 65
+    assert n_steps % _STEP_BLOCK
+    grid, m = _simulate_batch(model, costs.horizon, n_steps, 11, 0, count)
+    policy = optimal_policy(model, GKernel.from_costs(costs), costs)
+    got, starts = np.empty((n_steps + 1, count)), []
+
+    def fold(k, lo, P, X, U):
+        assert P.shape[0] <= _STEP_BLOCK + 1
+        starts.append(lo)
+        got[lo:lo + P.shape[0]] = P
+
+    _run_batch(_plan(grid, [policy]), m, _capped(model, m), costs, fold)
+    assert starts == list(range(0, n_steps, _STEP_BLOCK))
+    assert np.array_equal(got, model._cap(m))
 
 
 def _footprint(table):
@@ -902,7 +947,8 @@ def test_probe_expansion_matches_direct_replay():
     policy = optimal_policy(model, kernel, costs)
     alphas = _probe_alphas(n_dirs)
     knot = np.minimum(np.arange(n_steps) * n_knots // n_steps, n_knots - 1)
-    grid, mb, pb = _simulate_batch(model, costs.horizon, n_steps, seed, 0, n_paths)
+    grid, mb = _simulate_batch(model, costs.horizon, n_steps, seed, 0, n_paths)
+    pb = model._cap(mb)
     gains = np.zeros((n_dirs, len(epsilons), n_paths))
     for j in range(n_paths):
         path = PathSample(grid=grid, m=mb[:, j], p=pb[:, j])

@@ -5,6 +5,7 @@ Frozen decimals come from 40-digit mpmath evaluations of the closed forms
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -510,6 +511,49 @@ def test_refining_surface_equals_one_call_per_tau_row(cls, costs, monkeypatch):
     np.testing.assert_array_equal(surf.rate_extra, rate_extra)
     np.testing.assert_array_equal(surf.quad_error, quad_error)
     np.testing.assert_array_equal(surf.rate, surf.rate_ac + rate_extra)
+
+
+@pytest.mark.parametrize("cls", [CappedBachelier, CappedBlackScholes])
+def test_surface_in_chunks_of_tau_rows_equals_one_call(cls, monkeypatch):
+    # 2048 moneyness columns: two tau rows a call, so the last of the three
+    # calls holds a single row
+    rows = []
+    y_integral = cls._y_integral
+
+    def counted(self, kernel, lam, taus, *args):
+        rows.append(taus.size)
+        return y_integral(self, kernel, lam, taus, *args)
+
+    monkeypatch.setattr(cls, "_y_integral", counted)
+    model = cls(m0=1.0, sigma=SIGMA, p_bar=1.0)
+    taus, ks = np.array([0.05, 0.5, 1.0]), np.linspace(0.0, 0.6, 2048)
+    args = (GKernel.from_costs(UNIT_COSTS), UNIT_COSTS, model, taus, ks, 1.0)
+    chunked = rate_surface(*args, bs_m=1.2)
+    assert rows == [2, 1]
+    monkeypatch.setattr(signals, "_SURFACE_CELLS", taus.size * ks.size)
+    whole = rate_surface(*args, bs_m=1.2)
+    assert rows == [2, 1, 3]
+    for name in ("rate", "rate_ac", "rate_extra", "relative_increase", "quad_error"):
+        assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
+
+
+@pytest.mark.parametrize("cls", [CappedBachelier, CappedBlackScholes])
+def test_large_surface_memory_is_bounded(cls):
+    # 300 x 300 cells, _SURFACE_CELLS at a time, peaked at 4.1 MiB
+    # (Bachelier) and 4.5 MiB (Black-Scholes), most of it the surface's own
+    # arrays; one call for every cell peaked at 46.3 and 55.3 MiB
+    model = cls(m0=1.0, sigma=SIGMA, p_bar=1.05)
+    k = GKernel.from_costs(UNIT_COSTS)
+    taus, ks = np.linspace(0.01, 1.0, 300), np.linspace(0.0, 0.5, 300)
+    # a first call fills the interpreter's caches, which tracemalloc counts
+    rate_surface(k, UNIT_COSTS, model, taus[:2], ks[:2], 1.0, bs_m=1.2)
+    tracemalloc.start()
+    try:
+        rate_surface(k, UNIT_COSTS, model, taus, ks, 1.0, bs_m=1.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_quadrature_error_is_exported():
