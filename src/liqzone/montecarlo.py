@@ -27,18 +27,20 @@ is called at every step with a read-only x and a MarketState, as arrays
 with one entry per path.  For the capped models the table is one per
 policy, built on its first query (_CappedSignalTable states its error).
 
-One engine serves every entry point: _simulate turns per-path normals into
-uncapped levels, _plan fixes what a call shares across its batches (each
-signal table's rows at the step times, each feedback policy's urgencies),
-_run_batch runs every policy of a call down a batch of levels, _STEP_BLOCK
-steps at a time, holding one block of capped prices and one block of
+One engine serves every entry point: _simulate draws a batch's normals and
+turns them into uncapped levels and capped prices a block of steps at a
+time, _plan fixes what a call shares across its batches (each signal
+table's rows at the step times, each feedback policy's urgencies),
+_run_batch runs every policy of a call down a batch, _STEP_BLOCK steps at
+a time, holding one block of levels and capped prices and one block of
 positions and rates per policy, and _one_pass walks the paths
 _BATCH_DEFAULT at a time, keeping each policy's per-path totals and the
 per-path v1^2 sums and freeing each batch before the next is simulated.  A
-block's prices are capped from its levels just before it is run, by the
-model's _cap_rows with the running max carried from block to block
-(_capped); simulate_path caps its whole path with the same hook, and
-run_strategy hands the step loop its path's given prices.  What else reads
+block's levels are summed from the normals, and its prices capped from its
+levels by the model's _cap_rows, just before it is run, each path's sum
+and running max carried from block to block; simulate_path forms its whole
+path with the same hook, and run_strategy hands the step loop its path's
+given levels and prices.  What else reads
 the prices, positions and rates (the probe's linear functionals,
 run_strategy's plan) is handed each block as it is run, by a fold.  Each
 estimator is one pass: each batch is simulated once, and each signal table
@@ -53,39 +55,33 @@ column j of every batch, and run_strategy is the batch runner on one path
 differs between market models (start level, increment map, cap map, signal
 table) lives on the model classes in liqzone.signals.
 
-Batch levels are laid out time-major, shape (n_steps + 1, n_paths): a block
-of steps is then a contiguous slab of rows, which is what makes 10^5 paths
-at 4096 steps affordable; a batch holds no other full-size array.  A batch
-is drawn a cache-sized block of paths at a time, summed along each path and
-copied into the batch (_fill_sums), so no full-size array of normals is
-held; one Philox generator, re-keyed per path, draws the batch
+A batch holds its normals, time-major, shape (n_steps + 1, n_paths): a
+block of steps is then a contiguous slab of rows, which is what makes 10^5
+paths at 4096 steps affordable; a batch holds no other full-size array.
+The normals are drawn a cache-sized block of paths at a time and copied
+into the batch transposed, by one Philox generator re-keyed per path
 (_simulate_batch).
 
-On Linux, a call whose policies are all library feedback policies splits
-its paths into one contiguous range per usable CPU, each of at least
-_FORK_MIN_PATH_STEPS path-steps (_workers).  The calling process runs the
-first range and an os.fork() child each other one (_in_workers); the plan
-is formed before the fork, and each process writes its rows of the
-per-path outputs into arrays on shared memory (_shared).  Every path has
-its own stream and the results do not depend on the batch size, so no
-output depends on the worker count.  A plain callable policy is always run
-in the calling process, so its side effects are kept.
+A call whose policies are all library feedback policies splits its paths
+into contiguous ranges over forked worker processes (liqzone._workers),
+each of at least _FORK_MIN_PATH_STEPS path-steps; the plan is formed before
+the fork, and each process writes its rows of the per-path outputs into
+shared arrays.  Every path has its own stream and the results do not
+depend on the batch size, so no output depends on the worker count.  A
+plain callable policy is always run in the calling process, so its side
+effects are kept.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
-import os
-import pickle
-import signal
-import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _workers
 from .schedule import (
     CostParams,
     GKernel,
@@ -204,39 +200,52 @@ def path_stream(master_seed: int, path_index: int) -> np.random.Generator:
 
 
 def _simulate(model, horizon, n_steps, count, draw):
-    """(grid, m): uncapped levels, time-major (n_steps + 1, count).
+    """(grid, paths): paths(lo, end, M, P) -> (M, P), the uncapped levels and
+    capped prices at steps lo .. end - 1, time-major, formed in M and P
+    (end - lo rows each; an uncapped model's prices are M itself).
 
     draw(block, offset) fills each row k of a (rows, n_steps) block with the
-    standard normals of path offset + k.  It is not called when sigma is 0,
-    where every path is the model's expected level path.
+    standard normals of path offset + k, held time-major; paths sums them a
+    step at a time, carrying each path's unscaled sum and running max from
+    call to call, so its rows must be asked for in step order, each once.
+    draw is not called when sigma is 0: every path is the expected levels.
     """
     grid = np.linspace(0.0, horizon, n_steps + 1)
     if model.sigma == 0.0:
-        return grid, np.broadcast_to(model._expected_levels(grid)[:, None],
-                                     (n_steps + 1, count)).copy()
-    m = np.empty((n_steps + 1, count))
-    m[0] = 0.0
-    _fill_sums(m, draw)
-    m *= model.sigma * math.sqrt(horizon / n_steps)
-    model._to_levels(m, grid)
-    return grid, m
+        expected = model._expected_levels(grid)[:, None]
 
+        def levels(lo, end, M):
+            M[:] = expected[lo:end]
+    else:
+        # the normals, time-major, a block of _PATH_BLOCK paths at a time:
+        # each is drawn into a cache-sized scratch array and copied in
+        # transposed.  Row 0 is zero: step 0's level is the start level
+        z = np.empty((n_steps + 1, count))
+        z[0] = 0.0
+        block = np.empty((min(_PATH_BLOCK, count), n_steps))
+        for start in range(0, count, _PATH_BLOCK):
+            rows = block[:min(_PATH_BLOCK, count - start)]
+            draw(rows, start)
+            z[1:, start:start + rows.shape[0]] = rows.T
+        total = np.zeros(count)
+        scale = model.sigma * math.sqrt(horizon / n_steps)
 
-def _fill_sums(m, draw):
-    """Fill m[1:] with each path's running sums of its normals, a block of paths at a time.
+        def levels(lo, end, M):
+            # one add per row, in step order: bit for bit each path's running sum
+            prev = total
+            for r in range(end - lo):
+                prev = np.add(prev, z[lo + r], out=M[r])
+            total[:] = prev
+            M *= scale
+            model._to_levels(M, grid[lo:end])
 
-    Each block of _PATH_BLOCK paths is drawn into a cache-sized scratch
-    array, summed along each path (a sequential accumulate, so bit for bit
-    the step-by-step running sum) and copied transposed into m.  The scratch
-    array is freed on return.
-    """
-    n_steps, count = m.shape[0] - 1, m.shape[1]
-    block = np.empty((min(_PATH_BLOCK, count), n_steps))
-    for start in range(0, count, _PATH_BLOCK):
-        rows = block[:min(_PATH_BLOCK, count - start)]
-        draw(rows, start)
-        np.cumsum(rows, axis=1, out=rows)
-        m[1:, start:start + rows.shape[0]] = rows.T
+    run = np.full(count, -np.inf)
+
+    def paths(lo, end, M, P):
+        levels(lo, end, M)
+        return M, model._cap_rows(M, run, P)
+
+    return grid, paths
 
 
 def simulate_path(model, horizon: float, n_steps: int, rng: np.random.Generator) -> PathSample:
@@ -249,13 +258,15 @@ def simulate_path(model, horizon: float, n_steps: int, rng: np.random.Generator)
     """
     n_steps = _check_count("n_steps", n_steps, 1)
     horizon = _positive("horizon", horizon)
-    grid, m = _simulate(model, horizon, n_steps, 1,
-                        lambda block, offset: rng.standard_normal(out=block[0]))
-    return PathSample(grid=grid, m=m.ravel(), p=model._cap(m).ravel())
+    grid, paths = _simulate(model, horizon, n_steps, 1,
+                            lambda block, offset: rng.standard_normal(out=block[0]))
+    m, p = paths(0, n_steps + 1, np.empty((n_steps + 1, 1)), np.empty((n_steps + 1, 1)))
+    return PathSample(grid=grid, m=m.ravel(), p=p.ravel())
 
 
 def _simulate_batch(model, horizon, n_steps, master_seed, first_index, count):
-    """(grid, m) for paths first_index .. first_index + count - 1 of master_seed.
+    """(grid, paths) of _simulate for paths first_index .. first_index + count - 1
+    of master_seed.
 
     One Philox generator serves the batch: Philox is counter based, so
     loading path j's key (word 0 of path_stream's key is the path index)
@@ -274,15 +285,6 @@ def _simulate_batch(model, horizon, n_steps, master_seed, first_index, count):
             rng.standard_normal(out=row)
 
     return _simulate(model, horizon, n_steps, count, draw)
-
-
-def _capped(model, m):
-    """prices(lo, end, out) for _run_batch: rows lo .. end - 1 of model._cap(m),
-    bit for bit, capped in out (or m's own rows for an uncapped model).  The
-    running max is carried from call to call, so the rows must be asked for
-    in step order, each once."""
-    run = np.array(m[0])
-    return lambda lo, end, out: model._cap_rows(m[lo:end], run, out)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +352,10 @@ def run_strategy(path: PathSample, policy: Callable, costs: CostParams):
         positions[lo:lo + X.shape[0]] = X[:, 0]
         rates[lo:lo + U.shape[0]] = U[:, 0]
 
-    # the path's prices are given, not recomputed from its levels
-    p = path.p[:, None]
-    bk, = _run_batch(_plan(grid, [policy]), path.m[:, None],
-                     lambda lo, end, out: p[lo:end], costs, fold).goals
+    # the path's levels and prices are given, not recomputed from normals
+    m, p = path.m[:, None], path.p[:, None]
+    bk, = _run_batch(_plan(grid, [policy]), 1, lambda lo, end, M, P: (m[lo:end], p[lo:end]),
+                     costs, fold).goals
     parts = (bk.cash, bk.terminal_asset, bk.running_penalty, bk.terminal_penalty)
     return (TradePlan(grid=grid, positions=positions, rates=rates),
             GoalBreakdown(*(float(part[0]) for part in parts)))
@@ -392,35 +394,36 @@ def _plan(grid, policies, square=None) -> _Plan:
     return _Plan(grid, list(policies), square, tables, urgencies, signals)
 
 
-def _run_batch(plan, m, prices, costs, fold=None) -> _BatchRun:
-    """Run the plan's policies down one time-major batch of levels m,
-    _STEP_BLOCK steps at a time.
+def _run_batch(plan, count, paths, costs, fold=None) -> _BatchRun:
+    """Run the plan's policies down one batch of count paths, _STEP_BLOCK
+    steps at a time.
 
-    Each block first forms its prices: prices(lo, end, out) returns the
-    price rows lo to end - 1, in out (block + 1 rows) or as a view of rows
-    the caller holds.  It is called once per block, in step order, and the
-    last block's rows take in the terminal row n_steps, so a batch holds its
-    levels and one block of prices (_capped).  In each block, each table of
-    the plan is looked up once for the block's prices.  The values feed the
-    feedback policies' rates and, for square's table, the left Riemann sum
-    of v1^2 with the step dt, T / n_steps bit for bit.  Every policy then
-    runs one inventory update step by step: U_i is its rate at X_i, and
-    X_{i+1} = X_i - U_i dt.  A feedback policy's rate is a_i X_i with the
-    plan's urgencies a_i, plus its table's value when it has one; the
+    Each block first forms its levels and prices: paths(lo, end, M, P)
+    returns the time-major level and price rows lo to end - 1, in M and P
+    (block + 1 rows each) or as views of rows the caller holds.  It is
+    called once per block, in step order, and the last block's rows take in
+    the terminal row n_steps, so a batch holds its normals and one block of
+    levels and prices (_simulate).  In each block, each table of the plan
+    is looked up once for the block's prices and levels.  The values feed
+    the feedback policies' rates and, for square's table, the left Riemann
+    sum of v1^2 with the step dt, T / n_steps bit for bit.  Every policy
+    then runs one inventory update step by step: U_i is its rate at X_i,
+    and X_{i+1} = X_i - U_i dt.  A feedback policy's rate is a_i X_i with
+    the plan's urgencies a_i, plus its table's value when it has one; the
     signal-free policy (no table) keeps one inventory per step, shared by
     every path.  Any other callable's rate is what it returns when called
-    with t, a read-only X_i and a MarketState.  Cash, running penalty and
-    v1^2 are computed for the whole block and added into their per-path sums
-    one step at a time, in step order, so every sum is the step-by-step one
-    bit for bit.  Each policy holds one block of positions and rates: with
-    fold, fold(k, lo, P, X, U) is handed policy k's block of b steps from
-    step lo once it is run, P[r], X[r] and U[r] the price, position and rate
-    at step lo + r (one column for the signal-free policy), X[b] the
-    position after the block and, in the last block, P[b] the terminal
-    price.  The next block overwrites them.
+    with t, a read-only X_i and a MarketState of the block's rows.  Cash,
+    running penalty and v1^2 are computed for the whole block and added
+    into their per-path sums one step at a time, in step order, so every
+    sum is the step-by-step one bit for bit.  Each policy holds one block
+    of positions and rates: with fold, fold(k, lo, P, X, U) is handed
+    policy k's block of b steps from step lo once it is run, P[r], X[r] and
+    U[r] the price, position and rate at step lo + r (one column for the
+    signal-free policy), X[b] the position after the block and, in the last
+    block, P[b] the terminal price.  The next block overwrites them.
     """
     grid, policies = plan.grid, plan.policies
-    n_steps, count = m.shape[0] - 1, m.shape[1]
+    n_steps = grid.size - 1
     dt = float(grid[1] - grid[0])
     block = min(_STEP_BLOCK, n_steps)
     x = [float(costs.x0)] * len(policies)
@@ -433,14 +436,14 @@ def _run_batch(plan, m, prices, costs, fold=None) -> _BatchRun:
     xs = [np.empty((block + 1, width)) for width in widths]
     us = [np.empty((block, width)) for width in widths]
     work, step = np.empty((block, count)), np.empty(count)
-    price_rows = np.empty((block + 1, count))
+    level_rows, price_rows = np.empty((block + 1, count)), np.empty((block + 1, count))
     v1_squared = None if plan.square is None else np.zeros(count)
     for lo in range(0, n_steps, block):
         hi = min(lo + block, n_steps)
         b, rows = hi - lo, slice(lo, hi)
         end = hi + 1 if hi == n_steps else hi
-        P = prices(lo, end, price_rows[:end - lo])
-        extra = {key: table.block_values(step_rows, rows, P[:b], m[rows])
+        M, P = paths(lo, end, level_rows[:end - lo], price_rows[:end - lo])
+        extra = {key: table.block_values(step_rows, rows, P[:b], M[:b])
                  for key, (table, step_rows) in plan.tables.items()}
         if v1_squared is not None:
             sq = np.square(extra[id(plan.square)], out=work[:b])
@@ -456,7 +459,7 @@ def _run_batch(plan, m, prices, costs, fold=None) -> _BatchRun:
             for r in range(b):
                 if a is None:
                     U[r] = policy(float(grid[lo + r]), np.broadcast_to(X[r], (count,)),
-                                  MarketState(p=P[r], m=m[lo + r]))
+                                  MarketState(p=P[r], m=M[r]))
                 else:
                     np.multiply(X[r], a[lo + r], out=U[r])
                     if e is not None:
@@ -493,124 +496,38 @@ def _one_pass(model, costs, n_paths, n_steps, master_seed, policies=(), square=N
     totals holds each policy's per-path realized goals, v1_squared the
     per-path v1^2 sums of square's table (None without square).  The plan
     (each table's step rows, each policy's urgencies) is formed once for all
-    batches.  The paths are split into _workers contiguous ranges, run by
-    _in_workers: each range is walked _BATCH_DEFAULT paths at a time from
+    batches.  The paths are split into contiguous ranges over worker
+    processes (_workers.run), each with at least _FORK_MIN_PATH_STEPS
+    path-steps: each range is walked _BATCH_DEFAULT paths at a time from
     its start, and nothing of a batch is held while the next is simulated.
     Every path has its own stream and the results do not depend on the batch
     size, so they are bit for bit the one-process results.  Each range's
-    rows of the outputs are written in place into shared arrays (_shared).
-    With fold, fold(first, k, lo, P, X, U) is handed every block _run_batch
-    runs for the batch of paths from index first; it may run in a forked
-    worker, so it must write only into _shared arrays.
+    rows of the outputs are written in place into shared arrays
+    (_workers.shared).  With fold, fold(first, k, lo, P, X, U) is handed
+    every block _run_batch runs for the batch of paths from index first; it
+    may run in a forked worker, so it must write only into shared arrays.
     """
     n_paths, n_steps = _check_mc_args(n_paths, n_steps)
     plan = _plan(np.linspace(0.0, costs.horizon, n_steps + 1), policies, square)
-    totals = [_shared((n_paths,)) for _ in policies]
-    v1_squared = None if square is None else _shared((n_paths,))
+    totals = [_workers.shared((n_paths,)) for _ in policies]
+    v1_squared = None if square is None else _workers.shared((n_paths,))
 
     def work(lo, hi):
         for first in range(lo, hi, _BATCH_DEFAULT):
             count = min(_BATCH_DEFAULT, hi - first)
-            _, m = _simulate_batch(model, costs.horizon, n_steps, master_seed, first, count)
-            run = _run_batch(plan, m, _capped(model, m), costs,
+            _, paths = _simulate_batch(model, costs.horizon, n_steps, master_seed, first, count)
+            run = _run_batch(plan, count, paths, costs,
                              None if fold is None else partial(fold, first))
-            del m
+            del paths
             for out, goal in zip(totals, run.goals):
                 out[first:first + count] = goal.total
             if v1_squared is not None:
                 v1_squared[first:first + count] = run.v1_squared
 
-    _in_workers(work, n_paths, _workers(plan, n_paths, n_steps))
+    workers = (1 if any(a is None for a in plan.urgencies) else
+               _workers.count(n_paths, n_paths * n_steps, _FORK_MIN_PATH_STEPS))
+    _workers.run(work, n_paths, workers)
     return totals, v1_squared
-
-
-def _shared(shape) -> np.ndarray:
-    """A zeroed float array on an anonymous shared mmap: what a forked worker
-    writes into it, the caller reads."""
-    size = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, 8 * size), count=size).reshape(shape)
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0))
-
-
-def _workers(plan, n_paths, n_steps) -> int:
-    """Processes for a call: one per usable CPU, each with at least
-    _FORK_MIN_PATH_STEPS path-steps; one off Linux or with a plain callable
-    policy, whose side effects must stay in the calling process."""
-    if sys.platform != "linux" or any(a is None for a in plan.urgencies):
-        return 1
-    return max(1, min(_usable_cpus(), n_paths, n_paths * n_steps // _FORK_MIN_PATH_STEPS))
-
-
-def _in_workers(work, n_paths, workers) -> None:
-    """Run work(lo, hi) on `workers` contiguous ranges covering [0, n_paths).
-
-    The calling process runs range 0 and an os.fork() child each other
-    range.  A child reports an exception over a pipe and leaves with
-    os._exit; the caller raises the first one, in range order, with its type
-    and message (a RuntimeError carrying its text if it does not pickle).  If
-    the caller fails or is interrupted, it kills the children it has not
-    reaped, and it reaps every child before it returns or raises.
-    """
-    bounds = [n_paths * w // workers for w in range(workers + 1)]
-    children = []  # (pid, read end of the child's report pipe), in range order
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _worker_child(work, lo, hi, write)
-            children.append((pid, read))
-            os.close(write)
-        work(bounds[0], bounds[1])
-        while children:
-            pid, read = children[0]
-            with open(read, "rb", closefd=False) as pipe:
-                report = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            os.close(read)
-            if report:
-                raise _reported_error(report)
-            if status != 0:
-                raise RuntimeError(f"a Monte Carlo worker ended with wait status {status}")
-    finally:
-        for pid, read in children:
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass
-            os.close(read)
-
-
-def _worker_child(work, lo, hi, write):
-    """A forked worker: run work(lo, hi), report an exception, never return."""
-    status = 0
-    try:
-        work(lo, hi)
-    except BaseException as exc:  # raised again in the caller
-        status = 1
-        text = f"{type(exc).__name__}: {exc}"
-        try:
-            payload = pickle.dumps(exc)
-        except Exception:
-            payload = None
-        with open(write, "wb", closefd=False) as pipe:
-            pipe.write(pickle.dumps((text, payload)))
-    finally:
-        os._exit(status)
-
-
-def _reported_error(report: bytes) -> BaseException:
-    """The exception a worker reported, or a RuntimeError with its text."""
-    text, payload = pickle.loads(report)
-    try:
-        return pickle.loads(payload)
-    except Exception:
-        return RuntimeError(f"a Monte Carlo worker raised {text}")
 
 
 def _estimate(totals: np.ndarray, seed: int) -> MCEstimate:
@@ -750,7 +667,7 @@ def probe_optimality(model, kernel, costs, n_paths, n_steps, master_seed,
     w_price = np.vstack((dt * alpha_steps.T, da[:, -1]))         # (n_steps + 1, D)
     w_rate = -2.0 * costs.lam * dt * alpha_steps.T               # (n_steps, D)
     w_pos = np.vstack((-2.0 * costs.gamma * dt * da[:, :-1].T, -2.0 * costs.big_gamma * da[:, -1]))
-    lin = _shared((n_paths, n_directions))
+    lin = _workers.shared((n_paths, n_directions))
 
     def fold(first, k, lo, P, X, U):
         hi, end = lo + U.shape[0], lo + P.shape[0]

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _workers
 from .schedule import (CostParams, GKernel, _check_grid, _check_kernel, _check_time, _finite,
                        _finite_array, _log_g, _log_g_array, _positive, _urgencies, optimal_rate)
 
@@ -97,6 +98,11 @@ _QUAD_ROUNDS = 40
 # at least one): a call holds 32 panel sums of each cell, so this bounds a
 # surface's memory; the default 50 x 50 surface is one call
 _SURFACE_CELLS = 4096
+# integrand nodes a Black-Scholes _table_rows worker gets at least: two workers
+# took 0.88-0.98 times one's time at 2^18-2^19 nodes each, 0.69 at 1.4 x 2^19
+# (2 vCPUs, a 100 MB process).  A surface call's at most _SURFACE_CELLS x 240
+# nodes stay in one process
+_FORK_MIN_NODES = 2**19
 # How far below 0 the scaled moneyness may fall before a price is above the cap:
 # engine paths exceed p_bar by rounding (~3e-15 in z), -1e-10 moves the rate ~1e-10
 _Z_SLACK = 1e-10
@@ -225,14 +231,15 @@ class _CappedModel(_Model):
         m += self.m0
 
     def _cap_rows(self, m, run, out):
-        # row by row: each row is one contiguous, cache-resident vector, and
-        # the push-down max(run - p_bar, 0) is formed in the price row
+        # the running max row by row into out, then the push-down
+        # max(run - p_bar, 0) and the price for all the rows at once
+        prev = run
         for i in range(m.shape[0]):
-            np.maximum(run, m[i], out=run)
-            push = np.subtract(run, self.p_bar, out=out[i])
-            np.maximum(push, 0.0, out=push)
-            np.subtract(m[i], push, out=push)
-        return out
+            prev = np.maximum(prev, m[i], out=out[i])
+        run[:] = prev
+        out -= self.p_bar
+        np.maximum(out, 0.0, out=out)
+        return np.subtract(m, out, out=out)
 
     def _check_state(self, state, horizon):
         tau = super()._check_state(state, horizon)
@@ -404,14 +411,22 @@ class CappedBlackScholes(_CappedModel):
 
     def _table_rows(self, lam, z, y, roots, w):
         # extra / (root m) with f = root y / 2 - z / y, for every root of a
-        # panel at once; one (2 x 15) @ (15 x z) GEMM per root and sum
-        sums = np.empty(w.shape[:3] + z.shape[1:])
-        half_roots = (0.5 * roots)[:, None, None]
-        for k, y_k in enumerate(y):
-            f = half_roots * y_k[:, None] - z[:, None, :] / y_k[:, None]
-            sums[k] = (2.0 * (w[k] @ _norm_pdf(f))
-                       + roots[:, None, None] * ((w[k] * y_k) @ _ndtr(f)))
-        sums /= 2.0 * lam
+        # panel at once; one (2 x 15) @ (15 x z) GEMM per root and sum.  No root's
+        # sums read another's: the roots split over workers (ndtr imported first)
+        from scipy.special import ndtr
+        workers = _workers.count(roots.size, y.size * roots.size * z.shape[1], _FORK_MIN_NODES)
+        sums = (np.empty if workers == 1 else _workers.shared)(w.shape[:3] + z.shape[1:])
+
+        def work(lo, hi):
+            half_roots = (0.5 * roots[lo:hi])[:, None, None]
+            z_rows = z if z.shape[0] == 1 else z[lo:hi]
+            for k, y_k in enumerate(y):
+                f = half_roots * y_k[:, None] - z_rows[:, None, :] / y_k[:, None]
+                sums[k, lo:hi] = (2.0 * (w[k, lo:hi] @ _norm_pdf(f))
+                                  + roots[lo:hi, None, None] * ((w[k, lo:hi] * y_k) @ ndtr(f)))
+            sums[:, lo:hi] /= 2.0 * lam
+
+        _workers.run(work, roots.size, workers)
         return sums.transpose(2, 0, 1, 3)
 
     def _surface_levels(self, bs_m, ks):
@@ -680,8 +695,8 @@ class _CappedSignalTable(_SignalTable):
     else QuadratureError past 513 nodes.  It is built on the first query and
     does not grow with the number of times queried.  A query is in two
     parts.  step_rows forms the table in z at each step time, scaled by its
-    root: the row of the root when the root is a node (t = 0; a dict
-    lookup), else the barycentric interpolant in root (one GEMV per step).
+    root: the row of the root when the root is a node (t = 0), else the
+    barycentric interpolant in root (one GEMV per step).
     The Monte Carlo engine forms these once per call and holds them itself.
     block_values then interpolates a block of steps at once, each step's
     prices in its own row, linearly in z on the uniform grid: the cell index
@@ -707,7 +722,6 @@ class _CappedSignalTable(_SignalTable):
         self.roots = None      # Chebyshev-Lobatto nodes in root, ascending
         self.weights = None    # their barycentric weights
         self.rows = None       # (roots.size, z_grid.size)
-        self._root_index = {}  # root node -> its row, for queries on a node
         self.quad_error = 0.0  # largest y-quadrature estimate over the rows built
 
     def _rows_at(self, roots: np.ndarray) -> np.ndarray:
@@ -731,7 +745,6 @@ class _CappedSignalTable(_SignalTable):
             roots, rows = _interleave(roots, new), _interleave(rows, new_rows)
             if np.max(np.abs(new_rows - guess)) <= _CHEB_RTOL * np.max(np.abs(rows)):
                 self.roots, self.weights, self.rows = roots, _lobatto_weights(n), rows
-                self._root_index = {float(root): k for k, root in enumerate(roots)}
                 return
         raise QuadratureError(f"signal table in root did not converge with {n + 1} "
                               f"Chebyshev nodes")
@@ -764,23 +777,26 @@ class _CappedSignalTable(_SignalTable):
         """(roots, rows) at step times in [0, horizon): row i is the table in z at
         times[i], scaled by its root.
 
-        A row is the root's node row when the root is a node, else one
-        barycentric GEMV, as a single query forms it.  The caller holds them
-        (len(times) x z_grid.size doubles) for block_values.
+        The times, roots, node hits and barycentric weights are checked and
+        formed for all steps at once; a row is the root's node row when the
+        root is a node, else one barycentric GEMV, as a single query forms
+        it.  The caller holds them (len(times) x z_grid.size) for block_values.
         """
         if self.rows is None:
             self._build()
         horizon = self.kernel.horizon
-        roots = np.empty(len(times))
-        rows = np.empty((len(times), self.z_grid.size))
-        for i, t in enumerate(times):
-            root = self.model.sigma * math.sqrt(horizon - _check_time("t", t, horizon, closed=False))
-            hit = self._root_index.get(root)
-            if hit is not None:
-                rows[i] = root * self.rows[hit]
-            else:
-                rows[i] = root * (_barycentric(self.roots, self.weights, root) @ self.rows)
-            roots[i] = root
+        times = np.asarray(times, dtype=float)
+        for t in times[~((times >= 0.0) & (times < horizon))][:1]:
+            _check_time("t", t, horizon, closed=False)  # raises, naming the first
+        roots = self.model.sigma * np.sqrt(horizon - times)
+        node = np.minimum(np.searchsorted(self.roots, roots), self.roots.size - 1)
+        hit = self.roots[node] == roots
+        rows = np.empty((times.size, self.z_grid.size))
+        rows[hit] = self.rows[node[hit]]
+        off = np.flatnonzero(~hit)
+        for i, weights in zip(off, _barycentric(self.roots, self.weights, roots[off])):
+            np.matmul(weights, self.rows, out=rows[i])
+        rows *= roots[:, None]
         return roots, rows
 
     def block_values(self, step_rows, steps: slice, p: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -49,9 +49,9 @@ from liqzone import (
     value_formula,
     TargetZoneState,
 )
-from liqzone import montecarlo
-from liqzone.montecarlo import (_PATH_BLOCK, _STEP_BLOCK, _capped, _plan, _probe_alphas,
-                                 _run_batch, _simulate_batch)
+from liqzone import _workers, montecarlo
+from liqzone.montecarlo import (_PATH_BLOCK, _STEP_BLOCK, _plan, _probe_alphas, _run_batch,
+                                 _simulate_batch)
 from liqzone.signals import _Z_SLACK, _barycentric
 from engine_reference import reference_run
 from quad_reference import quad_extra
@@ -62,6 +62,14 @@ pytestmark = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarni
 SMALL_COSTS = CostParams(lam=0.1, gamma=1e-5, big_gamma=1e-5, horizon=1.0, x0=1.0)
 UNIT_COSTS = CostParams(lam=0.1, gamma=1.0, big_gamma=1.0, horizon=1.0, x0=1.0)
 BACH = CappedBachelier(m0=1.0, sigma=0.5, p_bar=1.0)
+
+
+def _batch(model, horizon, n_steps, master_seed, first, count):
+    """(grid, m): a batch's levels, every row formed by one call of its paths."""
+    grid, paths = _simulate_batch(model, horizon, n_steps, master_seed, first, count)
+    rows = np.empty((n_steps + 1, count))
+    m, _ = paths(0, n_steps + 1, rows, np.empty_like(rows))
+    return grid, m
 
 
 def test_path_stream_reproducible_and_distinct():
@@ -107,7 +115,7 @@ def test_deterministic_models_ignore_randomness():
 
 
 def test_batch_concatenation_is_bit_exact():
-    (_, m), (_, m1), (_, m2) = (_simulate_batch(BACH, 1.0, 64, 99, first, count)
+    (_, m), (_, m1), (_, m2) = (_batch(BACH, 1.0, 64, 99, first, count)
                                 for first, count in ((0, 48), (0, 17), (17, 31)))
     p, p1, p2 = (BACH._cap(levels) for levels in (m, m1, m2))
     np.testing.assert_array_equal(m[:, :17], m1)
@@ -121,7 +129,7 @@ def test_batch_column_matches_single_path():
     # of the level arithmetic between the single-path and batch code shows
     for model in (BACH, CappedBachelier(m0=0.3, sigma=1.7, p_bar=2.0)):
         for n_steps in (7, 256):
-            _, m = _simulate_batch(model, 1.0, n_steps, 5, 0, 8)
+            _, m = _batch(model, 1.0, n_steps, 5, 0, 8)
             p = model._cap(m)
             for j in (0, 3, 7):
                 path = simulate_path(model, 1.0, n_steps, path_stream(5, j))
@@ -137,7 +145,7 @@ def test_batch_across_path_blocks_is_bit_exact(model):
     # starts the second batch inside the first one's second block
     seed, first, count, cut, n_steps = 99, 70, 150, 83, 64
     assert count > 2 * _PATH_BLOCK and cut > _PATH_BLOCK
-    (_, m), (_, m1), (_, m2) = (_simulate_batch(model, 1.0, n_steps, seed, lo, size)
+    (_, m), (_, m1), (_, m2) = (_batch(model, 1.0, n_steps, seed, lo, size)
                                 for lo, size in ((first, count), (first, cut),
                                                  (first + cut, count - cut)))
     p, p1, p2 = (model._cap(levels) for levels in (m, m1, m2))
@@ -150,8 +158,9 @@ def test_batch_across_path_blocks_is_bit_exact(model):
 
 
 def test_batch_simulation_holds_no_full_size_scratch():
-    # the levels m are the only full-size array: the normals pass through
-    # one block of paths, and the capped prices are formed by the step loop
+    # the time-major normals are the only full-size array: they pass through
+    # one block of paths, and the levels and capped prices are formed by the
+    # step loop
     n_steps, count = 1024, 2048
     tracemalloc.start()
     try:
@@ -165,11 +174,11 @@ def test_batch_simulation_holds_no_full_size_scratch():
 def test_concurrent_fills_equal_the_one_thread_fill():
     # three callers in user threads switching every 10 us: every batch
     # equals the one-thread fill
-    want = _simulate_batch(BACH, 1.0, 32, 7, 0, 4 * _PATH_BLOCK)
+    want = _batch(BACH, 1.0, 32, 7, 0, 4 * _PATH_BLOCK)
     got = [None] * 3
 
     def run(k):
-        got[k] = _simulate_batch(BACH, 1.0, 32, 7, 0, 4 * _PATH_BLOCK)
+        got[k] = _batch(BACH, 1.0, 32, 7, 0, 4 * _PATH_BLOCK)
 
     callers = [threading.Thread(target=run, args=(k,)) for k in range(3)]
     interval = sys.getswitchinterval()
@@ -188,16 +197,17 @@ def test_concurrent_fills_equal_the_one_thread_fill():
 
 
 def test_estimators_hold_one_batch_at_a_time(monkeypatch):
-    # a batch's levels and prices are freed before the next batch is
-    # simulated: holding two batches at once peaked at twice this bound.
-    # The probe adds only its per-path functionals, folding each block of
-    # positions and rates as it is run (holding the batch's X and U as well
-    # peaked at 7.7 MB here, above its bound of 5.2 MB)
+    # a batch's normals are freed before the next batch is simulated: a
+    # batch holds one full-size array, and a second one held at once exceeds
+    # this bound.  The rest is one block of levels, prices, positions and
+    # rates, the probe's weights and its per-block GEMM (0.4-1.2 MiB here):
+    # the probe folds each block as it is run (holding the batch's X and U as
+    # well peaked at 7.7 MB here, above its bound of 3.6 MB)
     count, n_steps, n_directions = 1024, 256, 20
     monkeypatch.setattr(montecarlo, "_BATCH_DEFAULT", count)
     # one process walks all three batches
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-    batch = 2 * (n_steps + 1) * count * 8
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+    batch = (n_steps + 1) * count * 8
     kernel = GKernel.from_costs(UNIT_COSTS)
     # the martingale's table is a curve: a capped model's step rows
     # (n_steps x its z grid) would outweigh the batch
@@ -217,16 +227,17 @@ def test_estimators_hold_one_batch_at_a_time(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < batch + functionals + 2**19
+        assert peak < batch + functionals + 2**20
 
 
 def test_batch_pass_holds_its_levels_and_one_block_of_prices(monkeypatch):
     # a one-process estimate_value of the capped model holds one full-size
-    # array, the batch's levels, besides the plan's step rows: its prices are
-    # formed a block of steps at a time (with the batch's capped prices held
-    # as well it peaked at 22.6 MiB here, above its bound of 15.1 MiB)
+    # array, the batch's normals, besides the plan's step rows: its levels
+    # and prices are formed a block of steps at a time (with the batch's
+    # capped prices held as well it peaked at 22.6 MiB here, above its bound
+    # of 15.1 MiB)
     count, n_steps = 2048, 512
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
     policy = optimal_policy(BACH, GKernel.from_costs(UNIT_COSTS), UNIT_COSTS)
     # a first call builds the policy's table and fills the interpreter's caches
     estimate_value(BACH, policy, UNIT_COSTS, 2 * _PATH_BLOCK, n_steps, 3)
@@ -386,17 +397,18 @@ def _with_workers(monkeypatch, workers, estimator, *args, **kwargs):
     """estimator's result with its paths split over `workers` processes."""
     monkeypatch.setattr(montecarlo, "_BATCH_DEFAULT", 64)
     monkeypatch.setattr(montecarlo, "_FORK_MIN_PATH_STEPS", 1)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
-    split = montecarlo._in_workers
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: workers)
+    split = _workers.run
     seen = []
 
-    def counted(work, n_paths, count):
-        seen.append(count)
-        split(work, n_paths, count)
+    def counted(work, items, count):
+        seen.append((items, count))
+        split(work, items, count)
 
-    monkeypatch.setattr(montecarlo, "_in_workers", counted)
+    monkeypatch.setattr(_workers, "run", counted)
     result = estimator(*args, **kwargs)
-    assert seen == [workers]
+    # a Black-Scholes table build splits its roots too
+    assert [count for items, count in seen if items == _FORK_ARGS["n_paths"]] == [workers]
     return result
 
 
@@ -447,7 +459,7 @@ class _Unpicklable(Exception):
 @pytest.mark.parametrize("error, raised, message", [
     (ValueError("path 200 failed"), ValueError, "^path 200 failed$"),
     (_Unpicklable("path 200 failed"), RuntimeError,
-     "^a Monte Carlo worker raised _Unpicklable: path 200 failed$"),
+     "^a worker process raised _Unpicklable: path 200 failed$"),
 ], ids=["picklable", "unpicklable"])
 def test_worker_error_is_raised_in_the_caller(error, raised, message, monkeypatch):
     # the last of three ranges starts at path 200
@@ -470,7 +482,7 @@ def test_worker_killed_without_a_report_is_an_error(monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
 
     _failing_batches(monkeypatch, fail)
-    with pytest.raises(RuntimeError, match="^a Monte Carlo worker ended with wait status 9$"):
+    with pytest.raises(RuntimeError, match="^a worker process ended with wait status 9$"):
         _with_workers(monkeypatch, 3, estimate_value, BACH,
                       ac_policy(GKernel.from_costs(UNIT_COSTS)), UNIT_COSTS, **_FORK_ARGS)
     _no_child_is_left()
@@ -504,7 +516,7 @@ def test_plain_callable_runs_every_path_in_the_caller(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_BATCH_DEFAULT", 64)
     monkeypatch.setattr(montecarlo, "_FORK_MIN_PATH_STEPS", 1)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
     est = estimate_value(BACH, signal_free, UNIT_COSTS, **_FORK_ARGS)
     n_steps = _FORK_ARGS["n_steps"]
     assert seen == {t: _FORK_ARGS["n_paths"] for t in np.linspace(0.0, 1.0, n_steps + 1)[:-1]}
@@ -514,7 +526,7 @@ def test_plain_callable_runs_every_path_in_the_caller(monkeypatch):
 
 _FORK_WITH_BLAS_THREADS = """
 import numpy as np
-from liqzone import CappedBachelier, CostParams, GKernel, montecarlo, probe_optimality
+from liqzone import CappedBachelier, CostParams, GKernel, _workers, montecarlo, probe_optimality
 
 a = np.ones((256, 256))
 a @ a  # starts the BLAS thread pool before the fork
@@ -524,7 +536,7 @@ kernel = GKernel.from_costs(costs)
 montecarlo._FORK_MIN_PATH_STEPS = 1
 probes = []
 for workers in (1, 2):
-    montecarlo._usable_cpus = lambda: workers
+    _workers._usable_cpus = lambda: workers
     probes.append(probe_optimality(model, kernel, costs, 4100, 64, 5, n_directions=20))
 assert probes[0].value == probes[1].value
 for name in ("mean_gain", "std_error"):
@@ -779,7 +791,7 @@ def test_block_lookup_equals_reference_formula(model):
     # 21 steps: two full blocks and a partial one; grid[0] is a root node
     table = optimal_policy(model, GKernel.from_costs(UNIT_COSTS), UNIT_COSTS).signal_table
     n_steps = 21
-    grid, m = _simulate_batch(model, 1.0, n_steps, 4, 0, 100)
+    grid, m = _batch(model, 1.0, n_steps, 4, 0, 100)
     p = model._cap(m)
     step_rows = table.step_rows(grid[:-1])
     for lo in range(0, n_steps, _STEP_BLOCK):
@@ -821,7 +833,10 @@ def test_blocked_engine_equals_step_by_step_reference(name, n_steps):
                 lambda t, x, state: np.array([0.4 * t + 0.2])]
     squares = (None, optimal.signal_table, model._signal_table(kernel, costs.lam))
     for count in (1, 63, 64, 65, 2049):
-        grid, m = _simulate_batch(model, costs.horizon, n_steps, 11, 0, count)
+        def normals():
+            return _simulate_batch(model, costs.horizon, n_steps, 11, 0, count)[1]
+
+        grid, m = _batch(model, costs.horizon, n_steps, 11, 0, count)
         p = model._cap(m)
         for square in squares:
             # the blocks each fold receives, assembled into the batch's X and U
@@ -835,10 +850,11 @@ def test_blocked_engine_equals_step_by_step_reference(name, n_steps):
                 us[lo:lo + U.shape[0]] = U
 
             plan = _plan(grid, policies, square)
-            got = _run_batch(plan, m, _capped(model, m), costs, fold)
+            # the step loop forms each block's levels and prices from the normals
+            got = _run_batch(plan, count, normals(), costs, fold)
             want = reference_run(grid, p, m, policies, costs, square)
             # the run without a fold is the same run
-            runs = ((got, _run_batch(plan, m, _capped(model, m), costs)) if square is None
+            runs = ((got, _run_batch(plan, count, normals(), costs)) if square is None
                     else (got,))
             for run in runs:
                 for g, w in zip(run.goals, want.goals, strict=True):
@@ -858,7 +874,7 @@ def test_fold_price_blocks_assemble_the_capped_prices(name):
     # takes in the terminal row
     model, costs, n_steps, count = ENGINE_MODELS[name], UNIT_COSTS, 1027, 65
     assert n_steps % _STEP_BLOCK
-    grid, m = _simulate_batch(model, costs.horizon, n_steps, 11, 0, count)
+    grid, m = _batch(model, costs.horizon, n_steps, 11, 0, count)
     policy = optimal_policy(model, GKernel.from_costs(costs), costs)
     got, starts = np.empty((n_steps + 1, count)), []
 
@@ -867,7 +883,8 @@ def test_fold_price_blocks_assemble_the_capped_prices(name):
         starts.append(lo)
         got[lo:lo + P.shape[0]] = P
 
-    _run_batch(_plan(grid, [policy]), m, _capped(model, m), costs, fold)
+    _run_batch(_plan(grid, [policy]), count,
+               _simulate_batch(model, costs.horizon, n_steps, 11, 0, count)[1], costs, fold)
     assert starts == list(range(0, n_steps, _STEP_BLOCK))
     assert np.array_equal(got, model._cap(m))
 
@@ -947,7 +964,7 @@ def test_probe_expansion_matches_direct_replay():
     policy = optimal_policy(model, kernel, costs)
     alphas = _probe_alphas(n_dirs)
     knot = np.minimum(np.arange(n_steps) * n_knots // n_steps, n_knots - 1)
-    grid, mb = _simulate_batch(model, costs.horizon, n_steps, seed, 0, n_paths)
+    grid, mb = _batch(model, costs.horizon, n_steps, seed, 0, n_paths)
     pb = model._cap(mb)
     gains = np.zeros((n_dirs, len(epsilons), n_paths))
     for j in range(n_paths):

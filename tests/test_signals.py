@@ -393,14 +393,12 @@ def test_quadrature_error_names_the_cell_the_per_tau_loop_names(cls, costs, monk
 
 
 _TIME_CHECKED = {
-    "CappedBachelier": CappedBachelier(m0=1.0, sigma=SIGMA, p_bar=1.0),
-    "CappedBlackScholes": CappedBlackScholes(m0=1.0, sigma=SIGMA, p_bar=1.0),
-    "Martingale": Martingale(p0=1.0, sigma=SIGMA),
     "DeterministicDrift": DeterministicDrift(times=np.array([0.0, 1.0]),
                                              values=np.array([-0.1, -0.1]), p0=1.0),
 }
 
 
+# the other three models' cases are rows of tests/test_contract.py
 @pytest.mark.parametrize("name, t", [
     (name, t) for name in _TIME_CHECKED for t in (math.nan, -2.0, 1.5)
 ])
