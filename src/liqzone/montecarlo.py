@@ -27,40 +27,33 @@ is called at every step with a read-only x and a MarketState, as arrays
 with one entry per path.  For the capped models the table is one per
 policy, built on its first query (_CappedSignalTable states its error).
 
-One engine serves every entry point: _simulate draws a batch's normals and
-turns them into uncapped levels and capped prices a block of steps at a
-time, _plan fixes what a call shares across its batches (each signal
-table's rows at the step times, each feedback policy's urgencies),
-_run_batch runs every policy of a call down a batch, _STEP_BLOCK steps at
-a time, holding one block of levels and capped prices and one block of
-positions and rates per policy, and _one_pass walks the paths
-_BATCH_DEFAULT at a time, keeping each policy's per-path totals and the
-per-path v1^2 sums and freeing each batch before the next is simulated.  A
-block's levels are summed from the normals, and its prices capped from its
-levels by the model's _cap_rows, just before it is run, each path's sum
-and running max carried from block to block; simulate_path forms its whole
-path with the same hook, and run_strategy hands the step loop its path's
-given levels and prices.  What else reads
-the prices, positions and rates (the probe's linear functionals,
-run_strategy's plan) is handed each block as it is run, by a fold.  Each
-estimator is one pass: each batch is simulated once, and each signal table
-is looked up once per block of steps, its values feeding both the optimal
-policy's rate and the v1^2 sum.  So estimate_v0_and_value costs one
-simulation and one lookup per block, and equals estimate_v0 plus
-estimate_value of the optimal policy bit for bit.  The blocked loop adds
-every sum in step order, so each output is bit for bit the step-by-step
-loop's.  simulate_path(model, T, n, path_stream(seed, j)) is bit for bit
-column j of every batch, and run_strategy is the batch runner on one path
-(it needs a uniform grid, and calls no policy at its last point).  What
-differs between market models (start level, increment map, cap map, signal
-table) lives on the model classes in liqzone.signals.
+One engine serves every entry point.  _simulate draws a batch's normals;
+_plan fixes what a call shares across its batches (each signal table's rows
+at the step times, each feedback policy's urgencies, and the signal-free
+policy's positions, rates and running penalty, which no path changes);
+_run_batch runs every policy of a call down a batch, _STEP_BLOCK steps at a
+time, summing each block's levels from the normals and capping them (the
+model's _cap_rows) just before it runs the block, so it holds one block of
+levels, prices, and positions and rates per policy; _one_pass walks the
+paths _BATCH_DEFAULT at a time, freeing each batch before the next is
+simulated.  What else reads the prices, positions and rates (the probe's
+linear functionals, run_strategy's plan) is handed each block by a fold.
+Each estimator is one pass, and each table is looked up once per block for
+both the optimal policy's rate and the v1^2 sum, so estimate_v0_and_value
+equals estimate_v0 plus estimate_value bit for bit.  Every sum is added in
+step order, so each output is bit for bit the step-by-step loop's.
+simulate_path(model, T, n, path_stream(seed, j)) is bit for bit column j
+of every batch, and run_strategy is the batch runner on one path's given
+levels and prices (it needs a uniform grid, and calls no policy at its
+last point).  What differs between market models (start level, increment
+map, cap map, signal table) lives on the model classes in liqzone.signals.
 
 A batch holds its normals, time-major, shape (n_steps + 1, n_paths): a
 block of steps is then a contiguous slab of rows, which is what makes 10^5
 paths at 4096 steps affordable; a batch holds no other full-size array.
-The normals are drawn a cache-sized block of paths at a time and copied
-into the batch transposed, by one Philox generator re-keyed per path
-(_simulate_batch).
+The normals are drawn a cache-sized block of paths at a time (about 2^17
+doubles, _path_block) and copied into the batch transposed, by one Philox
+generator re-keyed per path from a state of plain ints (_simulate_batch).
 
 A call whose policies are all library feedback policies splits its paths
 into contiguous ranges over forked worker processes (liqzone._workers),
@@ -115,14 +108,17 @@ __all__ = [
 ]
 
 _BATCH_DEFAULT = 2048
-# paths drawn and summed at a time: 64 x 1024 steps is 0.5 MB, cache resident
-_PATH_BLOCK = 64
 # steps run at a time: each table is looked up once per block
 _STEP_BLOCK = 8
 # path-steps a forked worker gets at least.  Two workers against one (2 vCPUs,
 # capped Bachelier, two policies, 1024 steps) took 1.14 times as long at 2^17
 # path-steps each, where the call's fixed costs dominate, and 0.91 at 2^18
 _FORK_MIN_PATH_STEPS = 2**18
+
+
+def _path_block(n_steps: int) -> int:
+    """Paths drawn and transposed at a time: about 2^17 doubles (1 MB), at least 64."""
+    return max(64, 2**17 // n_steps)
 
 
 class MarketState(NamedTuple):
@@ -204,10 +200,10 @@ def _simulate(model, horizon, n_steps, count, draw):
     capped prices at steps lo .. end - 1, time-major, formed in M and P
     (end - lo rows each; an uncapped model's prices are M itself).
 
-    draw(block, offset) fills each row k of a (rows, n_steps) block with the
-    standard normals of path offset + k, held time-major; paths sums them a
-    step at a time, carrying each path's unscaled sum and running max from
-    call to call, so its rows must be asked for in step order, each once.
+    draw(block, offset) fills row k of a (rows <= _path_block(n_steps), n_steps)
+    block with the standard normals of path offset + k, held time-major; paths
+    sums them a step at a time, carrying each path's unscaled sum and running
+    max from call to call, so its rows must be asked for in step order, each once.
     draw is not called when sigma is 0: every path is the expected levels.
     """
     grid = np.linspace(0.0, horizon, n_steps + 1)
@@ -217,14 +213,14 @@ def _simulate(model, horizon, n_steps, count, draw):
         def levels(lo, end, M):
             M[:] = expected[lo:end]
     else:
-        # the normals, time-major, a block of _PATH_BLOCK paths at a time:
+        # the normals, time-major, a block of _path_block paths at a time:
         # each is drawn into a cache-sized scratch array and copied in
         # transposed.  Row 0 is zero: step 0's level is the start level
         z = np.empty((n_steps + 1, count))
         z[0] = 0.0
-        block = np.empty((min(_PATH_BLOCK, count), n_steps))
-        for start in range(0, count, _PATH_BLOCK):
-            rows = block[:min(_PATH_BLOCK, count - start)]
+        block = np.empty((min(_path_block(n_steps), count), n_steps))
+        for start in range(0, count, block.shape[0]):
+            rows = block[:count - start]
             draw(rows, start)
             z[1:, start:start + rows.shape[0]] = rows.T
         total = np.zeros(count)
@@ -268,15 +264,16 @@ def _simulate_batch(model, horizon, n_steps, master_seed, first_index, count):
     """(grid, paths) of _simulate for paths first_index .. first_index + count - 1
     of master_seed.
 
-    One Philox generator serves the batch: Philox is counter based, so
-    loading path j's key (word 0 of path_stream's key is the path index)
-    with a zero counter and an empty buffer gives exactly path_stream(seed,
-    j), without building a generator per path.
+    One Philox generator serves the batch: Philox is counter based, so loading
+    path j's key (word 0 of path_stream's key is the path index) with a zero
+    counter and an empty buffer gives exactly path_stream(seed, j).  Its state
+    is plain ints, which the setter reads 2.5 times as fast as uint64 arrays.
     """
     rng = path_stream(master_seed, first_index)
     bits = rng.bit_generator
-    fresh = bits.state
-    key = fresh["state"]["key"]
+    key = [first_index, master_seed]
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def draw(block, offset):
         for k, row in enumerate(block):
@@ -354,8 +351,8 @@ def run_strategy(path: PathSample, policy: Callable, costs: CostParams):
 
     # the path's levels and prices are given, not recomputed from normals
     m, p = path.m[:, None], path.p[:, None]
-    bk, = _run_batch(_plan(grid, [policy]), 1, lambda lo, end, M, P: (m[lo:end], p[lo:end]),
-                     costs, fold).goals
+    bk, = _run_batch(_plan(grid, [policy], costs), 1,
+                     lambda lo, end, M, P: (m[lo:end], p[lo:end]), fold).goals
     parts = (bk.cash, bk.terminal_asset, bk.running_penalty, bk.terminal_penalty)
     return (TradePlan(grid=grid, positions=positions, rates=rates),
             GoalBreakdown(*(float(part[0]) for part in parts)))
@@ -372,16 +369,18 @@ class _Plan(NamedTuple):
     """What a call fixes once for all its batches."""
 
     grid: np.ndarray
+    costs: CostParams
     policies: list
     square: object      # the table whose v1^2 is summed, or None
     tables: dict        # id(table) -> (table, its step rows)
     urgencies: list     # per policy: urgency at each step, None for a plain callable
     signals: list       # per policy: its signal table, None if it has none
+    signal_free: list   # per policy: _signal_free's schedule, None unless signal-free
 
 
-def _plan(grid, policies, square=None) -> _Plan:
-    """Each policy's urgencies and signal table, and the step rows of each
-    table in play (square's and the policies'), at the step times grid[:-1]."""
+def _plan(grid, policies, costs, square=None) -> _Plan:
+    """Each policy's urgencies, signal table and signal-free schedule, and the
+    step rows of each table in play (square's and the policies') at grid[:-1]."""
     times = grid[:-1]
     feedback = [policy if isinstance(policy, _FeedbackPolicy) else None for policy in policies]
     signals = [None if policy is None else policy.signal_table for policy in feedback]
@@ -391,10 +390,27 @@ def _plan(grid, policies, square=None) -> _Plan:
             tables[id(table)] = (table, table.step_rows(times))
     urgencies = [None if policy is None else _urgencies(policy.kernel, times)
                  for policy in feedback]
-    return _Plan(grid, list(policies), square, tables, urgencies, signals)
+    signal_free = [None if a is None or table is not None else _signal_free(grid, a, costs)
+                   for a, table in zip(urgencies, signals)]
+    return _Plan(grid, costs, list(policies), square, tables, urgencies, signals, signal_free)
 
 
-def _run_batch(plan, count, paths, costs, fold=None) -> _BatchRun:
+def _signal_free(grid, urgencies, costs):
+    """The signal-free policy's positions (n_steps + 1, 1), rates (n_steps, 1),
+    read-only, and running penalty: the step loop's float64 steps, in order."""
+    dt, x, pen, rates = float(grid[1] - grid[0]), np.float64(costs.x0), 0.0, []
+    positions = [x]
+    for a in urgencies:
+        pen += costs.gamma * (x * x) * dt
+        rates.append(x * a)
+        x -= rates[-1] * dt
+        positions.append(x)
+    X, U = np.array(positions)[:, None], np.array(rates)[:, None]
+    X.flags.writeable = U.flags.writeable = False
+    return X, U, pen
+
+
+def _run_batch(plan, count, paths, fold=None) -> _BatchRun:
     """Run the plan's policies down one batch of count paths, _STEP_BLOCK
     steps at a time.
 
@@ -409,32 +425,29 @@ def _run_batch(plan, count, paths, costs, fold=None) -> _BatchRun:
     sum of v1^2 with the step dt, T / n_steps bit for bit.  Every policy
     then runs one inventory update step by step: U_i is its rate at X_i,
     and X_{i+1} = X_i - U_i dt.  A feedback policy's rate is a_i X_i with
-    the plan's urgencies a_i, plus its table's value when it has one; the
-    signal-free policy (no table) keeps one inventory per step, shared by
-    every path.  Any other callable's rate is what it returns when called
+    the plan's urgencies a_i, plus its table's value; the signal-free
+    policy's positions, rates and running penalty are the plan's, formed
+    once per call.  Any other callable's rate is what it returns when called
     with t, a read-only X_i and a MarketState of the block's rows.  Cash,
-    running penalty and v1^2 are computed for the whole block and added
-    into their per-path sums one step at a time, in step order, so every
-    sum is the step-by-step one bit for bit.  Each policy holds one block
-    of positions and rates: with fold, fold(k, lo, P, X, U) is handed
-    policy k's block of b steps from step lo once it is run, P[r], X[r] and
-    U[r] the price, position and rate at step lo + r (one column for the
-    signal-free policy), X[b] the position after the block and, in the last
-    block, P[b] the terminal price.  The next block overwrites them.
+    running penalty and v1^2 are computed for the whole block and added into
+    their per-path sums one step at a time, in step order, so every sum is
+    the step-by-step one bit for bit.  Each policy holds one block of
+    positions and rates: with fold, fold(k, lo, P, X, U) is handed policy
+    k's block of b steps from step lo once it is run, P[r], X[r] and U[r]
+    the price, position and rate at step lo + r (one read-only column for
+    the signal-free policy), X[b] the position after the block and, in the
+    last block, P[b] the terminal price.  The next block overwrites them.
     """
-    grid, policies = plan.grid, plan.policies
+    grid, costs, policies = plan.grid, plan.costs, plan.policies
     n_steps = grid.size - 1
     dt = float(grid[1] - grid[0])
     block = min(_STEP_BLOCK, n_steps)
     x = [float(costs.x0)] * len(policies)
     cash = [0.0] * len(policies)
-    run_pen = [0.0] * len(policies)
-    # a block's positions (one more row: the next block's start) and rates;
-    # the signal-free policy's are one number per step
-    widths = [1 if a is not None and table is None else count
-              for a, table in zip(plan.urgencies, plan.signals)]
-    xs = [np.empty((block + 1, width)) for width in widths]
-    us = [np.empty((block, width)) for width in widths]
+    run_pen = [0.0 if free is None else free[2] for free in plan.signal_free]
+    # a block's positions (one more row: the next block's start) and rates
+    xs = [None if free else np.empty((block + 1, count)) for free in plan.signal_free]
+    us = [None if free else np.empty((block, count)) for free in plan.signal_free]
     work, step = np.empty((block, count)), np.empty(count)
     level_rows, price_rows = np.empty((block + 1, count)), np.empty((block + 1, count))
     v1_squared = None if plan.square is None else np.zeros(count)
@@ -451,21 +464,21 @@ def _run_batch(plan, count, paths, costs, fold=None) -> _BatchRun:
             for r in range(b):
                 v1_squared += sq[r]
         for k, policy in enumerate(policies):
-            X, U = xs[k][:b + 1], us[k][:b]
-            a, table = plan.urgencies[k], plan.signals[k]
-            e = None if table is None else extra[id(table)]
-            dx = step[:X.shape[1]]
-            X[0] = x[k]
-            for r in range(b):
-                if a is None:
-                    U[r] = policy(float(grid[lo + r]), np.broadcast_to(X[r], (count,)),
-                                  MarketState(p=P[r], m=M[r]))
-                else:
-                    np.multiply(X[r], a[lo + r], out=U[r])
-                    if e is not None:
-                        U[r] += e[r]
-                np.multiply(U[r], dt, out=dx)
-                np.subtract(X[r], dx, out=X[r + 1])
+            a, table, free = plan.urgencies[k], plan.signals[k], plan.signal_free[k]
+            if free is not None:
+                X, U = free[0][lo:hi + 1], free[1][rows]
+            else:
+                X, U = xs[k][:b + 1], us[k][:b]
+                X[0] = x[k]
+                for r in range(b):
+                    if a is None:
+                        U[r] = policy(float(grid[lo + r]), np.broadcast_to(X[r], (count,)),
+                                      MarketState(p=P[r], m=M[r]))
+                    else:
+                        np.multiply(X[r], a[lo + r], out=U[r])
+                        U[r] += extra[id(table)][r]
+                    np.multiply(U[r], dt, out=step)
+                    np.subtract(X[r], step, out=X[r + 1])
             x[k] = X[b]
             # cash (p - lam u) u dt and running penalty gamma x^2 dt
             np.multiply(U, costs.lam, out=work[:b])
@@ -474,9 +487,11 @@ def _run_batch(plan, count, paths, costs, fold=None) -> _BatchRun:
             gain *= dt
             for r in range(b):
                 cash[k] += gain[r]
-            pen = costs.gamma * np.square(X[:b]) * dt
-            for r in range(b):
-                run_pen[k] += pen[r]
+            if free is None:
+                pen = np.multiply(np.square(X[:b], out=work[:b]), costs.gamma, out=work[:b])
+                pen *= dt
+                for r in range(b):
+                    run_pen[k] += pen[r]
             if fold is not None:
                 fold(k, lo, P, X, U)
     goals = [GoalBreakdown(*(np.broadcast_to(part, (count,)) for part in
@@ -495,7 +510,7 @@ def _one_pass(model, costs, n_paths, n_steps, master_seed, policies=(), square=N
 
     totals holds each policy's per-path realized goals, v1_squared the
     per-path v1^2 sums of square's table (None without square).  The plan
-    (each table's step rows, each policy's urgencies) is formed once for all
+    (step rows, urgencies, the signal-free schedule) is formed once for all
     batches.  The paths are split into contiguous ranges over worker
     processes (_workers.run), each with at least _FORK_MIN_PATH_STEPS
     path-steps: each range is walked _BATCH_DEFAULT paths at a time from
@@ -508,7 +523,7 @@ def _one_pass(model, costs, n_paths, n_steps, master_seed, policies=(), square=N
     may run in a forked worker, so it must write only into shared arrays.
     """
     n_paths, n_steps = _check_mc_args(n_paths, n_steps)
-    plan = _plan(np.linspace(0.0, costs.horizon, n_steps + 1), policies, square)
+    plan = _plan(np.linspace(0.0, costs.horizon, n_steps + 1), policies, costs, square)
     totals = [_workers.shared((n_paths,)) for _ in policies]
     v1_squared = None if square is None else _workers.shared((n_paths,))
 
@@ -516,8 +531,7 @@ def _one_pass(model, costs, n_paths, n_steps, master_seed, policies=(), square=N
         for first in range(lo, hi, _BATCH_DEFAULT):
             count = min(_BATCH_DEFAULT, hi - first)
             _, paths = _simulate_batch(model, costs.horizon, n_steps, master_seed, first, count)
-            run = _run_batch(plan, count, paths, costs,
-                             None if fold is None else partial(fold, first))
+            run = _run_batch(plan, count, paths, None if fold is None else partial(fold, first))
             del paths
             for out, goal in zip(totals, run.goals):
                 out[first:first + count] = goal.total

@@ -759,10 +759,10 @@ class _CappedSignalTable(_SignalTable):
         last = self.z_grid.size - 1
         pos = z * self._inv_step
         # clamp before the cast: a far-field z must not overflow the index
-        frac = np.minimum(pos, last - 1)
-        idx = frac.astype(np.intp)
-        np.subtract(pos, idx, out=frac)
-        idx += _per_step(np.arange(0, rows.size, rows.shape[1]), z.ndim)
+        cell = np.trunc(np.minimum(pos, last - 1))
+        frac = pos - cell
+        cell += _per_step(np.arange(0.0, rows.size, rows.shape[1]), z.ndim)
+        idx = cell.astype(np.intp)
         flat = rows.ravel()
         out = flat.take(idx)
         right = flat[1:].take(idx)
@@ -770,7 +770,8 @@ class _CappedSignalTable(_SignalTable):
         np.subtract(1.0, frac, out=frac)
         out *= frac
         out += right
-        np.putmask(out, pos > last, 0.0)
+        if pos.max(initial=last) > last:
+            np.putmask(out, pos > last, 0.0)
         return out
 
     def step_rows(self, times) -> tuple[np.ndarray, np.ndarray]:

@@ -50,7 +50,7 @@ from liqzone import (
     TargetZoneState,
 )
 from liqzone import _workers, montecarlo
-from liqzone.montecarlo import (_PATH_BLOCK, _STEP_BLOCK, _plan, _probe_alphas, _run_batch,
+from liqzone.montecarlo import (_STEP_BLOCK, _path_block, _plan, _probe_alphas, _run_batch,
                                  _simulate_batch)
 from liqzone.signals import _Z_SLACK, _barycentric
 from engine_reference import reference_run
@@ -126,13 +126,15 @@ def test_batch_concatenation_is_bit_exact():
 
 def test_batch_column_matches_single_path():
     # neither sigma = 1.7 nor sqrt(1 / 7) is a power of two, so any reordering
-    # of the level arithmetic between the single-path and batch code shows
+    # of the level arithmetic between the single-path and batch code shows.
+    # The re-key loads the seed and path index as Python ints: 2^64 - 1 is the
+    # largest key word a uint64 holds
     for model in (BACH, CappedBachelier(m0=0.3, sigma=1.7, p_bar=2.0)):
-        for n_steps in (7, 256):
-            _, m = _batch(model, 1.0, n_steps, 5, 0, 8)
+        for n_steps, seed, first in ((7, 5, 0), (256, 5, 0), (64, 2**64 - 1, 2**64 - 8)):
+            _, m = _batch(model, 1.0, n_steps, seed, first, 8)
             p = model._cap(m)
-            for j in (0, 3, 7):
-                path = simulate_path(model, 1.0, n_steps, path_stream(5, j))
+            for j in (0, 3, 5, 6, 7):
+                path = simulate_path(model, 1.0, n_steps, path_stream(seed, first + j))
                 np.testing.assert_array_equal(path.m, m[:, j])
                 np.testing.assert_array_equal(path.p, p[:, j])
 
@@ -141,20 +143,23 @@ def test_batch_column_matches_single_path():
                                    Martingale(p0=1.0, sigma=0.5)],
                          ids=["bachelier", "bs", "martingale"])
 def test_batch_across_path_blocks_is_bit_exact(model):
-    # 150 paths from index 70 fill three path blocks, and the split at 83
-    # starts the second batch inside the first one's second block
-    seed, first, count, cut, n_steps = 99, 70, 150, 83, 64
-    assert count > 2 * _PATH_BLOCK and cut > _PATH_BLOCK
-    (_, m), (_, m1), (_, m2) = (_batch(model, 1.0, n_steps, seed, lo, size)
-                                for lo, size in ((first, count), (first, cut),
-                                                 (first + cut, count - cut)))
-    p, p1, p2 = (model._cap(levels) for levels in (m, m1, m2))
-    np.testing.assert_array_equal(m, np.hstack((m1, m2)))
-    np.testing.assert_array_equal(p, np.hstack((p1, p2)))
-    for j in range(count):
-        path = simulate_path(model, 1.0, n_steps, path_stream(seed, first + j))
-        np.testing.assert_array_equal(path.m, m[:, j])
-        np.testing.assert_array_equal(path.p, p[:, j])
+    # the paths from index 70 fill two path blocks and part of a third, and
+    # the split starts the second batch inside the first one's second block;
+    # 1024 steps take 128-path blocks, 4096 the floor of 64
+    for n_steps in (1024, 4096):
+        size = _path_block(n_steps)
+        seed, first, count, cut = 99, 70, 2 * size + 22, size + 13
+        assert count > 2 * size and count % size and size < cut < 2 * size
+        (_, m), (_, m1), (_, m2) = (_batch(model, 1.0, n_steps, seed, lo, n)
+                                    for lo, n in ((first, count), (first, cut),
+                                                  (first + cut, count - cut)))
+        p, p1, p2 = (model._cap(levels) for levels in (m, m1, m2))
+        np.testing.assert_array_equal(m, np.hstack((m1, m2)))
+        np.testing.assert_array_equal(p, np.hstack((p1, p2)))
+        for j in range(count):
+            path = simulate_path(model, 1.0, n_steps, path_stream(seed, first + j))
+            np.testing.assert_array_equal(path.m, m[:, j])
+            np.testing.assert_array_equal(path.p, p[:, j])
 
 
 def test_batch_simulation_holds_no_full_size_scratch():
@@ -172,42 +177,46 @@ def test_batch_simulation_holds_no_full_size_scratch():
 
 
 def test_concurrent_fills_equal_the_one_thread_fill():
-    # three callers in user threads switching every 10 us: every batch
-    # equals the one-thread fill
-    want = _batch(BACH, 1.0, 32, 7, 0, 4 * _PATH_BLOCK)
-    got = [None] * 3
+    # three callers in user threads switching every 10 us: every batch, three
+    # path blocks and part of a fourth, equals the one-thread fill
+    for n_steps in (1024, 4096):
+        count = 3 * _path_block(n_steps) + 5
+        want = _batch(BACH, 1.0, n_steps, 7, 0, count)
+        got = [None] * 3
 
-    def run(k):
-        got[k] = _batch(BACH, 1.0, 32, 7, 0, 4 * _PATH_BLOCK)
+        def run(k):
+            got[k] = _batch(BACH, 1.0, n_steps, 7, 0, count)
 
-    callers = [threading.Thread(target=run, args=(k,)) for k in range(3)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(caller.is_alive() for caller in callers)
-    for batch in got:
-        for g, w in zip(batch, want, strict=True):
-            np.testing.assert_array_equal(g, w)
+        callers = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for batch in got:
+            for g, w in zip(batch, want, strict=True):
+                np.testing.assert_array_equal(g, w)
 
 
 def test_estimators_hold_one_batch_at_a_time(monkeypatch):
     # a batch's normals are freed before the next batch is simulated: a
     # batch holds one full-size array, and a second one held at once exceeds
-    # this bound.  The rest is one block of levels, prices, positions and
-    # rates, the probe's weights and its per-block GEMM (0.4-1.2 MiB here):
-    # the probe folds each block as it is run (holding the batch's X and U as
-    # well peaked at 7.7 MB here, above its bound of 3.6 MB)
+    # this bound.  The rest is the block of paths the normals are drawn in
+    # (1 MiB here), one block of levels, prices, positions and rates, the
+    # probe's weights and its per-block GEMM (0.4-1.2 MiB here): the probe
+    # folds each block as it is run (holding the batch's X and U as well
+    # peaked at 7.7 MB here, above its bound of 4.6 MB)
     count, n_steps, n_directions = 1024, 256, 20
     monkeypatch.setattr(montecarlo, "_BATCH_DEFAULT", count)
     # one process walks all three batches
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
     batch = (n_steps + 1) * count * 8
+    draw = _path_block(n_steps) * n_steps * 8
     kernel = GKernel.from_costs(UNIT_COSTS)
     # the martingale's table is a curve: a capped model's step rows
     # (n_steps x its z grid) would outweigh the batch
@@ -220,14 +229,14 @@ def test_estimators_hold_one_batch_at_a_time(monkeypatch):
     ]
     for call, functionals in calls:
         # a first call fills the interpreter's caches, which tracemalloc counts
-        call(2 * _PATH_BLOCK)
+        call(128)
         tracemalloc.start()
         try:
             call(3 * count)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < batch + functionals + 2**20
+        assert peak < batch + draw + functionals + 2**20
 
 
 def test_batch_pass_holds_its_levels_and_one_block_of_prices(monkeypatch):
@@ -240,7 +249,7 @@ def test_batch_pass_holds_its_levels_and_one_block_of_prices(monkeypatch):
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
     policy = optimal_policy(BACH, GKernel.from_costs(UNIT_COSTS), UNIT_COSTS)
     # a first call builds the policy's table and fills the interpreter's caches
-    estimate_value(BACH, policy, UNIT_COSTS, 2 * _PATH_BLOCK, n_steps, 3)
+    estimate_value(BACH, policy, UNIT_COSTS, 128, n_steps, 3)
     step_rows = n_steps * (policy.signal_table.z_grid.size + 1) * 8
     tracemalloc.start()
     try:
@@ -801,6 +810,8 @@ def test_block_lookup_equals_reference_formula(model):
             assert np.array_equal(got[r], _reference_lookup(table, float(grid[i]), p[i], m[i]))
 
 
+# no cost is a power of two, so a reordering of the goal's arithmetic shows
+ENGINE_COSTS = CostParams(lam=0.3, gamma=0.7, big_gamma=1.3, horizon=1.0, x0=0.9)
 ENGINE_MODELS = {
     "bachelier": BACH,
     "bs": CappedBlackScholes(m0=1.0, sigma=0.5, p_bar=1.05),
@@ -816,8 +827,8 @@ def test_blocked_engine_equals_step_by_step_reference(name, n_steps):
     # the feedback policies with and without a table and plain callables
     # returning a per-path array, a Python float, a Python int and a
     # one-element array, with no v1^2 sum, with one on the policy's table and
-    # one on a table of its own; counts around the path block and past a batch
-    model, costs = ENGINE_MODELS[name], UNIT_COSTS
+    # one on a table of its own; counts of 1, around 64 and past a batch
+    model, costs = ENGINE_MODELS[name], ENGINE_COSTS
     kernel = GKernel.from_costs(costs)
     optimal = optimal_policy(model, kernel, costs)
 
@@ -829,7 +840,8 @@ def test_blocked_engine_equals_step_by_step_reference(name, n_steps):
     def flat(t, x, state):
         return 0.9 - 0.3 * t
 
-    policies = [optimal, ac_policy(kernel), plain, flat, lambda t, x, state: 1,
+    signal_free = ac_policy(kernel)
+    policies = [optimal, signal_free, plain, flat, lambda t, x, state: 1,
                 lambda t, x, state: np.array([0.4 * t + 0.2])]
     squares = (None, optimal.signal_table, model._signal_table(kernel, costs.lam))
     for count in (1, 63, 64, 65, 2049):
@@ -845,16 +857,19 @@ def test_blocked_engine_equals_step_by_step_reference(name, n_steps):
 
             def fold(k, lo, P, X, U):
                 assert np.array_equal(P, p[lo:lo + P.shape[0]])
+                # every batch reads the plan's one signal-free schedule
+                if policies[k] is signal_free:
+                    assert not (X.flags.writeable or U.flags.writeable)
                 xs, us = paths[k]
                 xs[lo:lo + X.shape[0]] = X
                 us[lo:lo + U.shape[0]] = U
 
-            plan = _plan(grid, policies, square)
+            plan = _plan(grid, policies, costs, square)
             # the step loop forms each block's levels and prices from the normals
-            got = _run_batch(plan, count, normals(), costs, fold)
+            got = _run_batch(plan, count, normals(), fold)
             want = reference_run(grid, p, m, policies, costs, square)
             # the run without a fold is the same run
-            runs = ((got, _run_batch(plan, count, normals(), costs)) if square is None
+            runs = ((got, _run_batch(plan, count, normals())) if square is None
                     else (got,))
             for run in runs:
                 for g, w in zip(run.goals, want.goals, strict=True):
@@ -883,8 +898,8 @@ def test_fold_price_blocks_assemble_the_capped_prices(name):
         starts.append(lo)
         got[lo:lo + P.shape[0]] = P
 
-    _run_batch(_plan(grid, [policy]), count,
-               _simulate_batch(model, costs.horizon, n_steps, 11, 0, count)[1], costs, fold)
+    _run_batch(_plan(grid, [policy], costs), count,
+               _simulate_batch(model, costs.horizon, n_steps, 11, 0, count)[1], fold)
     assert starts == list(range(0, n_steps, _STEP_BLOCK))
     assert np.array_equal(got, model._cap(m))
 

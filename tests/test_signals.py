@@ -392,33 +392,6 @@ def test_quadrature_error_names_the_cell_the_per_tau_loop_names(cls, costs, monk
     assert str(batched.value) == str(per_tau.value)
 
 
-_TIME_CHECKED = {
-    "DeterministicDrift": DeterministicDrift(times=np.array([0.0, 1.0]),
-                                             values=np.array([-0.1, -0.1]), p0=1.0),
-}
-
-
-# the other three models' cases are rows of tests/test_contract.py
-@pytest.mark.parametrize("name, t", [
-    (name, t) for name in _TIME_CHECKED for t in (math.nan, -2.0, 1.5)
-])
-def test_time_outside_the_horizon_is_rejected_naming_it(name, t):
-    # NaN fails every ordered comparison, so a range check that only looks for
-    # t < 0 or t > T lets it through to an answer or an error about another
-    # field; T = 1 here, so -2 and 1.5 lie outside it
-    kernel = GKernel.from_costs(UNIT_COSTS)
-    target = _TIME_CHECKED[name]
-    state = TargetZoneState(t=t, m=1.0, p=0.9)
-    for entry in (v1_target_zone, extra_rate):
-        with pytest.raises(ValueError, match=r"^state\.t must"):
-            entry(kernel, UNIT_COSTS, target, state)
-    with pytest.raises(ValueError, match=r"^state\.t must"):
-        full_rate(kernel, UNIT_COSTS, target, state, 1.0)
-    table = optimal_policy(target, kernel, UNIT_COSTS).signal_table
-    with pytest.raises(ValueError, match=r"^t must"):
-        table.extra_values(t, np.array([0.9]), np.array([1.0]))
-
-
 @pytest.mark.parametrize("n_steps", [40, 409, 4096, 777])
 @pytest.mark.parametrize("values", [[-0.1, -0.1], [0.5, -0.5, 0.5]], ids=["constant", "two_piece"])
 @pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
