@@ -1,11 +1,11 @@
-"""Command-line front end: surfaces, Monte Carlo runs, verification, values.
+"""Command-line front end: surfaces, Monte Carlo runs, probes, verification, values.
 
 All subcommands are driven by a flat key=value config file (# starts a
 comment).  Outputs are CSV with one header line, LF newlines and floats
 printed with 17 significant digits, so identical configs produce
 byte-identical files.  Exit status: 0 success, 1 numeric failure (failed
-verification threshold or quadrature disagreement), 2 config error (the
-message names the offending key).
+verification threshold, a probe gain above its noise, or quadrature
+disagreement), 2 config error (the message names the offending key).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .montecarlo import (
     estimate_v0_and_value,
     optimal_policy,
     paired_value_difference,
+    probe_optimality,
 )
 from .oracle import DiscreteProblem, solve_discrete
 from .schedule import CostParams, GKernel, trajectory_from_signal, urgency, value_formula
@@ -119,17 +120,17 @@ class _ModelSpec(NamedTuple):
 _MODELS = {
     "bachelier-capped": _ModelSpec(
         lambda cfg: CappedBachelier(m0=cfg.m0, sigma=cfg.sigma, p_bar=cfg.p_bar),
-        ("surface", "simulate", "value"), requires=("m0", "p_bar")),
+        ("surface", "simulate", "value", "probe"), requires=("m0", "p_bar")),
     "bs-capped": _ModelSpec(
         lambda cfg: CappedBlackScholes(m0=cfg.m0, sigma=cfg.sigma, p_bar=cfg.p_bar),
-        ("surface", "simulate", "value"), requires=("m0", "p_bar"), reads=("bs_m",)),
+        ("surface", "simulate", "value", "probe"), requires=("m0", "p_bar"), reads=("bs_m",)),
     "martingale": _ModelSpec(
         lambda cfg: Martingale(p0=cfg.m0, sigma=cfg.sigma),
-        ("simulate", "value", "verify")),
+        ("simulate", "value", "probe", "verify")),
     "drift": _ModelSpec(
         lambda cfg: DeterministicDrift(times=np.array([0.0, cfg.horizon]),
                                        values=np.array([cfg.drift, cfg.drift]), p0=cfg.m0),
-        ("simulate", "verify"), reads=("drift",)),
+        ("simulate", "probe", "verify"), reads=("drift",)),
 }
 
 
@@ -299,6 +300,23 @@ def cmd_value(cfg: RunConfig) -> int:
     return 0
 
 
+def cmd_probe(cfg: RunConfig) -> int:
+    """Write the goal changes of perturbed optimal controls (exit 1 if any gains)."""
+    output = _output(cfg)
+    model, costs, kernel = _problem(cfg)
+    probe = probe_optimality(model, kernel, costs, n_paths=cfg.n_paths, n_steps=cfg.n_steps,
+                             master_seed=cfg.seed)
+    n_directions, n_eps = probe.mean_gain.shape  # rows direction-major
+    rows = zip(_floats(probe.epsilons) * n_directions, _floats(probe.mean_gain),
+               _floats(probe.std_error), _floats(probe.margins))
+    _write_csv(output, "direction,epsilon,mean_gain,std_error,margin",
+               (f"{i // n_eps},{','.join(row)}" for i, row in enumerate(rows)))
+    verdict = "PASS" if probe.all_pass else "FAIL"
+    print(f"probe: {verdict} (worst margin {probe.margins.max():.6e}, "
+          f"{n_directions} directions x {n_eps} epsilons)")
+    return 0 if probe.all_pass else 1
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     """Check the closed-form schedule against the discrete optimizer (exit 1 on failure)."""
     model, costs, kernel = _problem(cfg)
@@ -354,6 +372,7 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "verify": cmd_verify,
     "value": cmd_value,
+    "probe": cmd_probe,
 }
 
 
@@ -361,7 +380,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="liqzone",
         description="Optimal liquidation schedules under price caps: surfaces, "
-                    "simulation, verification and values.",
+                    "simulation, optimality probes, verification and values.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _COMMANDS.items():

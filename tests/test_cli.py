@@ -17,6 +17,7 @@ from liqzone import (
     ac_policy,
     extra_rate,
     estimate_value,
+    probe_optimality,
     urgency,
 )
 from liqzone.cli import (_KEYS, _MODELS, ConfigError, _floats, _surface_lines, _write_csv,
@@ -269,6 +270,34 @@ def test_value_simulates_and_looks_up_the_signal_once(tmp_path, monkeypatch):
     assert calls == {"_build": 1, "step_rows": 1, "block_values": blocks * 2}
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_probe_csv_equals_the_library_probe(tmp_path, capsys, seed):
+    # small costs, 2100 paths: the probe fails at 16 steps and passes at 1024
+    # (the step-count bias of probe_optimality's docstring); either way the
+    # CSV holds the library's numbers, direction-major
+    cfg = BASE.replace("gamma = 1.0", "gamma = 1e-5").replace(
+        "big_gamma = 1.0", "big_gamma = 1e-5")
+    costs = CostParams(lam=0.1, gamma=1e-5, big_gamma=1e-5, horizon=1.0, x0=1.0)
+    model = CappedBachelier(m0=1.0, sigma=0.5, p_bar=1.0)
+    for n_steps, code in ((16, 1), (1024, 0)):
+        out = tmp_path / f"probe{n_steps}.csv"
+        assert main(["probe", "--config", write(tmp_path, cfg), "--output", str(out),
+                     "--paths", "2100", "--steps", str(n_steps), "--seed", str(seed)]) == code
+        verdict = capsys.readouterr().out.splitlines()
+        assert len(verdict) == 1 and verdict[0].startswith(("probe: PASS", "probe: FAIL")[code])
+        probe = probe_optimality(model, GKernel.from_costs(costs), costs, 2100, n_steps, seed)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "direction,epsilon,mean_gain,std_error,margin"
+        rows = np.array([list(map(float, line.split(","))) for line in lines[1:]])
+        n_directions, n_eps = probe.mean_gain.shape
+        assert rows.shape == (n_directions * n_eps, 5)
+        assert (rows[:, 0] == np.repeat(np.arange(n_directions), n_eps)).all()
+        assert (rows[:, 1] == np.tile(probe.epsilons, n_directions)).all()
+        for column, values in zip(rows[:, 2:].T, (probe.mean_gain, probe.std_error,
+                                                  probe.margins)):
+            assert (column == values.ravel()).all()
+
+
 def test_verify_passes_at_moderate_resolution(tmp_path, capsys):
     cfg = """
 model = drift
@@ -452,14 +481,14 @@ def test_bs_m_below_capped_price_exits_2(tmp_path, capsys):
     assert "bs_m" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["surface", "simulate", "value"])
+@pytest.mark.parametrize("command", ["surface", "simulate", "value", "probe"])
 def test_missing_output_reported_before_any_computation(tmp_path, monkeypatch, capsys,
                                                         command):
     def engine(*args, **kwargs):
         raise AssertionError("ran before checking the output key")
 
     for name in ("rate_surface", "paired_value_difference", "estimate_v0_and_value",
-                 "v1_target_zone"):
+                 "v1_target_zone", "probe_optimality"):
         monkeypatch.setattr(f"liqzone.cli.{name}", engine)
     assert main([command, "--config", write(tmp_path, BASE)]) == 2
     assert "'output'" in capsys.readouterr().err
@@ -470,7 +499,7 @@ def test_help_describes_every_subcommand(capsys):
         main(["-h"])
     assert exc.value.code == 0
     lines = capsys.readouterr().out.splitlines()
-    for command in ("surface", "simulate", "value", "verify"):
+    for command in ("surface", "simulate", "value", "verify", "probe"):
         described = [line for line in lines if line.split()[:1] == [command]]
         assert described and len(described[0].split()) > 1, command
 

@@ -114,6 +114,19 @@ def test_deterministic_models_ignore_randomness():
     np.testing.assert_allclose(path.p, 1.0 - 0.1 * path.grid, rtol=1e-14)
 
 
+def test_drift_path_needs_a_curve_covering_the_horizon():
+    # a curve sampled on [0, 0.5] only: np.interp would hold it constant up to
+    # T = 1, so the path, its value and the policy all refuse it alike
+    drift = DeterministicDrift(times=np.array([0.0, 0.5]), values=np.array([-0.1, -0.1]), p0=1.0)
+    kernel = GKernel.from_costs(UNIT_COSTS)
+    calls = (lambda: simulate_path(drift, 1.0, 4, path_stream(0, 0)),
+             lambda: estimate_value(drift, ac_policy(kernel), UNIT_COSTS, 4, 16, 0),
+             lambda: optimal_policy(drift, kernel, UNIT_COSTS))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^model\.times must cover \[grid\[0\], horizon\]$"):
+            call()
+
+
 def test_batch_concatenation_is_bit_exact():
     (_, m), (_, m1), (_, m2) = (_batch(BACH, 1.0, 64, 99, first, count)
                                 for first, count in ((0, 48), (0, 17), (17, 31)))

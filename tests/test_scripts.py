@@ -1,11 +1,25 @@
-"""Smoke test of the experiment scripts at tiny sizes, run as the README shows."""
+"""The README's examples run as a user runs them, each in its own interpreter."""
 
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+CONFIG = """
+model = bachelier-capped
+m0 = 1.0
+sigma = 0.5
+p_bar = 1.0
+lambda = 0.1
+gamma = 1e-5
+big_gamma = 1e-5
+tau_count = 3
+money_count = 3
+"""
 
 
 def _run(*args):
@@ -15,21 +29,21 @@ def _run(*args):
                           text=True, timeout=300)
 
 
-def test_surface_experiments_writes_both_surfaces(tmp_path):
-    done = _run(ROOT / "scripts" / "surface_experiments.py", "--taus", 3, "--moneys", 3,
-                "--outdir", tmp_path)
-    assert done.returncode == 0, done.stderr
-    for name in ("surface_small_costs.csv", "surface_unit_costs.csv"):
-        lines = (tmp_path / name).read_text().splitlines()
-        assert lines[0] == "tau,moneyness,rate,rate_ac,rate_extra,relative_increase"
-        assert len(lines) == 1 + 3 * 3
-
-
-def test_mc_experiments_runs():
-    done = _run(ROOT / "scripts" / "mc_experiments.py", "--paths", 64, "--steps", 32,
-                "--directions", 2)
-    assert done.returncode == 0, done.stderr
-    assert "value identity" in done.stdout
+@pytest.mark.parametrize("command, extra, code", [
+    ("surface", "", 0),
+    ("surface", "strike = 1\n", 2),                 # unknown key
+    ("probe", "n_paths = 2100\nn_steps = 16\n", 1),  # the step-count bias is a gain
+], ids=["surface", "unknown-key", "failing-probe"])
+def test_cli_process_exit_status(tmp_path, command, extra, code):
+    # entry() hands main()'s status to sys.exit, through the module's __main__ hook
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    cfg.write_text(CONFIG + extra)
+    done = _run("-m", "liqzone.cli", command, "--config", cfg, "--output", out)
+    assert done.returncode == code, done.stderr
+    if code == 2:
+        assert "unknown key 'strike'" in done.stderr and not out.exists()
+    else:
+        assert out.read_text().count("\n") > 1  # a failed probe still writes its CSV
 
 
 def test_readme_library_example_runs():

@@ -7,6 +7,7 @@ Frozen decimals come from 40-digit mpmath evaluations of the closed forms
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +149,58 @@ def test_constant_drift_signal_matches_closed_form(costs, a):
         st = TargetZoneState(t=t, m=1.0, p=1.0)
         assert v1_target_zone(k, costs, model, st) == pytest.approx(exact, rel=1e-7)
         np.testing.assert_allclose(-table.extra_values(t, p, p), exact, rtol=1e-7, atol=0.0)
+
+
+def _v1_piecewise_linear(times, values, costs, t):
+    """v1(t) of a piecewise-linear drift in closed form, at 50 digits.
+
+    In u = T - s, G(u) = beta cosh(beta u) + g sinh(beta u) has antiderivative
+    H1 and H1 has H2; on a piece a = A - c u, int G a du = A H1 - c (u H1 - H2).
+    mpmath does not overflow at beta T = 1000, where g_value does.
+    """
+    with mpmath.workdps(50):
+        b = mpmath.sqrt(mpmath.mpf(costs.gamma) / costs.lam)
+        g, T, t = mpmath.mpf(costs.big_gamma) / costs.lam, mpmath.mpf(costs.horizon), mpmath.mpf(t)
+
+        def integral(u, big_a, c):  # int_0^u G(w) (big_a - c w) dw, up to a constant
+            h1 = mpmath.sinh(b * u) + g / b * mpmath.cosh(b * u)
+            return big_a * h1 - c * (u * h1 - mpmath.cosh(b * u) / b - g / b**2 * mpmath.sinh(b * u))
+
+        total = mpmath.mpf(0)
+        for s0, s1, a0, a1 in zip(times[:-1], times[1:], values[:-1], values[1:]):
+            s0, s1, a0, a1 = map(mpmath.mpf, (s0, s1, a0, a1))
+            if s1 > t:
+                c = (a1 - a0) / (s1 - s0)
+                big_a = a0 + c * (T - s0)
+                total += integral(T - max(s0, t), big_a, c) - integral(T - s1, big_a, c)
+        return float(total / (2 * costs.lam * (b * mpmath.cosh(b * (T - t))
+                                               + g * mpmath.sinh(b * (T - t)))))
+
+
+# the trapezoid rule's error relative to the curve's largest |v1| at these
+# times, measured for the three drifts: 4.7e-13 / 1.1e-11 / 1.2e-11 (small
+# costs), 5.0e-8 / 3.5e-7 / 2.5e-7 (unit costs), 5.0e-3 / 4.8e-3 / 4.8e-3
+# (beta T = 1000)
+@pytest.mark.parametrize("costs, bound", [
+    (SMALL_COSTS, 1e-10),
+    (UNIT_COSTS, 1e-6),
+    (CostParams(lam=0.1, gamma=1e5, big_gamma=1.0, horizon=1.0, x0=1.0), 1e-2),
+], ids=["small", "unit", "beta-T-1000"])
+@pytest.mark.parametrize("times, values", [
+    ([0.0, 1.0], [-0.1, -0.1]),
+    ([0.0, 0.3, 1.0], [-0.1, 0.2, -0.3]),
+    ([0.0, 0.3, 0.7, 1.0], [0.1, -0.4, 0.25, 0.05]),
+], ids=["constant", "two-piece", "three-piece"])
+def test_drift_signal_trapezoid_error_is_bounded(costs, bound, times, values):
+    k = GKernel.from_costs(costs)
+    model = DeterministicDrift(times=np.array(times), values=np.array(values), p0=1.0)
+    ts = (0.0, 0.1234, 0.3, 0.305, 0.5, 0.9, 0.999)
+    exact = np.array([_v1_piecewise_linear(times, values, costs, t) for t in ts])
+    scale = np.max(np.abs(exact))
+    state = [v1_target_zone(k, costs, model, TargetZoneState(t=t, m=1.0, p=1.0)) for t in ts]
+    assert np.max(np.abs(state - exact)) <= bound * scale
+    curve = v1_curve_deterministic(model, k, costs.lam, np.array(ts))
+    assert np.max(np.abs(curve - exact)) <= bound * scale
 
 
 def test_v1_curve_refines_sparse_caller_grids():
