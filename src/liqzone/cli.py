@@ -26,7 +26,7 @@ from .montecarlo import (
     probe_optimality,
 )
 from .oracle import DiscreteProblem, solve_discrete
-from .schedule import CostParams, GKernel, trajectory_from_signal, urgency, value_formula
+from .schedule import CostParams, GKernel, _positions_from_signal, urgency, value_formula
 from .signals import (
     CappedBachelier,
     CappedBlackScholes,
@@ -330,14 +330,15 @@ def cmd_verify(cfg: RunConfig) -> int:
         grid = np.linspace(0.0, costs.horizon, n + 1)
         # the oracle sees the model's expected price path, as the closed form does
         plan = solve_discrete(DiscreteProblem(model._expected_levels(grid), costs))
-        exact = trajectory_from_signal(kernel, costs.x0,
+        # the closed form's positions: verify reads no closed-form rates
+        exact = _positions_from_signal(kernel, costs.x0,
                                        model._v1_curve(kernel, costs.lam, grid), grid)
-        traj_errors.append(float(np.max(np.abs(plan.positions - exact.positions))) / costs.x0)
+        traj_errors.append(float(np.max(np.abs(plan.positions - exact))) / costs.x0)
         terminal_residuals.append(plan.rates[-1] - kernel.gamma_ratio * plan.positions[-1])
         u0_disc, x_n = plan.rates[0], plan.positions[-1]
         # the discrete u_0 is the average rate over the first cell, so the
         # fair closed-form target is shares sold over [0, delta] per unit time
-        u0_exact = (costs.x0 - exact.positions[1]) * n / costs.horizon
+        u0_exact = (costs.x0 - exact[1]) * n / costs.horizon
 
     u0_err = abs(u0_disc - u0_exact) / abs(u0_exact)
     order = math.log(traj_errors[0] / traj_errors[-1]) / math.log(ns[-1] / ns[0])

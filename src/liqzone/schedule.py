@@ -314,6 +314,14 @@ def trajectory_from_signal(kernel, x0, v1_curve, grid) -> TradePlan:
 
     The grid must start at 0 and end by the horizon (to relative 1e-12).
     """
+    positions = _positions_from_signal(kernel, x0, v1_curve, grid)
+    grid, values = np.asarray(grid, dtype=float), np.asarray(v1_curve, dtype=float)
+    rates = np.array(_urgencies(kernel, grid[:-1])) * positions[:-1] - values[:-1]
+    return TradePlan(grid=grid, positions=positions, rates=rates)
+
+
+def _positions_from_signal(kernel, x0, v1_curve, grid) -> np.ndarray:
+    """trajectory_from_signal's positions, with its checks, and no rates."""
     x0 = _finite("x0", x0)
     grid = _check_grid("grid", grid)
     if grid[0] != 0.0 or grid[-1] > kernel.horizon * (1.0 + 1e-12):
@@ -326,17 +334,17 @@ def trajectory_from_signal(kernel, x0, v1_curve, grid) -> TradePlan:
     beta, g, horizon = kernel.beta, kernel.gamma_ratio, kernel.horizon
     lg = _log_g_array(beta, g, beta * (horizon - grid))
     # step ratio rho_j = G(T - s_{j+1}) / G(T - s_j) <= 1
-    rho = np.exp(np.diff(lg)).tolist()
-    h = np.diff(grid).tolist()
-    v = values.tolist()
+    rho = np.exp(np.diff(lg))
+    # each step's signal term, formed for all steps at once: numpy's products
+    # and sums round as the Python floats of the recursion do
+    push = (0.5 * np.diff(grid) * (rho * values[:-1] + values[1:])).tolist()
 
-    positions = [x0 * math.exp(lg[0] - _log_g(beta, g, beta * horizon))]
-    for r, step, a, b in zip(rho, h, v, v[1:]):
-        positions.append(r * positions[-1] + 0.5 * step * (r * a + b))
-    positions = np.array(positions)
-
-    rates = np.array(_urgencies(kernel, grid[:-1])) * positions[:-1] - values[:-1]
-    return TradePlan(grid=grid, positions=positions, rates=rates)
+    x = x0 * math.exp(lg[0] - _log_g(beta, g, beta * horizon))
+    positions = [x]
+    for r, c in zip(rho.tolist(), push):
+        x = r * x + c
+        positions.append(x)
+    return np.array(positions)
 
 
 def value_formula(kernel: GKernel, costs: CostParams, p0: float, v0_0: float, v1_0: float) -> float:

@@ -153,7 +153,7 @@ class _Model:
     are p0 plus sigma times Brownian sums, the capped price is the level
     itself, the expected level path _expected_levels is p0 throughout, and
     the signal curve _v1_curve is zero.  An uncapped model's v1 depends on t
-    alone, so _v1 and the Monte Carlo table (_CurveSignalTable) read that
+    alone, so _v1 and the Monte Carlo table (_CurveSignalTable) evaluate that
     curve; capped models override both.  Subclasses override what differs.
     """
 
@@ -442,8 +442,8 @@ class CappedBlackScholes(_CappedModel):
 class DeterministicDrift(_Model):
     """Price with a known deterministic drift curve a(t) and no noise.
 
-    times/values sample a piecewise-linear a(t); the curve must cover the
-    interval it is integrated over.
+    times/values sample a piecewise-linear a(t), which must cover the interval
+    it is integrated over; v1 is in closed form (v1_curve_deterministic).
     """
 
     times: np.ndarray
@@ -469,11 +469,7 @@ class DeterministicDrift(_Model):
     def _expected_levels(self, grid):
         self._check_covers(grid[0], grid[-1])  # every grid here ends at the horizon
         a = np.interp(grid, self.times, self.values)
-        out = np.empty_like(grid)
-        out[0] = self.p0
-        np.cumsum(0.5 * np.diff(grid) * (a[:-1] + a[1:]), out=out[1:])
-        out[1:] += self.p0
-        return out
+        return np.concatenate(([0.0], np.cumsum(0.5 * np.diff(grid) * (a[:-1] + a[1:])))) + self.p0
 
     def _v1_curve(self, kernel, lam, grid):
         return v1_curve_deterministic(self, kernel, lam, grid)
@@ -533,8 +529,7 @@ def bachelier_lookback_price(u, moneyness, sigma):
     k = _finite_array("moneyness", moneyness, 0.0)
     _positive("sigma", sigma)
     s = sigma * np.sqrt(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(s > 0.0, k / np.where(s > 0.0, s, 1.0), np.inf)
+    a = np.where(s > 0.0, k / np.where(s > 0.0, s, 1.0), np.inf)
     out = np.where(s > 0.0, 2.0 * s * _norm_pdf(a) - 2.0 * k * _ndtr(-a), 0.0)
     return out if out.ndim else float(out)
 
@@ -599,11 +594,9 @@ def v1_target_zone(kernel: GKernel, costs: CostParams, model, state: TargetZoneS
     The kernel must be GKernel.from_costs(costs), else ValueError.  Capped models
     integrate the lookback theta after the s = t + tau y^2 substitution on
     adaptive Gauss-Kronrod panels until the error estimate is within
-    relative 1e-8, else QuadratureError.  DeterministicDrift integrates its
-    curve by trapezoid, with an O((beta h)^2) error at a step h <= T / 4096
-    (v1_curve_deterministic gives measured figures, 5e-3 relative at beta T
-    = 1000); Martingale returns exactly 0.  The result is <= 0 for capped
-    models.
+    relative 1e-8, else QuadratureError.  DeterministicDrift's v1 is in closed
+    form (v1_curve_deterministic, within 1e-15 of its largest |v1| up to beta T
+    = 1000); Martingale returns exactly 0.  The result is <= 0 for capped models.
     """
     _check_kernel(kernel, costs)
     tau = model._check_state(state, kernel.horizon)
@@ -612,47 +605,52 @@ def v1_target_zone(kernel: GKernel, costs: CostParams, model, state: TargetZoneS
 
 def v1_curve_deterministic(model: DeterministicDrift, kernel: GKernel, lam: float,
                            grid) -> np.ndarray:
-    """v1 at every grid point for a deterministic drift curve.
+    """v1 at every grid point for a deterministic drift curve, in closed form.
 
-    Evaluates (1 / 2 lam) int_t^T G(T-s)/G(T-t) a(s) ds by composite trapezoid
-    on the union of the grid and the curve's samples, via a backward recursion
-    in discount ratios so that huge G values never appear.  The recursion
-    runs on Python floats, which round as numpy's doubles do.
-
-    The mesh step is h <= T / 4096 (the caller's grid and the curve's
-    samples only add nodes), and the error is O((beta h)^2): for a constant
-    drift it is (beta h)^2 / 12 of v1.  Against an mpmath closed form at
-    seven times in [0, 0.999] on [0, 1], relative to the largest |v1| there,
-    constant and two- and three-piece drifts measured 5e-13 to 1.2e-11 at
-    gamma = big_gamma = 1e-5 (lam = 0.1), 5e-8 to 3.5e-7 at gamma =
-    big_gamma = 1, and 5e-3 at beta T = 1000 (gamma = 1e5, big_gamma = 1),
-    where a step spans a quarter of the discount's decay length 1 / beta.
+    With G(x) = A e^{bx} + B e^{-bx} (b = beta, A = (b + g) / 2, B = (b - g) / 2),
+    v1(t) = (A I1 + B e^{-b tau} I2) / (2 lam (A + B e^{-2b tau})) at tau = T - t,
+    where I1 = int_t^T e^{-b(s-t)} a(s) ds and I2 = int_t^T e^{-b(T-s)} a(s) ds
+    are elementary on each linear piece of a, and no exponential exceeds 1.  A
+    point's value does not depend on the rest of the grid; v1(T) = 0.  Against
+    50-digit mpmath: within 5e-16 of the largest |v1| for one- to three-piece
+    drifts at gamma = big_gamma = 1e-5 and 1 (lam = 0.1) and at beta T = 1000;
+    1.8e-13 at big_gamma / (lam beta) = 1e3, where rounding grows with it.
     """
     _positive("lam", lam)
     grid = _check_grid("grid", grid, min_size=1)
     if grid[0] < 0.0 or grid[-1] > kernel.horizon * (1.0 + 1e-12):
         raise ValueError("grid must lie within [0, horizon]")
     model._check_covers(grid[0], kernel.horizon)
+    b, g, horizon = kernel.beta, kernel.gamma_ratio, kernel.horizon
+    s = np.union1d(model.times[(model.times > 0.0) & (model.times < horizon)], [0.0, horizon])
+    a = np.interp(s, model.times, model.values)
+    slope = np.diff(a) / np.diff(s)
 
-    # never integrate on the caller's mesh alone: a sparse grid (or a curve
-    # sampled at two points) would turn the trapezoid sum into nonsense
-    min_nodes = max(2, int(math.ceil((kernel.horizon - grid[0]) / kernel.horizon * 4096)) + 1)
-    refine = np.linspace(grid[0], kernel.horizon, min_nodes)
-    fine = np.union1d(np.union1d(grid, refine),
-                      model.times[(model.times > grid[0]) & (model.times < kernel.horizon)])
-    a = np.interp(fine, model.times, model.values).tolist()
-    beta = kernel.beta
-    lg = _log_g_array(beta, kernel.gamma_ratio, beta * (kernel.horizon - fine))
-    rho = np.exp(lg[1:] - lg[:-1]).tolist()  # G(T - s_{j+1}) / G(T - s_j) <= 1
-    h = np.diff(fine).tolist()
+    def rest(ell, j):  # 2 A I1 + 2 B e^{-b tau} I2 over the last ell of the piece ending at s_j
+        x = b * ell
+        e0 = -np.expm1(-x) / b
+        e1 = np.where(x < 0.1, ell * ell * np.polyval(_E1_SERIES, x), (e0 - ell * np.exp(-x)) / b)
+        m = slope[j - 1]
+        # I2's e^{-b(T - s)} is e^{-b(T - s_j)} e^{-bw} at s = s_j - w, and tau = T - s_j + ell
+        return ((b + g) * ((a[j] - m * ell) * e0 + m * e1)
+                + (b - g) * np.exp(b * (2.0 * (s[j] - horizon) - ell)) * (a[j] * e0 - m * e1))
 
-    acc = [0.0] * fine.size
-    for j in range(fine.size - 2, -1, -1):
-        # int over [s_j, s_{j+1}] of G(T-s)/G(T-s_j) a(s) ds, then fold the tail in
-        local = 0.5 * h[j] * (a[j] + rho[j] * a[j + 1])
-        acc[j] = local + rho[j] * acc[j + 1]
-    idx = np.searchsorted(fine, grid)
-    return np.array(acc)[idx] / (2.0 * lam)
+    # the same over [s_j, T] at each knot, in one backward pass
+    step, w = rest(np.diff(s), np.arange(1, s.size)), np.zeros(s.size)
+    for j in range(s.size - 2, -1, -1):
+        w[j] = step[j] + math.exp(b * (s[j] - s[j + 1])) * w[j + 1]
+    # at each point, the rest of its piece and the knot that ends it (t = T: ell = 0)
+    j = np.minimum(np.searchsorted(s, grid, side="right"), s.size - 1)
+    ell = s[j] - grid
+    x = b * (horizon - grid)
+    # 2 e^{-b tau} G(tau) = (b + g) + (b - g) e^{-2 b tau}, without cancellation
+    d = b * (1.0 + np.exp(-2.0 * x)) - g * np.expm1(-2.0 * x)
+    return (rest(ell, j) + np.exp(-b * ell) * w[j]) / (2.0 * lam * d)
+
+
+# int_0^L u e^{-bu} du / L^2 = sum_k (-bL)^k / (k! (k + 2)), to 5e-18 below bL = 0.1,
+# where its direct form (E0(L) - L e^{-bL}) / b cancels; np.polyval's order, k = 9 first
+_E1_SERIES = [(-1) ** k / math.factorial(k) / (k + 2) for k in range(9, -1, -1)]
 
 
 def _barycentric(nodes: np.ndarray, weights: np.ndarray, at) -> np.ndarray:
@@ -830,22 +828,22 @@ class _CappedSignalTable(_SignalTable):
 class _CurveSignalTable(_SignalTable):
     """Extra rate -v1(t) of a model whose v1 depends on t alone (state independent).
 
-    The model's curve (_v1_curve) is evaluated once on a dense grid;
-    step_rows interpolates it at the step times, and block_values broadcasts
-    each step's value over the paths.
+    step_rows evaluates the model's curve (_v1_curve: DeterministicDrift's
+    closed form, no table error) at the step times, block_values broadcasts
+    each step's value over the paths; a curve short of [0, T] is rejected here.
     """
 
-    _N_NODES = 8193
-
     def __init__(self, model: _Model, kernel: GKernel, lam: float):
-        self.kernel = kernel
-        self._grid = np.linspace(0.0, kernel.horizon, self._N_NODES)
-        self._curve = -model._v1_curve(kernel, lam, self._grid)
+        self.model, self.kernel, self.lam = model, kernel, lam
+        model._v1_curve(kernel, lam, np.zeros(1))  # a curve short of [0, T] raises now
 
     def step_rows(self, times) -> np.ndarray:
         """The extra rate at each step time in [0, horizon]."""
         horizon = self.kernel.horizon
-        return np.interp([_check_time("t", t, horizon) for t in times], self._grid, self._curve)
+        times = np.asarray(times, dtype=float)
+        for t in times[~((times >= 0.0) & (times <= horizon))][:1]:
+            _check_time("t", t, horizon)  # raises, naming the first
+        return -self.model._v1_curve(self.kernel, self.lam, times)
 
     def block_values(self, step_rows, steps: slice, p: np.ndarray, m: np.ndarray) -> np.ndarray:
         """The extra rate at the steps in steps, broadcast over p's paths."""

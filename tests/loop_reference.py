@@ -1,11 +1,11 @@
 """Element-at-a-time forms that the library's batched paths are tested against.
 
 Each function is a computation as the library first wrote it: the surface
-CSV formatted value by value, the trajectory and drift-curve recursions
-reading numpy arrays one element at a time, the Bachelier quadrature kernel
-as one GEMM per panel, the Black-Scholes kernel one root at a time, and the
-rate surface one quadrature call per tau row.  The library computes the same
-numbers in fewer passes, and its tests compare the two with ==.
+CSV formatted value by value, the trajectory recursion reading numpy arrays
+one element at a time, the Bachelier quadrature kernel as one GEMM per panel,
+the Black-Scholes kernel one root at a time, and the rate surface one
+quadrature call per tau row.  The library computes the same numbers in fewer
+passes, and its tests compare the two with ==.
 """
 
 import math
@@ -40,25 +40,6 @@ def trajectory(kernel, x0, v1_curve, grid) -> TradePlan:
                             + 0.5 * h[j] * (rho[j] * values[j] + values[j + 1]))
     rates = np.array([urgency(kernel, t) for t in grid[:-1]]) * positions[:-1] - values[:-1]
     return TradePlan(grid=grid, positions=positions, rates=rates)
-
-
-def v1_curve(model, kernel, lam, grid) -> np.ndarray:
-    """v1_curve_deterministic, its backward recursion on numpy scalars."""
-    min_nodes = max(2, int(math.ceil((kernel.horizon - grid[0]) / kernel.horizon * 4096)) + 1)
-    refine = np.linspace(grid[0], kernel.horizon, min_nodes)
-    fine = np.union1d(np.union1d(grid, refine),
-                      model.times[(model.times > grid[0]) & (model.times < kernel.horizon)])
-    a = np.interp(fine, model.times, model.values)
-    beta = kernel.beta
-    lg = _log_g_array(beta, kernel.gamma_ratio, beta * (kernel.horizon - fine))
-    rho = np.exp(lg[1:] - lg[:-1])
-    h = np.diff(fine)
-    acc = np.empty(fine.size)
-    acc[-1] = 0.0
-    for j in range(fine.size - 2, -1, -1):
-        local = 0.5 * h[j] * (a[j] + rho[j] * a[j + 1])
-        acc[j] = local + rho[j] * acc[j + 1]
-    return acc[np.searchsorted(fine, grid)] / (2.0 * lam)
 
 
 def _norm_pdf(x):

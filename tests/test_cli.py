@@ -18,11 +18,14 @@ from liqzone import (
     extra_rate,
     estimate_value,
     probe_optimality,
+    trajectory_from_signal,
     urgency,
 )
+from liqzone import cli
 from liqzone.cli import (_KEYS, _MODELS, ConfigError, _floats, _surface_lines, _write_csv,
                          load_config, main)
 from liqzone.montecarlo import _STEP_BLOCK
+from liqzone.schedule import _positions_from_signal
 from liqzone.signals import _CappedSignalTable
 import loop_reference
 
@@ -316,6 +319,29 @@ n_steps = 400
     for check in ("trajectory error", "convergence order",
                   "initial rate error", "terminal residual"):
         assert check in out
+
+
+@pytest.mark.parametrize("model", ["martingale", "drift"])
+def test_verify_positions_equal_the_trajectorys(tmp_path, monkeypatch, capsys, model):
+    # verify forms the closed-form positions alone; on every rung they are
+    # trajectory_from_signal's, which also forms the rates
+    calls = []
+
+    def recording(kernel, x0, v1_curve, grid):
+        positions = _positions_from_signal(kernel, x0, v1_curve, grid)
+        calls.append((kernel, x0, v1_curve, grid, positions))
+        return positions
+
+    monkeypatch.setattr(cli, "_positions_from_signal", recording)
+    cfg = BASE.replace("model = bachelier-capped", f"model = {model}")
+    if model == "drift":
+        cfg += "drift = -0.1\n"
+    assert main(["verify", "--config", write(tmp_path, cfg)]) == 0
+    assert "verify: PASS" in capsys.readouterr().out
+    assert [grid.size for *_, grid, _ in calls] == [41, 410, 4097]
+    for kernel, x0, v1_curve, grid, positions in calls:
+        assert np.array_equal(positions,
+                              trajectory_from_signal(kernel, x0, v1_curve, grid).positions)
 
 
 def test_verify_fails_on_coarse_grid(tmp_path, capsys):

@@ -138,17 +138,18 @@ def test_v1_constant_drift_frozen():
 def test_constant_drift_signal_matches_closed_form(costs, a):
     # for a constant drift a, int_0^tau G = (G'(tau) - beta g) / beta^2, so
     # v1(t) = a (urgency(t) - beta g / G(T - t)) / (2 lam beta^2); the state
-    # query and the Monte Carlo table both read the model's one v1 curve
+    # query and the Monte Carlo table both read the model's one v1 curve, at
+    # any time (0.123 and 0.777 included)
     k = GKernel.from_costs(costs)
     model = DeterministicDrift(times=np.array([0.0, 1.0]), values=np.array([a, a]), p0=1.0)
     table = optimal_policy(model, k, costs).signal_table
     p = np.array([1.0, 0.5, 2.0])
-    for t in (0.0, 0.25, 0.5, 0.9):
+    for t in (0.0, 0.123, 0.25, 0.5, 0.777, 0.9):
         exact = a * (urgency(k, t) - k.beta * k.gamma_ratio / g_value(k, 1.0 - t)) / (
             2.0 * costs.lam * k.beta**2)
         st = TargetZoneState(t=t, m=1.0, p=1.0)
-        assert v1_target_zone(k, costs, model, st) == pytest.approx(exact, rel=1e-7)
-        np.testing.assert_allclose(-table.extra_values(t, p, p), exact, rtol=1e-7, atol=0.0)
+        assert v1_target_zone(k, costs, model, st) == pytest.approx(exact, rel=1e-12)
+        np.testing.assert_allclose(-table.extra_values(t, p, p), exact, rtol=1e-12, atol=0.0)
 
 
 def _v1_piecewise_linear(times, values, costs, t):
@@ -177,39 +178,63 @@ def _v1_piecewise_linear(times, values, costs, t):
                                                + g * mpmath.sinh(b * (T - t)))))
 
 
-# the trapezoid rule's error relative to the curve's largest |v1| at these
-# times, measured for the three drifts: 4.7e-13 / 1.1e-11 / 1.2e-11 (small
-# costs), 5.0e-8 / 3.5e-7 / 2.5e-7 (unit costs), 5.0e-3 / 4.8e-3 / 4.8e-3
-# (beta T = 1000)
-@pytest.mark.parametrize("costs, bound", [
-    (SMALL_COSTS, 1e-10),
-    (UNIT_COSTS, 1e-6),
-    (CostParams(lam=0.1, gamma=1e5, big_gamma=1.0, horizon=1.0, x0=1.0), 1e-2),
+# the closed form's error relative to the curve's largest |v1| at these
+# times, measured for the three drifts at most 4.7e-16 (the trapezoid rule it
+# replaced: 1.2e-11 at small costs, 3.5e-7 at unit costs, 5.0e-3 at beta T =
+# 1000).  No case warns (pytest turns a RuntimeWarning into an error)
+@pytest.mark.parametrize("costs", [
+    SMALL_COSTS,
+    UNIT_COSTS,
+    CostParams(lam=0.1, gamma=1e5, big_gamma=1.0, horizon=1.0, x0=1.0),
 ], ids=["small", "unit", "beta-T-1000"])
 @pytest.mark.parametrize("times, values", [
     ([0.0, 1.0], [-0.1, -0.1]),
     ([0.0, 0.3, 1.0], [-0.1, 0.2, -0.3]),
     ([0.0, 0.3, 0.7, 1.0], [0.1, -0.4, 0.25, 0.05]),
 ], ids=["constant", "two-piece", "three-piece"])
-def test_drift_signal_trapezoid_error_is_bounded(costs, bound, times, values):
+def test_drift_signal_trapezoid_error_is_bounded(costs, times, values):
     k = GKernel.from_costs(costs)
     model = DeterministicDrift(times=np.array(times), values=np.array(values), p0=1.0)
-    ts = (0.0, 0.1234, 0.3, 0.305, 0.5, 0.9, 0.999)
+    ts = (0.0, 0.1234, 0.3, 0.305, 0.5, 0.9, 0.999, 1.0)  # on and next to a knot, and T
     exact = np.array([_v1_piecewise_linear(times, values, costs, t) for t in ts])
     scale = np.max(np.abs(exact))
-    state = [v1_target_zone(k, costs, model, TargetZoneState(t=t, m=1.0, p=1.0)) for t in ts]
-    assert np.max(np.abs(state - exact)) <= bound * scale
+    state = [v1_target_zone(k, costs, model, TargetZoneState(t=t, m=1.0, p=1.0))
+             for t in ts[:-1]]
+    assert np.max(np.abs(state - exact[:-1])) <= 1e-12 * scale
     curve = v1_curve_deterministic(model, k, costs.lam, np.array(ts))
-    assert np.max(np.abs(curve - exact)) <= bound * scale
+    assert np.max(np.abs(curve - exact)) <= 1e-12 * scale
+    assert curve[-1] == 0.0
 
 
 def test_v1_curve_refines_sparse_caller_grids():
-    # a single-point grid must not degrade the quadrature mesh
+    # a single-point grid gives the value any grid does: the closed form
+    # does not integrate on the caller's mesh
     k = GKernel.from_costs(UNIT_COSTS)
     model = DeterministicDrift(times=np.array([0.0, 1.0]),
                                values=np.array([-0.1, -0.1]), p0=1.0)
     got = float(v1_curve_deterministic(model, k, UNIT_COSTS.lam, np.array([0.0]))[0])
-    assert got == pytest.approx(-0.14822930513653838, rel=1e-6)
+    assert got == pytest.approx(-0.14822930513653838, rel=1e-12)
+    assert got == v1_curve_deterministic(model, k, UNIT_COSTS.lam, np.linspace(0.0, 1.0, 9))[0]
+
+
+@pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS, LARGE_BETA_COSTS],
+                         ids=["small", "unit", "large-beta"])
+def test_drift_curve_on_a_later_grid_equals_its_entries(costs):
+    # each point's v1 is its own closed form, so a grid's tail, the Monte
+    # Carlo table's step rows and its one-step query read the same numbers
+    model = DeterministicDrift(times=np.array([0.0, 0.3, 0.7, 1.0]),
+                               values=np.array([0.1, -0.4, 0.25, 0.05]), p0=1.0)
+    k = GKernel.from_costs(costs)
+    grid = np.linspace(0.0, 1.0, 778)
+    curve = v1_curve_deterministic(model, k, costs.lam, grid)
+    for start in (1, 233, 234, 700, 777):
+        assert np.array_equal(v1_curve_deterministic(model, k, costs.lam, grid[start:]),
+                              curve[start:])
+    table = optimal_policy(model, k, costs).signal_table
+    assert np.array_equal(table.step_rows(grid[:-1]), -curve[:-1])
+    p = np.ones(3)
+    for i in (0, 233, 776):
+        assert np.array_equal(table.extra_values(grid[i], p, p), np.full(3, -curve[i]))
 
 
 def test_capped_extra_frozen_at_barrier():
@@ -449,15 +474,13 @@ def test_quadrature_error_names_the_cell_the_per_tau_loop_names(cls, costs, monk
 @pytest.mark.parametrize("values", [[-0.1, -0.1], [0.5, -0.5, 0.5]], ids=["constant", "two_piece"])
 @pytest.mark.parametrize("costs", [SMALL_COSTS, UNIT_COSTS], ids=["small", "unit"])
 def test_drift_curve_and_trajectory_equal_the_numpy_scalar_loops(costs, values, n_steps):
+    # the trajectory on the drift's curve (the curve itself is checked against
+    # its 50-digit form above)
     model = DeterministicDrift(times=np.linspace(0.0, 1.0, len(values)), values=np.array(values),
                                p0=1.0)
     k = GKernel.from_costs(costs)
     grid = np.linspace(0.0, 1.0, n_steps + 1)
     curve = v1_curve_deterministic(model, k, costs.lam, grid)
-    np.testing.assert_array_equal(curve, loop_reference.v1_curve(model, k, costs.lam, grid))
-    late = grid[n_steps // 3:]
-    np.testing.assert_array_equal(v1_curve_deterministic(model, k, costs.lam, late),
-                                  loop_reference.v1_curve(model, k, costs.lam, late))
     plan = trajectory_from_signal(k, costs.x0, curve, grid)
     want = loop_reference.trajectory(k, costs.x0, curve, grid)
     np.testing.assert_array_equal(plan.positions, want.positions)
