@@ -1,19 +1,23 @@
-"""Forked worker processes for work that splits over independent items.
+"""Work that splits over independent items, over forked processes or threads.
 
-Monte Carlo paths (liqzone.montecarlo) and the Black-Scholes integrand's
-roots (liqzone.signals) split this way: count sizes the split, run runs it,
-and each process writes its outputs into arrays on shared memory (shared).
-A forked worker never forks again: count gives it one process.
+count sizes a split: one worker per usable CPU, each with a minimum share of
+the work, and one in a forked worker.  Monte Carlo paths (liqzone.montecarlo)
+split over forked processes (run) writing into shared memory (shared): their
+step loop is many small numpy calls that hold the GIL.  Quadrature panels
+(liqzone.signals) split over threads (threads): a panel's few large ufunc and
+BLAS calls release the GIL, and a thread needs no fork.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import mmap
 import os
 import pickle
 import signal
 import sys
+import threading
 
 import numpy as np
 
@@ -33,7 +37,7 @@ def _usable_cpus() -> int:
 
 
 def count(items: int, work: int, min_share: int) -> int:
-    """Processes for `work` units over `items` items: one per usable CPU and at
+    """Workers for `work` units over `items` items: one per usable CPU and at
     most one per item, each with min_share units; one off Linux or in a worker."""
     if _forked or sys.platform != "linux":
         return 1
@@ -105,3 +109,44 @@ def _child(work, lo, hi, write):
             pipe.write(pickle.dumps((text, payload)))
     finally:
         os._exit(status)
+
+
+def threads(work, items: int, workers: int) -> None:
+    """Run the generator work(lo, hi), which yields after each item, on `workers`
+    contiguous ranges covering [0, items).
+
+    The calling thread runs range 0 and a helper thread each other range, in
+    a copy of the caller's context (numpy's errstate is a context variable).
+    If a range fails or the caller is interrupted, every range stops at its
+    next item; every helper is joined, then the first exception in range
+    order is raised as it was raised.
+    """
+    bounds = [items * w // workers for w in range(workers + 1)]
+    stop = threading.Event()
+    errors = [None] * workers
+
+    def walk(w):
+        try:
+            for _ in work(bounds[w], bounds[w + 1]):
+                if stop.is_set():
+                    return
+        except BaseException as exc:  # raised again in the caller
+            errors[w] = exc
+            stop.set()
+
+    helpers = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(walk, w))
+            thread.start()
+            helpers.append(thread)
+        walk(0)
+        for thread in helpers:  # each finishes its range before stop is set
+            thread.join()
+    finally:
+        stop.set()
+        for thread in helpers:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error

@@ -98,11 +98,10 @@ _QUAD_ROUNDS = 40
 # at least one): a call holds 32 panel sums of each cell, so this bounds a
 # surface's memory; the default 50 x 50 surface is one call
 _SURFACE_CELLS = 4096
-# integrand nodes a Black-Scholes _table_rows worker gets at least: two workers
-# took 0.88-0.98 times one's time at 2^18-2^19 nodes each, 0.69 at 1.4 x 2^19
-# (2 vCPUs, a 100 MB process).  A surface call's at most _SURFACE_CELLS x 240
-# nodes stay in one process
-_FORK_MIN_NODES = 2**19
+# integrand nodes a _table_rows thread gets at least: two threads took 0.77-0.90
+# times one's time at 1.5-1.8 x 2^17 nodes in all, 0.99-1.09 at 0.9 x 2^17 (2 vCPUs,
+# BLAS on one thread).  A default 50 x 50 surface's first call has 4.6 x 2^17
+_SPLIT_MIN_NODES = 2**16
 # How far below 0 the scaled moneyness may fall before a price is above the cap:
 # engine paths exceed p_bar by rounding (~3e-15 in z), -1e-10 moves the rate ~1e-10
 _Z_SLACK = 1e-10
@@ -144,6 +143,12 @@ def _ndtr(x):
     """
     from scipy.special import ndtr
     return ndtr(x)
+
+
+def _by_panel(work, panels: int, nodes: int) -> None:
+    """_workers.threads over the panels of a _table_rows call, one thread per
+    _SPLIT_MIN_NODES of its integrand nodes at most."""
+    _workers.threads(work, panels, _workers.count(panels, nodes, _SPLIT_MIN_NODES))
 
 
 class _Model:
@@ -214,6 +219,10 @@ class _CappedModel(_Model):
     panel, root and z, shape (2, panels, roots, z), one (roots, 15, z) block
     of the integrand per panel), the table's z grid (_TABLE_Z) and the
     surface's uncapped levels (_surface_levels).
+
+    _table_rows splits its panels over threads (_by_panel): a panel's ufunc
+    and BLAS calls release the GIL, and its sums are the same operations on
+    the same operands in any thread, so results do not depend on the split.
     """
 
     m0: float
@@ -372,14 +381,19 @@ class CappedBachelier(_CappedModel):
     def _table_rows(self, lam, z, y, roots, w):
         # extra / root: the integrand does not depend on the root, so per
         # panel one GEMM (2 roots x 15) @ (15 x z) for a shared z row, else
-        # one (2 x 15) @ (15 x z) per root
+        # one (2 x 15) @ (15 x z) per root; the panels split over threads
         sums = np.empty(w.shape[:3] + z.shape[1:])
-        for k, y_k in enumerate(y):
-            pdf = z[:, None, :] / y_k[:, None]
-            _norm_pdf(pdf, out=pdf)
-            np.matmul(w[k].reshape(z.shape[0], -1, y.shape[1]), pdf,
-                      out=sums[k].reshape(z.shape[0], -1, z.shape[1]))
-        sums /= lam
+
+        def work(lo, hi):
+            for k in range(lo, hi):
+                pdf = z[:, None, :] / y[k][:, None]
+                _norm_pdf(pdf, out=pdf)
+                np.matmul(w[k].reshape(z.shape[0], -1, y.shape[1]), pdf,
+                          out=sums[k].reshape(z.shape[0], -1, z.shape[1]))
+                sums[k] /= lam
+                yield
+
+        _by_panel(work, y.shape[0], y.size * z.size)
         return sums.transpose(2, 0, 1, 3)
 
     def _surface_levels(self, bs_m, ks):
@@ -411,22 +425,25 @@ class CappedBlackScholes(_CappedModel):
 
     def _table_rows(self, lam, z, y, roots, w):
         # extra / (root m) with f = root y / 2 - z / y, for every root of a
-        # panel at once; one (2 x 15) @ (15 x z) GEMM per root and sum.  No root's
-        # sums read another's: the roots split over workers (ndtr imported first)
+        # panel at once; one (2 x 15) @ (15 x z) GEMM per root and sum.  The
+        # panels split over threads (ndtr imported first), each with its own
+        # f and Phi; Phi is taken first, so the density can overwrite f
         from scipy.special import ndtr
-        workers = _workers.count(roots.size, y.size * roots.size * z.shape[1], _FORK_MIN_NODES)
-        sums = (np.empty if workers == 1 else _workers.shared)(w.shape[:3] + z.shape[1:])
+        sums = np.empty(w.shape[:3] + z.shape[1:])
+        half_roots = (0.5 * roots)[:, None, None]
 
         def work(lo, hi):
-            half_roots = (0.5 * roots[lo:hi])[:, None, None]
-            z_rows = z if z.shape[0] == 1 else z[lo:hi]
-            for k, y_k in enumerate(y):
-                f = half_roots * y_k[:, None] - z_rows[:, None, :] / y_k[:, None]
-                sums[k, lo:hi] = (2.0 * (w[k, lo:hi] @ _norm_pdf(f))
-                                  + roots[lo:hi, None, None] * ((w[k, lo:hi] * y_k) @ ndtr(f)))
-            sums[:, lo:hi] /= 2.0 * lam
+            f, phi = (np.empty((roots.size,) + y.shape[1:] + z.shape[1:]) for _ in range(2))
+            for k in range(lo, hi):
+                y_k = y[k][:, None]
+                np.subtract(half_roots * y_k, z[:, None, :] / y_k, out=f)
+                ndtr(f, out=phi)
+                sums[k] = (2.0 * (w[k] @ _norm_pdf(f, out=f))
+                           + roots[:, None, None] * ((w[k] * y[k]) @ phi))
+                sums[k] /= 2.0 * lam
+                yield
 
-        _workers.run(work, roots.size, workers)
+        _by_panel(work, y.shape[0], y.size * roots.size * z.shape[1])
         return sums.transpose(2, 0, 1, 3)
 
     def _surface_levels(self, bs_m, ks):
