@@ -2,8 +2,9 @@
 
 All subcommands are driven by a flat key=value config file (# starts a
 comment).  Outputs are CSV with one header line, LF newlines and floats
-printed with 17 significant digits, so identical configs produce
-byte-identical files.  Exit status: 0 success, 1 numeric failure (failed
+printed as "%.17g" prints them, so identical configs produce byte-identical
+files; every CSV is written from the byte cells of one numpy formatter
+(liqzone._csv).  Exit status: 0 success, 1 numeric failure (failed
 verification threshold, a probe gain above its noise, or quadrature
 disagreement), 2 config error (the message names the offending key).
 """
@@ -18,6 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _csv
 from .montecarlo import (
     ac_policy,
     estimate_v0_and_value,
@@ -50,6 +52,9 @@ _VERIFY_TRAJ_TOL = 1e-3
 _VERIFY_RATE_TOL = 1e-4
 _VERIFY_ORDER_MIN = 0.9
 _VERIFY_TERMINAL_TOL = 1e-6
+
+# cells per block of a surface CSV: about 1.7 MB of scratch
+_CSV_CELLS = 1024
 
 _REQUIRED = object()  # default of a key every config must set
 
@@ -225,26 +230,11 @@ def _output(cfg: RunConfig) -> str:
     return cfg.output
 
 
-def _floats(values) -> list[str]:
-    """Each value as a CSV cell, %.17g: as f"{value:.17g}" prints it, nan, inf and -0 too."""
-    return list(map("%.17g".__mod__, np.asarray(values, dtype=float).ravel().tolist()))
-
-
-def _write_csv(path: str, header: str, lines) -> None:
-    """Write the header, then each preformatted line, each ended by LF."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        fh.writelines(f"{line}\n" for line in lines)
-
-
-def _surface_lines(taus, money, rate_ac, rate, rate_extra, relative_increase):
-    """Yield the surface CSV's lines, tau-major, a row at a time.  rate_ac holds one value
-    per tau (constant along a row); each tau, moneyness and rate_ac is formatted once."""
-    money = _floats(money)
-    for tau, ac, *row in zip(_floats(taus), _floats(rate_ac), rate, rate_extra,
-                             relative_increase):
-        for k, r, extra, rel in zip(money, *map(_floats, row)):
-            yield f"{tau},{k},{r},{ac},{extra},{rel}"
+def _write_csv(path: str, header: str, blocks) -> None:
+    """Write the header line, then each block of CSV lines (bytes)."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        fh.writelines(blocks)
 
 
 def cmd_surface(cfg: RunConfig) -> int:
@@ -265,9 +255,21 @@ def cmd_surface(cfg: RunConfig) -> int:
     bs_m = cfg.bs_m if cfg.bs_m is not None else model.p_bar
     surf = rate_surface(kernel, costs, model, taus, money, x=cfg.x0, bs_m=bs_m)
     _write_csv(output, "tau,moneyness,rate,rate_ac,rate_extra,relative_increase",
-               _surface_lines(surf.taus, surf.moneyness, surf.rate_ac[:, 0], surf.rate,
-                              surf.rate_extra, surf.relative_increase))
+               _surface_blocks(surf))
     return 0
+
+
+def _surface_blocks(surf):
+    """The surface CSV's lines, tau-major, in blocks of whole tau rows of at most
+    _CSV_CELLS cells; each tau, moneyness and rate_ac is formatted once."""
+    money = _csv.cells(surf.moneyness)
+    chunk = max(1, _CSV_CELLS // money.shape[0])
+    for lo in range(0, surf.taus.size, chunk):
+        rows = slice(lo, lo + chunk)
+        tau, ac = _csv.cells(np.stack([surf.taus[rows], surf.rate_ac[rows, 0]]))[:, :, None]
+        rate, extra, rel = _csv.cells(np.stack(
+            [surf.rate[rows], surf.rate_extra[rows], surf.relative_increase[rows]]))
+        yield _csv.lines(tau, money, rate, ac, extra, rel)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -278,10 +280,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
         model, optimal_policy(model, kernel, costs), ac_policy(kernel), costs,
         n_paths=cfg.n_paths, n_steps=cfg.n_steps, master_seed=cfg.seed,
     )
-    lines = [",".join([name, *_floats([est.mean, est.std_error]), str(est.n_paths), str(est.seed)])
-             for name, est in (("optimal", comparison.value_a),
-                               ("almgren-chriss", comparison.value_b))]
-    _write_csv(output, "policy,mean,std_error,n_paths,seed", lines)
+    ests = (comparison.value_a, comparison.value_b)
+    _write_csv(output, "policy,mean,std_error,n_paths,seed", [_csv.lines(
+        _csv.text(["optimal", "almgren-chriss"]),
+        _csv.cells([est.mean for est in ests]), _csv.cells([est.std_error for est in ests]),
+        _csv.text([est.n_paths for est in ests]), _csv.text([est.seed for est in ests]))])
     return 0
 
 
@@ -296,7 +299,8 @@ def cmd_value(cfg: RunConfig) -> int:
     value = value_formula(kernel, costs, p0, v0.mean, v1_0)
     row = (p0, costs.x0, -urgency(kernel, 0.0), v1_0, v0.mean, v0.std_error, value,
            mc.mean, mc.std_error)
-    _write_csv(output, "p0,x0,v2_0,v1_0,v0_0,v0_se,value,mc_value,mc_se", [",".join(_floats(row))])
+    _write_csv(output, "p0,x0,v2_0,v1_0,v0_0,v0_se,value,mc_value,mc_se",
+               [_csv.lines(*_csv.cells(row))])
     return 0
 
 
@@ -307,10 +311,9 @@ def cmd_probe(cfg: RunConfig) -> int:
     probe = probe_optimality(model, kernel, costs, n_paths=cfg.n_paths, n_steps=cfg.n_steps,
                              master_seed=cfg.seed)
     n_directions, n_eps = probe.mean_gain.shape  # rows direction-major
-    rows = zip(_floats(probe.epsilons) * n_directions, _floats(probe.mean_gain),
-               _floats(probe.std_error), _floats(probe.margins))
-    _write_csv(output, "direction,epsilon,mean_gain,std_error,margin",
-               (f"{i // n_eps},{','.join(row)}" for i, row in enumerate(rows)))
+    _write_csv(output, "direction,epsilon,mean_gain,std_error,margin", [_csv.lines(
+        _csv.text(range(n_directions))[:, None], _csv.cells(probe.epsilons),
+        _csv.cells(probe.mean_gain), _csv.cells(probe.std_error), _csv.cells(probe.margins))])
     verdict = "PASS" if probe.all_pass else "FAIL"
     print(f"probe: {verdict} (worst margin {probe.margins.max():.6e}, "
           f"{n_directions} directions x {n_eps} epsilons)")
@@ -319,10 +322,10 @@ def cmd_probe(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     """Check the closed-form schedule against the discrete optimizer (exit 1 on failure)."""
-    model, costs, kernel = _problem(cfg)
-    ns = sorted({max(2, cfg.n_steps // 100), max(2, cfg.n_steps // 10), cfg.n_steps})
-    if len(ns) < 2:
+    if cfg.n_steps < 20:
         raise ConfigError("key 'n_steps' must be >= 20 for verify (order needs a refinement)")
+    model, costs, kernel = _problem(cfg)
+    ns = sorted({max(2, cfg.n_steps // 100), cfg.n_steps // 10, cfg.n_steps})
     traj_errors = []
     terminal_residuals = []
     u0_disc = x_n = None

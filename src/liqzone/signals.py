@@ -484,9 +484,15 @@ class DeterministicDrift(_Model):
             raise ValueError("model.times must cover [grid[0], horizon]")
 
     def _expected_levels(self, grid):
+        """p0 plus the integral of a from grid[0], exact on each linear piece: the
+        sums up to the knots inside the grid, then each point's part of its piece."""
         self._check_covers(grid[0], grid[-1])  # every grid here ends at the horizon
+        s = np.union1d(self.times[(self.times > grid[0]) & (self.times < grid[-1])], grid[:1])
+        a_s = np.interp(s, self.times, self.values)
+        at_knots = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(s) * (a_s[:-1] + a_s[1:]))))
+        j = np.searchsorted(s, grid, side="right") - 1
         a = np.interp(grid, self.times, self.values)
-        return np.concatenate(([0.0], np.cumsum(0.5 * np.diff(grid) * (a[:-1] + a[1:])))) + self.p0
+        return self.p0 + at_knots[j] + 0.5 * (grid - s[j]) * (a_s[j] + a)
 
     def _v1_curve(self, kernel, lam, grid):
         return v1_curve_deterministic(self, kernel, lam, grid)

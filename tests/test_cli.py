@@ -3,6 +3,7 @@
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,9 +22,8 @@ from liqzone import (
     trajectory_from_signal,
     urgency,
 )
-from liqzone import cli
-from liqzone.cli import (_KEYS, _MODELS, ConfigError, _floats, _surface_lines, _write_csv,
-                         load_config, main)
+from liqzone import _csv, cli
+from liqzone.cli import _KEYS, _MODELS, ConfigError, _surface_blocks, _write_csv, load_config, main
 from liqzone.montecarlo import _STEP_BLOCK
 from liqzone.schedule import _positions_from_signal
 from liqzone.signals import _CappedSignalTable
@@ -108,13 +108,13 @@ def test_csv_row_format_prints_what_the_per_value_format_prints(tmp_path):
     values += [np.float64(v) for v in values]
     rows = [tuple(values), tuple(reversed(values))]
     path = tmp_path / "rows.csv"
-    _write_csv(str(path), "h", [",".join(_floats(row)) for row in rows])
+    _write_csv(str(path), "h", [_csv.lines(*_csv.cells(row)) for row in rows])
     want = "h\n" + "".join(",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
     assert path.read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize("n_tau, n_money", [(4, 5), (1, 7), (6, 1), (1, 1)])
-def test_surface_lines_print_what_the_per_row_format_prints(n_tau, n_money):
+def test_surface_lines_print_what_the_per_row_format_prints(monkeypatch, n_tau, n_money):
     # the CLI's cells are finite (x0 > 0); the builder must print any double
     special = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e-300, 1e300,
                0.020408163265306121, 2.0**53 + 2.0, 1.0 / 3.0]
@@ -128,7 +128,16 @@ def test_surface_lines_print_what_the_per_row_format_prints(n_tau, n_money):
 
     args = (np.sort(rng.uniform(0.0, 1.0, n_tau)), np.sort(rng.uniform(0.0, 1.0, n_money)),
             draw(n_tau), draw(n_tau, n_money), draw(n_tau, n_money), draw(n_tau, n_money))
-    assert list(_surface_lines(*args)) == loop_reference.surface_lines(*args)
+    taus, money, rate_ac, *rest = args
+    # a RateSurface's rate_ac repeats each tau's value along its row
+    surf = SimpleNamespace(taus=taus, moneyness=money,
+                           rate_ac=np.repeat(rate_ac[:, None], n_money, axis=1),
+                           **dict(zip(("rate", "rate_extra", "relative_increase"), rest)))
+    want = "".join(line + "\n" for line in loop_reference.surface_lines(*args)).encode()
+    # a block of one tau row, of a few rows, and the whole surface
+    for cells in (1, 2 * n_money, cli._CSV_CELLS):
+        monkeypatch.setattr(cli, "_CSV_CELLS", cells)
+        assert b"".join(_surface_blocks(surf)) == want
 
 
 def test_surface_csv_contract(tmp_path):
@@ -388,6 +397,16 @@ def test_verify_checks_the_models_own_drift_curve(tmp_path, monkeypatch, capsys)
             "lambda = 0.1", f"lambda = {lam}")
         assert main(["verify", "--config", write(tmp_path, cfg)]) == 0
         assert "verify: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 19])
+def test_verify_rejects_too_few_steps_naming_the_key(tmp_path, capsys, n_steps):
+    # the ladder n / 100, n / 10, n needs two rungs of at least 2 steps
+    cfg = BASE.replace("model = bachelier-capped", "model = martingale")
+    assert main(["verify", "--config", write(tmp_path, cfg), "--steps", str(n_steps)]) == 2
+    captured = capsys.readouterr()
+    assert "key 'n_steps' must be >= 20 for verify" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_rejects_capped_models(tmp_path):

@@ -206,6 +206,32 @@ def test_drift_signal_trapezoid_error_is_bounded(costs, times, values):
     assert curve[-1] == 0.0
 
 
+@pytest.mark.parametrize("times, values, grid", [
+    ([0.0, 0.35, 1.0], [0.0, 1.0, -0.5], np.linspace(0.0, 1.0, 11)),
+    ([0.0, 0.35, 1.0], [0.0, 1.0, -0.5], np.linspace(0.0, 1.0, 4)),
+    ([0.0, 0.3, 0.7, 1.0], [0.1, -0.4, 0.25, 0.05], np.linspace(0.0, 1.0, 9)),
+    ([0.0, 0.3, 0.7, 1.0], [0.1, -0.4, 0.25, 0.05], np.array([0.0, 0.05, 0.31, 0.69, 1.0])),
+    ([-0.5, 0.123, 2.0], [-0.1, 0.3, 0.2], np.linspace(0.0, 1.5, 7)),
+], ids=["one-knot-10-steps", "one-knot-3-steps", "two-knots-8-steps", "two-knots-uneven",
+        "knots-beyond-the-grid"])
+def test_expected_levels_integrate_each_linear_piece_exactly(times, values, grid):
+    # p0 + int_{grid[0]}^t a: on a piece a = v_k + m (s - t_k), whose integral
+    # from t_k is v_k (t - t_k) + m (t - t_k)^2 / 2; knots fall between grid points
+    model = DeterministicDrift(times=np.array(times), values=np.array(values), p0=1.0)
+
+    def integral(t):  # of a from times[0] to t
+        total = 0.0
+        for k in range(len(times) - 1):
+            w = min(t, times[k + 1]) - times[k]
+            if w > 0.0:
+                m = (values[k + 1] - values[k]) / (times[k + 1] - times[k])
+                total += values[k] * w + 0.5 * m * w * w
+        return total
+
+    exact = np.array([1.0 + integral(t) - integral(grid[0]) for t in grid])
+    assert np.max(np.abs(model._expected_levels(grid) - exact)) <= 1e-15
+
+
 def test_v1_curve_refines_sparse_caller_grids():
     # a single-point grid gives the value any grid does: the closed form
     # does not integrate on the caller's mesh
