@@ -5,13 +5,17 @@ comment).  Outputs are CSV with one header line, LF newlines and floats
 printed as "%.17g" prints them, so identical configs produce byte-identical
 files; every CSV is written from the byte cells of one numpy formatter
 (liqzone._csv).  Exit status: 0 success, 1 numeric failure (failed
-verification threshold, a probe gain above its noise, or quadrature
-disagreement), 2 config error (the message names the offending key).
+verification threshold, a probe gain above its noise, quadrature
+disagreement, or a Monte Carlo path whose sample is not finite; no CSV is
+written then), 2 config error (the message names the offending key).
+main(argv) may be called any number of times in one process: the argument
+parser is built at the first call and shared by the later ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -344,7 +348,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         u0_exact = (costs.x0 - exact[1]) * n / costs.horizon
 
     u0_err = abs(u0_disc - u0_exact) / abs(u0_exact)
-    order = math.log(traj_errors[0] / traj_errors[-1]) / math.log(ns[-1] / ns[0])
+    # an exact finest rung gives +inf, an exact coarsest one alone -inf
+    order = (math.inf if traj_errors[-1] == 0.0 else -math.inf if traj_errors[0] == 0.0 else
+             math.log(traj_errors[0] / traj_errors[-1]) / math.log(ns[-1] / ns[0]))
     # the terminal residual's delta -> 0 value: the polynomial in delta through
     # every rung (with two rungs, one Richardson step on the O(delta) term)
     deltas = costs.horizon / np.array(ns, dtype=float)
@@ -380,24 +386,31 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built at first use and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="liqzone",
         description="Optimal liquidation schedules under price caps: surfaces, "
                     "simulation, optimality probes, verification and values.",
     )
+    # every subcommand's options; flags left out stay out of the namespace
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", required=True, help="key=value config file")
+    common.add_argument("--output", help="output path (overrides the config's output key)")
+    common.add_argument("--seed", type=int, help="master seed override")
+    common.add_argument("--paths", type=int, dest="n_paths", metavar="PATHS",
+                        help="Monte Carlo path count override")
+    common.add_argument("--steps", type=int, dest="n_steps", metavar="STEPS",
+                        help="time step count override")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _COMMANDS.items():
-        # flags left out stay out of the namespace; each given one sets its key
-        p = sub.add_parser(name, help=handler.__doc__, argument_default=argparse.SUPPRESS)
-        p.add_argument("--config", required=True, help="key=value config file")
-        p.add_argument("--output", help="output path (overrides the config's output key)")
-        p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--paths", type=int, dest="n_paths", metavar="PATHS",
-                       help="Monte Carlo path count override")
-        p.add_argument("--steps", type=int, dest="n_steps", metavar="STEPS",
-                       help="time step count override")
-    overrides = vars(parser.parse_args(argv))
+        sub.add_parser(name, help=handler.__doc__, parents=[common])
+    return parser
+
+
+def main(argv=None) -> int:
+    overrides = vars(_parser().parse_args(argv))
     command = overrides.pop("command")
 
     try:
@@ -412,7 +425,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:  # the library names the field it rejects
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:
+    except (QuadratureError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
 

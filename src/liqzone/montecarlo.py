@@ -545,10 +545,18 @@ def _one_pass(model, costs, n_paths, n_steps, master_seed, policies=(), square=N
 
 
 def _estimate(totals: np.ndarray, seed: int) -> MCEstimate:
+    """Mean and standard error of one sample per path; FloatingPointError names
+    the first path whose sample is not finite."""
     n = totals.size
+    bad = np.flatnonzero(~np.isfinite(totals))
+    if bad.size:
+        raise FloatingPointError(f"path {bad[0]} of {n} (seed {seed}) gives the non-finite "
+                                 f"Monte Carlo sample {float(totals[bad[0]])!r}")
+    # equal samples have no spread, though their np.mean may be an ulp off them
+    spread = 0.0 if np.all(totals == totals[0]) else np.std(totals, ddof=1)
     return MCEstimate(
         mean=float(np.mean(totals)),
-        std_error=float(np.std(totals, ddof=1) / math.sqrt(n)),
+        std_error=float(spread / math.sqrt(n)),
         n_paths=n,
         seed=int(seed),
     )

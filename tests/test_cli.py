@@ -28,6 +28,7 @@ from liqzone.montecarlo import _STEP_BLOCK
 from liqzone.schedule import _positions_from_signal
 from liqzone.signals import _CappedSignalTable
 import loop_reference
+import test_scripts
 
 BASE = """
 model = bachelier-capped
@@ -399,6 +400,19 @@ def test_verify_checks_the_models_own_drift_curve(tmp_path, monkeypatch, capsys)
         assert "verify: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("steps", [["--steps", "40"], []], ids=["40", "default"])
+def test_verify_of_an_exact_ladder_reports_an_infinite_order(tmp_path, steps):
+    # at gamma = 1e300 every rung's positions equal the closed form's, so the
+    # finest trajectory error is exactly 0 and the order's ratio has no value
+    cfg = BASE.replace("model = bachelier-capped", "model = martingale").replace(
+        "gamma = 1.0", "gamma = 1e300", 1)
+    done = test_scripts._run("-m", "liqzone.cli", "verify", "--config", write(tmp_path, cfg),
+                             *steps)
+    assert done.returncode in (0, 1) and done.stderr == ""
+    assert re.search(r"^convergence order +inf  \(>= 0\.9\)  PASS$", done.stdout, re.MULTILINE)
+    assert re.search(r"^verify: (PASS|FAIL) ", done.stdout.splitlines()[-1])
+
+
 @pytest.mark.parametrize("n_steps", [1, 2, 19])
 def test_verify_rejects_too_few_steps_naming_the_key(tmp_path, capsys, n_steps):
     # the ladder n / 100, n / 10, n needs two rungs of at least 2 steps
@@ -519,6 +533,23 @@ def test_quadrature_error_exits_1(tmp_path, monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow behind the sample
+@pytest.mark.parametrize("case, sample", [
+    (("sigma = 0.5", "sigma = 1e-300"), "nan"),  # the signal table's weights are 0 / 0
+    (("x0 = 1.0", "x0 = 1e300"), "-inf"),
+], ids=["sigma-1e-300", "x0-1e300"])
+@pytest.mark.parametrize("command", ["simulate", "value", "probe"])
+def test_non_finite_monte_carlo_sample_exits_1_without_a_csv(tmp_path, capsys, command, case,
+                                                             sample):
+    cfg = BASE.replace(*case) + "n_paths = 64\nn_steps = 32\n"
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", write(tmp_path, cfg), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"numeric failure: path 0 of 64 (seed 0) gives the non-finite "
+                            f"Monte Carlo sample {sample}\n")
+    assert captured.out == "" and not out.exists()
+
+
 def test_bs_m_below_capped_price_exits_2(tmp_path, capsys):
     cfg = BASE.replace("bachelier-capped", "bs-capped") + "bs_m = 0.5\n"
     assert main(["surface", "--config", write(tmp_path, cfg),
@@ -547,6 +578,92 @@ def test_help_describes_every_subcommand(capsys):
     for command in ("surface", "simulate", "value", "verify", "probe"):
         described = [line for line in lines if line.split()[:1] == [command]]
         assert described and len(described[0].split()) > 1, command
+
+
+# the -h text at COLUMNS=80, frozen: the shared parser prints what one built per call did
+TOP_HELP = """\
+usage: liqzone [-h] {surface,simulate,verify,value,probe} ...
+
+Optimal liquidation schedules under price caps: surfaces, simulation,
+optimality probes, verification and values.
+
+positional arguments:
+  {surface,simulate,verify,value,probe}
+    surface             Write the optimal-rate surface on the tau x moneyness
+                        grid (capped models), tau-major.
+    simulate            Write the simulated values of the optimal and signal-
+                        free policies.
+    verify              Check the closed-form schedule against the discrete
+                        optimizer (exit 1 on failure).
+    value               Write the closed-form value next to the simulated
+                        value of the policy.
+    probe               Write the goal changes of perturbed optimal controls
+                        (exit 1 if any gains).
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+# each subcommand's -h text; pad widens the usage's second line under the name
+SUB_HELP = """\
+usage: liqzone {name} [-h] --config CONFIG [--output OUTPUT] [--seed SEED]
+               {pad} [--paths PATHS] [--steps STEPS]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  key=value config file
+  --output OUTPUT  output path (overrides the config's output key)
+  --seed SEED      master seed override
+  --paths PATHS    Monte Carlo path count override
+  --steps STEPS    time step count override
+"""
+
+
+@pytest.mark.parametrize("command", ["top", *cli._COMMANDS])
+def test_help_text_at_80_columns(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"] if command == "top" else [command, "-h"])
+    assert exc.value.code == 0
+    expected = TOP_HELP if command == "top" else SUB_HELP.format(name=command,
+                                                                pad=" " * len(command))
+    assert capsys.readouterr().out == expected
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_one_process_prints_and_writes_what_fresh_processes_do(tmp_path, monkeypatch, capsys):
+    # main shares one parser between calls: after a help exit, a usage error
+    # and other subcommands, each run prints and writes what it does alone in
+    # a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")
+    surface = write(tmp_path, BASE + "tau_count = 5\nmoney_count = 4\n", "surface.cfg")
+    drift = write(tmp_path, BASE.replace("bachelier-capped", "drift") +
+                  "drift = -0.1\nn_steps = 400\n", "drift.cfg")
+    runs = [
+        (["surface", "--config", surface], True, 0),
+        (["-h"], False, 0),
+        (["surface", "--config", surface, "--seed", "x"], False, 2),
+        (["verify", "--config", drift], False, 0),
+        (["simulate", "--config", surface, "--paths", "64", "--steps", "32"], True, 0),
+        (["surface", "--config", surface], True, 0),
+    ]
+    for i, (argv, writes, code) in enumerate(runs):
+        fresh, shared = tmp_path / f"fresh{i}.csv", tmp_path / f"shared{i}.csv"
+        done = test_scripts._run("-m", "liqzone.cli", *argv,
+                                 *(["--output", fresh] if writes else []))
+        try:
+            status = main(argv + (["--output", str(shared)] if writes else []))
+        except SystemExit as exc:
+            status = exc.code
+        captured = capsys.readouterr()
+        assert status == code, argv
+        assert (status, captured.out, captured.err) == (done.returncode, done.stdout,
+                                                        done.stderr), argv
+        if writes:
+            assert shared.read_bytes() == fresh.read_bytes(), argv
 
 
 def test_readme_key_table_matches_accepted_keys():

@@ -375,6 +375,39 @@ def test_estimate_value_sigma_zero_has_zero_error():
     assert est.mean == pytest.approx(bk.total, rel=1e-14)
 
 
+@pytest.mark.parametrize("model", [
+    DeterministicDrift(times=[0.0, 1.0], values=[-0.1, -0.1], p0=0.0),
+    Martingale(p0=1.0, sigma=0.0),
+], ids=["drift", "martingale-sigma-0"])
+def test_equal_path_totals_have_exactly_zero_error(model):
+    # noise-free totals are bitwise equal; the drift model's np.mean is an ulp
+    # off them, and np.std about that mean read 8.0e-19
+    kernel = GKernel.from_costs(SMALL_COSTS)
+    cmp = paired_value_difference(model, optimal_policy(model, kernel, SMALL_COSTS),
+                                  ac_policy(kernel), SMALL_COSTS, n_paths=300, n_steps=64,
+                                  master_seed=7)
+    for est in (cmp.value_a, cmp.value_b, cmp.difference):
+        assert est.std_error == 0.0
+
+
+def test_estimate_of_unequal_totals_is_the_sample_standard_error():
+    # one total off the others is enough to take np.std, bit for bit as before
+    for sample in (np.r_[0.3 + 1e-12, np.full(1000, 0.3)],
+                   np.random.default_rng(4).standard_normal(300)):
+        est = montecarlo._estimate(sample, 5)
+        assert est.mean == float(np.mean(sample))
+        assert est.std_error == float(np.std(sample, ddof=1) / math.sqrt(sample.size))
+        assert est.std_error > 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_estimate_names_the_first_non_finite_path(bad):
+    totals = np.ones(40)
+    totals[[17, 30]] = bad
+    with pytest.raises(FloatingPointError, match=rf"path 17 of 40 \(seed 9\) .* {bad!r}"):
+        montecarlo._estimate(totals, 9)
+
+
 def _at_batch_size(monkeypatch, size, estimator, *args, **kwargs):
     monkeypatch.setattr(montecarlo, "_BATCH_DEFAULT", size)
     return estimator(*args, **kwargs)
